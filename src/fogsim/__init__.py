@@ -10,28 +10,20 @@ from .analytic import (
     IntegerOptimum,
     LengthOptimum,
     RatioSet,
-    SensitivityReport,
     array_size_exponent,
     classical_variance,
-    classical_variance_vs_length,
     design_variance,
-    distributed_variance,
-    entangled_variance,
     inverse_squeeze_factor,
     lambert_w0,
     length_exponent,
-    length_exponent_product,
     optimal_energy_split,
     optimal_length,
     optimal_m,
-    product_variance,
     ratio_fixed_eta,
     ratio_optimal_length,
     ratio_optimal_m,
     ratio_product_fixed_eta,
     sensitivity_ratios,
-    squeeze_factor,
-    squeezed_variance,
     variance_vs_length,
 )
 from .designs import (
@@ -39,8 +31,6 @@ from .designs import (
     DegenerateConfigurationError,
     DesignConfig,
     build_and_run,
-    conjugate_homodyne_closed_form,
-    distributed_homodyne_closed_form,
     estimator_variance_sim,
     homodyne_closed_form,
     mean_slope,
@@ -78,7 +68,6 @@ from .optimize import (
     optimize_m_integer,
 )
 from .sagnac import (
-    FiberSpec,
     GyroGeometry,
     RotationRegimeWarning,
     db_to_photons,

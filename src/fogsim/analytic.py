@@ -111,21 +111,8 @@ def lambert_w0(x: float) -> float:
 # Squeezing helpers and Lambert-W exponents
 # ---------------------------------------------------------------------------
 
-def squeeze_factor(n_squeezed: float) -> float:
-    """Quantum-noise division factor (sqrt(1 + N_s) + sqrt(N_s))^2.
-
-    Equals 10^(sigma/10) for sigma dB of squeezing; the squeezed-quadrature
-    variance is the vacuum variance divided by this factor.
-    """
-    if n_squeezed < 0:
-        raise ValueError("squeezed photon number must be nonnegative")
-    if math.isinf(n_squeezed):
-        return math.inf
-    return (math.sqrt(1.0 + n_squeezed) + math.sqrt(n_squeezed)) ** 2
-
-
 def inverse_squeeze_factor(n_squeezed: float) -> float:
-    """1 / squeeze_factor, evaluating to 0 in the infinite-squeezing limit."""
+    """1 / (sqrt(1 + N_s) + sqrt(N_s))^2 = 10^(-sigma/10); 0 at infinite squeezing."""
     if n_squeezed < 0:
         raise ValueError("squeezed photon number must be nonnegative")
     if math.isinf(n_squeezed):
@@ -133,25 +120,13 @@ def inverse_squeeze_factor(n_squeezed: float) -> float:
     return 1.0 / (math.sqrt(1.0 + n_squeezed) + math.sqrt(n_squeezed)) ** 2
 
 
-def length_exponent(n_squeezed: float) -> float:
-    """Lambert-W exponent governing the optimal fiber length with one squeezer.
+def length_exponent(n_squeezed: float, m: int = 1) -> float:
+    """Lambert-W exponent governing the optimal fiber length.
 
-    W(4 (x - sqrt(x (1 + x))) / e^2); lies in (W(-2/e^2), 0] and tends to
+    W(4 (x - sqrt(x (M + x))) / (M e^2)) for ``n_squeezed`` = x shared by M
+    independent squeezers (design P); M = 1 is the single-squeezer exponent
+    of designs S and E.  Lies in (W(-2/e^2), 0] and tends to
     W(-2/e^2) = -0.4064 as the squeezing grows.
-    """
-    if n_squeezed < 0:
-        raise ValueError("squeezed photon number must be nonnegative")
-    if math.isinf(n_squeezed):
-        return lambert_w0(-2.0 / math.e**2)
-    x = n_squeezed
-    return lambert_w0(4.0 * (x - math.sqrt(x * (1.0 + x))) / math.e**2)
-
-
-def length_exponent_product(n_squeezed: float, m: int) -> float:
-    """Optimal-length exponent for M interferometers with independent squeezers.
-
-    W(4 (x - sqrt(x (M + x))) / (M e^2)); reduces to ``length_exponent`` at
-    M = 1.
     """
     if n_squeezed < 0:
         raise ValueError("squeezed photon number must be nonnegative")
@@ -166,8 +141,8 @@ def length_exponent_product(n_squeezed: float, m: int) -> float:
 def array_size_exponent(n_squeezed: float) -> float:
     """Lambert-W exponent governing the optimal interferometer count.
 
-    W(2 (x - sqrt(x (1 + x))) / e) = W((1/g - 1) / e) with
-    g = squeeze_factor(x).  This is the exponent that actually solves the
+    W(2 (x - sqrt(x (1 + x))) / e) = W((1/g - 1) / e) with 1/g =
+    inverse_squeeze_factor(x).  This is the exponent that actually solves the
     fixed-total-length stationarity condition d(variance)/dM = 0 for the
     entangled design: substituting u = c L / M gives
     (u - 1) e^(u - 1) = (1/g - 1)/e.  It runs from 0 (no squeezing) to -1
@@ -193,51 +168,35 @@ def classical_variance(time_factor_s: float, eta: float, n_photons: float) -> fl
     return 1.0 / (time_factor_s**2 * eta * n_photons)
 
 
-def squeezed_variance(
-    time_factor_s: float, eta: float, n_v: float, n_squeezed: float
+def _quantum_term(
+    variant: str, n_squeezed: float, m: float, eta: float = 1.0
 ) -> float:
-    """Estimator variance with squeezed vacuum in the dark port.
+    """eta * q, with q the squeezed fraction of the vacuum noise at the read port.
 
-    classical_variance * (eta / g + 1 - eta) with g the squeeze factor.
+    q is 1 for designs C and D, inverse_squeeze_factor(N_s) for S and E (the
+    entangled probe keeps the full N_s whatever M), and
+    M / (sqrt(M + N_s) + sqrt(N_s))^2 for the M squeezers of P sharing N_s.
+    Every variance is the laser-only one times eta * q + 1 - eta.  ``m`` may
+    be real.  All variant, count and squeezing checks happen here.
     """
-    return classical_variance(time_factor_s, eta, n_v) * (
-        eta * inverse_squeeze_factor(n_squeezed) + 1.0 - eta
-    )
-
-
-def distributed_variance(
-    time_factor_s: float, eta: float, m: int, n_v: float
-) -> float:
-    """Laser-only array of M interferometers, per-fiber budget ``n_v``."""
-    return classical_variance(time_factor_s, eta, m * n_v)
-
-
-def product_variance(
-    time_factor_s: float, eta: float, m: int, n_v: float, n_squeezed: float
-) -> float:
-    """Array with an independent squeezer per interferometer.
-
-    The per-port squeezed photon number is n_squeezed / M, which makes the
-    quantum term eta * M / (sqrt(M + N_s) + sqrt(N_s))^2.
-    """
-    if math.isinf(n_squeezed):
-        quantum = 0.0
-    else:
-        quantum = eta * m / (math.sqrt(m + n_squeezed) + math.sqrt(n_squeezed)) ** 2
-    return classical_variance(time_factor_s, eta, m * n_v) * (quantum + 1.0 - eta)
-
-
-def entangled_variance(
-    time_factor_s: float, eta: float, m: int, n_v: float, n_squeezed: float
-) -> float:
-    """Array fed by a single squeezer split into an M-mode entangled probe.
-
-    Identical to the single-squeezer form with the full ``n_squeezed``,
-    regardless of M.
-    """
-    return classical_variance(time_factor_s, eta, m * n_v) * (
-        eta * inverse_squeeze_factor(n_squeezed) + 1.0 - eta
-    )
+    if m < 1:
+        raise ValueError("interferometer count must be at least 1")
+    if variant in ("C", "S") and m != 1:
+        raise ValueError(f"design {variant} uses a single interferometer")
+    if variant in ("C", "D"):
+        if n_squeezed != 0:
+            raise ValueError(f"design {variant} takes no squeezed light")
+        return eta
+    if variant in ("S", "E"):
+        return eta * inverse_squeeze_factor(n_squeezed)
+    if variant == "P":
+        if n_squeezed < 0:
+            raise ValueError("squeezed photon number must be nonnegative")
+        if math.isinf(n_squeezed):
+            return 0.0
+        # Keep this evaluation order: eta * (m / ...) moves the last bit.
+        return eta * m / (math.sqrt(m + n_squeezed) + math.sqrt(n_squeezed)) ** 2
+    raise ValueError(f"unknown design variant {variant!r}")
 
 
 def design_variance(
@@ -253,42 +212,23 @@ def design_variance(
     ``time_factor_s`` is the per-interferometer time factor and ``n_v`` the
     per-fiber laser photon budget (equal to the total for C and S).
     """
-    if variant == "C":
-        return classical_variance(time_factor_s, eta, n_v)
-    if variant == "S":
-        return squeezed_variance(time_factor_s, eta, n_v, n_squeezed)
-    if variant == "D":
-        return distributed_variance(time_factor_s, eta, m, n_v)
-    if variant == "P":
-        return product_variance(time_factor_s, eta, m, n_v, n_squeezed)
-    if variant == "E":
-        return entangled_variance(time_factor_s, eta, m, n_v, n_squeezed)
-    raise ValueError(f"unknown design variant {variant!r}")
+    classical = classical_variance(time_factor_s, eta, m * n_v)
+    quantum = _quantum_term(variant, n_squeezed, m, eta)
+    if variant in ("C", "D"):
+        # eta + 1 - eta is not exactly 1.0 in floating point.
+        return classical
+    return classical * (quantum + 1.0 - eta)
 
 
 # ---------------------------------------------------------------------------
 # Length-resolved (normalized) variances
 # ---------------------------------------------------------------------------
 
-def classical_variance_vs_length(
-    b: float, length_km: float, n_photons: float = 1.0, velocity_scale: float = 1.0
-) -> float:
-    """Classical estimator variance as a function of fiber length.
-
-    (V^2 / N_v) / (L^2 * 10^(-b L / 10)); with the default unit arguments
-    this is the normalized variance in 1/km^2.
-    """
-    _check_positive(b, "loss coefficient")
-    _check_positive(length_km, "fiber length")
-    eta = 10.0 ** (-b * length_km / 10.0)
-    return velocity_scale**2 / (n_photons * length_km**2 * eta)
-
-
 def variance_vs_length(
     variant: str,
     b: float,
     length_km: float,
-    m: int = 1,
+    m: float = 1,
     n_squeezed: float = 0.0,
 ) -> float:
     """Normalized estimator variance (units 1/km^2) of any design.
@@ -297,28 +237,13 @@ def variance_vs_length(
     interferometer, so the per-interferometer transmissivity is
     10^(-b L / (10 M)).  The same expression serves both the
     unconstrained-length optimization (minimize over L at fixed M) and the
-    fixed-length optimization (minimize over M at fixed L).
+    fixed-length optimization (minimize over M at fixed L, with M real for
+    the continuous optimum).
     """
     _check_positive(b, "loss coefficient")
     _check_positive(length_km, "fiber length")
-    if m < 1:
-        raise ValueError("interferometer count must be at least 1")
+    quantum = _quantum_term(variant, n_squeezed, m)
     inverse_eta = math.exp(b * LN10 / 10.0 * length_km / m)
-    if variant in ("C", "D"):
-        quantum = 1.0
-        if n_squeezed != 0:
-            raise ValueError(f"design {variant} takes no squeezed light")
-    elif variant in ("S", "E"):
-        quantum = inverse_squeeze_factor(n_squeezed)
-    elif variant == "P":
-        if math.isinf(n_squeezed):
-            quantum = 0.0
-        else:
-            quantum = m / (math.sqrt(m + n_squeezed) + math.sqrt(n_squeezed)) ** 2
-    else:
-        raise ValueError(f"unknown design variant {variant!r}")
-    if variant in ("C", "S") and m != 1:
-        raise ValueError(f"design {variant} uses a single interferometer")
     return m * (quantum - 1.0 + inverse_eta) / length_km**2
 
 
@@ -390,25 +315,14 @@ def optimal_length(
     arrays (with the per-port exponent for design P).
     """
     _check_positive(b, "loss coefficient")
-    if m < 1:
-        raise ValueError("interferometer count must be at least 1")
-    if variant in ("C", "S") and m != 1:
-        raise ValueError(f"design {variant} uses a single interferometer")
+    _quantum_term(variant, n_squeezed, m)  # argument checks only
     if variant in ("C", "D"):
-        if n_squeezed != 0:
-            raise ValueError(f"design {variant} takes no squeezed light")
         length = 20.0 / (LN10 * b)
         variance = math.e**2 * LN10**2 * b**2 / 400.0
-    elif variant in ("S", "E"):
-        lam = length_exponent(n_squeezed)
-        length = 10.0 * (2.0 + lam) / (LN10 * b)
-        variance = math.exp(2.0 + lam) * LN10**2 * b**2 / (200.0 * (2.0 + lam))
-    elif variant == "P":
-        lam = length_exponent_product(n_squeezed, m)
-        length = 10.0 * (2.0 + lam) / (LN10 * b)
-        variance = math.exp(2.0 + lam) * LN10**2 * b**2 / (200.0 * (2.0 + lam))
     else:
-        raise ValueError(f"unknown design variant {variant!r}")
+        lam = length_exponent(n_squeezed, m if variant == "P" else 1)
+        length = 10.0 * (2.0 + lam) / (LN10 * b)
+        variance = math.exp(2.0 + lam) * LN10**2 * b**2 / (200.0 * (2.0 + lam))
     if variant in ("D", "P", "E"):
         length *= m
         variance /= m
@@ -517,19 +431,13 @@ class RatioSet:
 def ratio_fixed_eta(n_squeezed: float, eta: float) -> float:
     """eta / g + 1 - eta; tends to 1 - eta with infinite squeezing."""
     _check_eta(eta, allow_zero=False)
-    return eta * inverse_squeeze_factor(n_squeezed) + 1.0 - eta
+    return _quantum_term("S", n_squeezed, 1, eta) + 1.0 - eta
 
 
 def ratio_product_fixed_eta(n_squeezed: float, eta: float, m: int) -> float:
     """Fixed-transmissivity ratio for the product design with a shared budget."""
     _check_eta(eta, allow_zero=False)
-    if m < 1:
-        raise ValueError("interferometer count must be at least 1")
-    if math.isinf(n_squeezed):
-        quantum = 0.0
-    else:
-        quantum = eta * m / (math.sqrt(m + n_squeezed) + math.sqrt(n_squeezed)) ** 2
-    return quantum + 1.0 - eta
+    return _quantum_term("P", n_squeezed, m, eta) + 1.0 - eta
 
 
 def ratio_optimal_length(n_squeezed: float) -> float:
@@ -551,23 +459,6 @@ def sensitivity_ratios(n_squeezed: float, eta: float | None = None) -> RatioSet:
         optimal_length=ratio_optimal_length(n_squeezed),
         optimal_m=ratio_optimal_m(n_squeezed),
     )
-
-
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Variance plus optional optimization metadata, tagged with provenance."""
-
-    variance_normalized: float
-    provenance: str
-    optimal_length_km: float | None = None
-    optimal_m: IntegerOptimum | None = None
-    ratio: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.variance_normalized > 0:
-            raise ValueError("normalized variance must be positive")
-        if self.provenance not in ("analytic", "simulated", "numeric-optimum"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 
 from . import analytic, designs, optimize
-from .sagnac import GyroGeometry, db_to_photons, time_factor
+from .sagnac import GyroGeometry, db_to_photons, time_factor, transmissivity
 
 #: Squeezing grid of the improvement table, in dB ("inf" allowed in configs).
 TABLE_SIGMAS_DB = (5.0, 10.0, 15.0, 20.0, math.inf)
@@ -149,7 +149,7 @@ class RunConfig:
         if self.eta is not None:
             return self.eta
         if self.length_km is not None:
-            return 10.0 ** (-self.b * (self.length_km / self.m) / 10.0)
+            return transmissivity(self.b, self.length_km / self.m)
         raise ConfigError("missing field: provide eta or length_km")
 
     def resolved_time_factor(self) -> float:
@@ -449,13 +449,13 @@ def figure_7(config: RunConfig) -> tuple[list[str], list[list[object]]]:
     length = config.fix_length_km if config.fix_length_km is not None else 15.0
     sigma_grid = SweepSpec("sigma_db", 0.0, config.fig7_max_sigma_db, 61).values()
     header = ["sigma_db", "m", "eta", "ratio_s_single", "ratio_p", "ratio_e", "one_minus_eta"]
-    eta_single = 10.0 ** (-config.b * length / 10.0)
+    eta_single = transmissivity(config.b, length)
     rows = []
     for sigma in sigma_grid:
         n_s = db_to_photons(sigma)
         ratio_single = analytic.ratio_fixed_eta(n_s, eta_single)
         for m in range(1, config.fig7_max_m + 1):
-            eta = 10.0 ** (-config.b * (length / m) / 10.0)
+            eta = transmissivity(config.b, length / m)
             rows.append(
                 [
                     sigma,

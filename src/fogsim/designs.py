@@ -17,8 +17,8 @@ imaginary-quadrature homodyne on the symmetric port reads the rotation.
 
 ``build_and_run`` propagates moments exactly at arbitrary phase, serving as
 the brute-force oracle for the closed-form expressions in
-:mod:`fogsim.analytic`; ``distributed_homodyne_closed_form`` gives the
-direct separable/entangled formulas for the distributed designs.
+:mod:`fogsim.analytic`; ``homodyne_closed_form`` gives the direct
+single-interferometer, separable and entangled formulas for every design.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ from .gaussian import (
 )
 
 VARIANTS = ("C", "S", "D", "P", "E")
-DISTRIBUTED_VARIANTS = ("D", "P", "E")
-
-SINGLE_SOURCE = "single-source"
-PER_INTERFEROMETER = "per-interferometer"
 
 
 class DegenerateConfigurationError(ValueError):
@@ -62,17 +58,14 @@ class DesignConfig:
 
     ``n_v`` is the per-fiber laser mean photon number (total laser photons
     are ``m_interferometers * n_v``) and ``n_squeezed`` is the total mean
-    photon number carried by squeezed vacuum.  ``squeezed_allocation``
-    records whether the squeezed light comes from one source (design E, and
-    trivially S) or one source per interferometer (design P); it only
-    matters for resource accounting.
+    photon number carried by squeezed vacuum: one source for designs S and
+    E, one source per interferometer, sharing that total, for design P.
     """
 
     variant: str
     m_interferometers: int = 1
     n_v: float = 1.0
     n_squeezed: float = 0.0
-    squeezed_allocation: str | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -88,15 +81,6 @@ class DesignConfig:
             raise ValueError(f"design {self.variant} takes no squeezed light")
         if self.variant in ("C", "S") and self.m_interferometers != 1:
             raise ValueError(f"design {self.variant} uses a single interferometer")
-        default_alloc = PER_INTERFEROMETER if self.variant == "P" else SINGLE_SOURCE
-        alloc = self.squeezed_allocation or default_alloc
-        if alloc not in (SINGLE_SOURCE, PER_INTERFEROMETER):
-            raise ValueError(f"unknown squeezed_allocation {alloc!r}")
-        if alloc != default_alloc and self.n_squeezed > 0:
-            raise ValueError(
-                f"design {self.variant} requires squeezed_allocation {default_alloc!r}"
-            )
-        object.__setattr__(self, "squeezed_allocation", alloc)
 
     @property
     def m(self) -> int:
@@ -249,66 +233,25 @@ def estimator_variance_sim(
     )
 
 
-def _squeezed_im_variance(n_s: float) -> float:
-    """Im-quadrature variance of squeezed vacuum with ``n_s`` photons."""
-    # (mu - nu)^2 / 4 written in cancellation-free form.
-    return VACUUM_VARIANCE / (math.sqrt(1.0 + n_s) + math.sqrt(n_s)) ** 2
+def homodyne_closed_form(config: DesignConfig, phi: float, eta: float) -> HomodyneResult:
+    """Closed-form homodyne statistics of the symmetric output port, any design.
 
-
-def _closed_form(mean_im_variance: float, alpha: float, phi: float, eta: float) -> HomodyneResult:
+    The read port mixes the dark-side Im-quadrature variance with weight
+    cos^2(phi).  For separable inputs (D, P) that is the mean of the equal
+    per-port variances; for E the splitting and recombination arrays
+    cancel, leaving the single-squeezer form of S with the full squeezed
+    photon number.  Exact at arbitrary phase.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
+    # Im-quadrature variance of the dark-side squeezed vacuum (vacuum for C
+    # and D): (mu - nu)^2 / 4 written in cancellation-free form.
+    n_s = config.per_port_squeezed
+    dark_variance = VACUUM_VARIANCE / (math.sqrt(1.0 + n_s) + math.sqrt(n_s)) ** 2
     sin, cos = math.sin(phi), math.cos(phi)
-    mean = math.sqrt(eta) * sin * alpha
+    mean = math.sqrt(eta) * sin * config.amplitude
     variance = (
-        eta * (sin**2 * VACUUM_VARIANCE + cos**2 * mean_im_variance)
+        eta * (sin**2 * VACUUM_VARIANCE + cos**2 * dark_variance)
         + (1.0 - eta) * VACUUM_VARIANCE
     )
     return HomodyneResult(mean=mean, variance=variance)
-
-
-def distributed_homodyne_closed_form(
-    config: DesignConfig, phi: float, eta: float
-) -> HomodyneResult:
-    """Direct distributed-readout formulas for designs D, P, and E.
-
-    For separable inputs (D, P) the recombined port mixes the per-port
-    dark-side variances with weight cos^2(phi)/M each; for E the splitting
-    and recombination arrays cancel, leaving the single-squeezer form with
-    the full squeezed photon number.  Exact at arbitrary phase.
-    """
-    if config.variant not in DISTRIBUTED_VARIANTS:
-        raise ValueError(
-            "closed form applies to distributed designs; "
-            "use conjugate_homodyne_closed_form for C and S"
-        )
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
-    if config.variant == "D":
-        dark_variance = VACUUM_VARIANCE
-    elif config.variant == "P":
-        dark_variance = _squeezed_im_variance(config.per_port_squeezed)
-    else:
-        dark_variance = _squeezed_im_variance(config.n_squeezed)
-    return _closed_form(dark_variance, config.amplitude, phi, eta)
-
-
-def conjugate_homodyne_closed_form(
-    config: DesignConfig, phi: float, eta: float
-) -> HomodyneResult:
-    """Single-interferometer homodyne formulas for designs C and S."""
-    if config.variant not in ("C", "S"):
-        raise ValueError("closed form applies to designs C and S only")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
-    dark_variance = (
-        VACUUM_VARIANCE
-        if config.variant == "C"
-        else _squeezed_im_variance(config.n_squeezed)
-    )
-    return _closed_form(dark_variance, config.amplitude, phi, eta)
-
-
-def homodyne_closed_form(config: DesignConfig, phi: float, eta: float) -> HomodyneResult:
-    """Closed-form homodyne statistics for any design (dispatching helper)."""
-    if config.variant in DISTRIBUTED_VARIANTS:
-        return distributed_homodyne_closed_form(config, phi, eta)
-    return conjugate_homodyne_closed_form(config, phi, eta)

@@ -154,6 +154,7 @@ def optimize_length(
     tolerance: float = 1e-12,
 ) -> ScalarMinimum:
     """Numerically minimize the normalized variance over the total fiber length."""
+    analytic._check_positive(b, "loss coefficient")
     bracket = (0.1 * m / b, 40.0 * m / b)
     return minimize_scalar(
         ScalarProblem(
@@ -228,32 +229,13 @@ def optimize_m_continuous(
     """Golden-section minimum over a continuous (real-valued) count."""
     return minimize_scalar(
         ScalarProblem(
-            objective=lambda m: _variance_continuous_m(
+            objective=lambda m: analytic.variance_vs_length(
                 variant, b, length_km, m, n_squeezed
             ),
             bracket=(1.0, m_hi),
             tolerance=tolerance,
         )
     )
-
-
-def _variance_continuous_m(
-    variant: str, b: float, length_km: float, m: float, n_squeezed: float
-) -> float:
-    """Fixed-length normalized variance with the count treated as real."""
-    inverse_eta = math.exp(b * analytic.LN10 / 10.0 * length_km / m)
-    if variant == "D":
-        quantum = 1.0
-    elif variant == "E":
-        quantum = analytic.inverse_squeeze_factor(n_squeezed)
-    elif variant == "P":
-        if math.isinf(n_squeezed):
-            quantum = 0.0
-        else:
-            quantum = m / (math.sqrt(m + n_squeezed) + math.sqrt(n_squeezed)) ** 2
-    else:
-        raise ValueError("continuous count applies to the distributed designs")
-    return m * (quantum - 1.0 + inverse_eta) / length_km**2
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +250,8 @@ def optimize_energy_split_numeric(
         raise ValueError("total photon number must be positive")
 
     def objective(n_s: float) -> float:
-        return analytic.squeezed_variance(
-            time_factor_s, eta, n_total - n_s, n_s
+        return analytic.design_variance(
+            "S", time_factor_s, eta, 1, n_total - n_s, n_s
         )
 
     result = minimize_scalar(

@@ -70,23 +70,6 @@ class GyroGeometry:
         return cls(omega=omega, radius=radius, area_projection=area_projection)
 
 
-@dataclass(frozen=True)
-class FiberSpec:
-    """Fiber loss coefficient ``b`` (dB/km) and total length (km).
-
-    Zero length is allowed as a degenerate case (unit transmissivity).
-    """
-
-    b: float
-    length_km: float
-
-    def __post_init__(self) -> None:
-        if self.b <= 0:
-            raise ValueError("loss coefficient must be positive")
-        if self.length_km < 0:
-            raise ValueError("fiber length must be nonnegative")
-
-
 def loop_count(geom: GyroGeometry, length_km: float) -> float:
     """Number of fiber loops wound from ``length_km`` of fiber."""
     return length_km * _KM / (2.0 * math.pi * geom.radius)
@@ -111,9 +94,13 @@ def sagnac_phase(geom: GyroGeometry, length_km: float, rotation_rate: float) -> 
     return 4.0 * geom.omega * m * geom.area_projection * rotation_rate / geom.c**2
 
 
-def transmissivity(spec: FiberSpec) -> float:
-    """Fiber transmissivity 10^(-b L / 10) for loss ``b`` dB/km over L km."""
-    return 10.0 ** (-spec.b * spec.length_km / 10.0)
+def transmissivity(b: float, length_km: float) -> float:
+    """Fiber transmissivity 10^(-b L / 10) for loss ``b`` dB/km over L km.
+
+    Unchecked: a negative ``b`` or length gives a value above 1, which the
+    variance and circuit layers reject.
+    """
+    return 10.0 ** (-b * length_km / 10.0)
 
 
 def time_factor(geom: GyroGeometry, length_km: float) -> float:
@@ -149,7 +136,13 @@ def db_to_photons(sigma_db: float) -> float:
         raise ValueError("squeezing in dB must be nonnegative")
     if math.isinf(sigma_db):
         return math.inf
-    return math.sinh(sigma_db * math.log(10.0) / 20.0) ** 2
+    try:
+        return math.sinh(sigma_db * math.log(10.0) / 20.0) ** 2
+    except OverflowError:
+        raise ValueError(
+            f"{sigma_db} dB of squeezing overflows the squeezed photon number; "
+            "use 'inf' for the infinite-squeezing limit"
+        ) from None
 
 
 def photons_to_db(n_s: float) -> float:

@@ -14,7 +14,6 @@ from fogsim.analytic import (
     design_variance,
     lambert_w0,
     length_exponent,
-    length_exponent_product,
     optimal_energy_split,
     optimal_length,
     optimal_m,
@@ -23,10 +22,9 @@ from fogsim.analytic import (
     ratio_optimal_m,
     ratio_product_fixed_eta,
     sensitivity_ratios,
-    squeezed_variance,
     variance_vs_length,
 )
-from fogsim.sagnac import db_to_photons
+from fogsim.sagnac import db_to_photons, transmissivity
 
 from _oracles import grid_minimum, lambert_bisect
 
@@ -106,7 +104,12 @@ class TestExponents:
 
     def test_product_exponent_reduces_at_one(self):
         for n_s in (0.0, 0.5, 2.025, 9.7):
-            assert length_exponent_product(n_s, 1) == length_exponent(n_s)
+            assert length_exponent(n_s, 1) == length_exponent(n_s)
+            # M squeezers of n_s photons each act like one of n_s photons.
+            for m in (2, 8):
+                assert length_exponent(m * n_s, m) == pytest.approx(
+                    length_exponent(n_s), abs=1e-12
+                )
 
     def test_limit_of_length_exponent_argument(self):
         # 4 (x - sqrt(x (1 + x))) / e^2 tends to -2/e^2 from above.
@@ -128,27 +131,27 @@ class TestVarianceFormulas:
         )
 
     def test_squeezed_reduces_to_classical(self):
-        assert squeezed_variance(2.0, 0.7, 50.0, 0.0) == classical_variance(
+        assert design_variance("S", 2.0, 0.7, 1, 50.0, 0.0) == classical_variance(
             2.0, 0.7, 50.0
         )
 
     def test_lossless_ten_db_divides_by_ten(self):
         n_s = db_to_photons(10.0)
-        assert squeezed_variance(1.0, 1.0, 100.0, n_s) == pytest.approx(
+        assert design_variance("S", 1.0, 1.0, 1, 100.0, n_s) == pytest.approx(
             classical_variance(1.0, 1.0, 100.0) / 10.0, rel=1e-12
         )
 
     def test_infinite_squeezing_ratio_limit(self):
         for eta in (0.3, 0.8):
-            ratio = squeezed_variance(1.0, eta, 10.0, math.inf) / classical_variance(
-                1.0, eta, 10.0
-            )
+            ratio = design_variance(
+                "S", 1.0, eta, 1, 10.0, math.inf
+            ) / classical_variance(1.0, eta, 10.0)
             assert ratio == pytest.approx(1.0 - eta, rel=1e-12)
 
     def test_fiber_form_matches_optimized_value(self):
         b = 0.5
         length = 20.0 / (math.log(10.0) * b)
-        direct = analytic.classical_variance_vs_length(b, length)
+        direct = 1.0 / (length**2 * transmissivity(b, length))
         assert direct == pytest.approx(
             optimal_length("C", b).variance_normalized, rel=1e-12
         )
@@ -177,7 +180,7 @@ class TestEnergySplit:
         n, eta = 100.0, 0.5
         split = optimal_energy_split(n, eta)
         x, value = grid_minimum(
-            lambda n_s: squeezed_variance(1.0, eta, n - n_s, n_s), 0.0, n * 0.999
+            lambda n_s: design_variance("S", 1.0, eta, 1, n - n_s, n_s), 0.0, n * 0.999
         )
         assert split.n_squeezed == pytest.approx(x, rel=1e-6)
         assert split.variance == pytest.approx(value, rel=1e-10)
@@ -371,8 +374,27 @@ class TestDesignVarianceDispatch:
         with pytest.raises(ValueError):
             design_variance("Z", 1.0, 0.5)
 
-    def test_report_validation(self):
-        with pytest.raises(ValueError):
-            analytic.SensitivityReport(variance_normalized=-1.0, provenance="analytic")
-        with pytest.raises(ValueError):
-            analytic.SensitivityReport(variance_normalized=1.0, provenance="guess")
+    def test_rejects_invalid_design_arguments(self):
+        with pytest.raises(ValueError, match="single interferometer"):
+            design_variance("S", 1.0, 0.5, 2, 10.0, 1.0)
+        with pytest.raises(ValueError, match="no squeezed light"):
+            design_variance("D", 1.0, 0.5, 2, 10.0, 1.0)
+        with pytest.raises(ValueError, match="at least 1"):
+            variance_vs_length("P", 0.5, 15.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ratio_product_fixed_eta(-1.0, 0.5, 4)
+
+    @pytest.mark.parametrize("variant,m", [("C", 1), ("S", 1), ("D", 4), ("P", 4), ("E", 4)])
+    def test_variance_is_laser_only_times_ratio(self, variant, m):
+        # One scalar separates the designs: variance over the laser-only
+        # variance of the same array is the fixed-eta ratio.
+        n_s = 0.0 if variant in ("C", "D") else db_to_photons(10.0)
+        eta = 0.8
+        laser_only = classical_variance(1.0, eta, m * 10.0)
+        ratio = (
+            ratio_product_fixed_eta(n_s, eta, m) if variant == "P"
+            else ratio_fixed_eta(n_s, eta)
+        )
+        assert design_variance(variant, 1.0, eta, m, 10.0, n_s) == pytest.approx(
+            laser_only * ratio, rel=1e-15
+        )

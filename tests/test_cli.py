@@ -281,6 +281,23 @@ class TestExitCodes:
         assert code == 3
         assert "convergence" in err
 
+    def test_zero_loss_coefficient_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "table1", "--b", "0")
+        assert (code, out) == (2, "")
+        assert "loss coefficient must be positive" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ratio", "--squeeze-db", "1e6"),
+            ("variance", "--design", "S", "--eta", "0.9", "--squeeze-db", "4000"),
+        ],
+    )
+    def test_overflowing_squeezing_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "'inf'" in err
+
     def test_number_format_helper(self):
         assert format_number(17.3717792761) == "1.73717792761e+01"
         assert len(format_number(math.pi).split("e")[0].replace("-", "").replace(".", "")) == 12

@@ -8,8 +8,6 @@ from fogsim import analytic
 from fogsim.designs import (
     DesignConfig,
     build_and_run,
-    conjugate_homodyne_closed_form,
-    distributed_homodyne_closed_form,
     estimator_variance_sim,
     homodyne_closed_form,
     mean_slope,
@@ -56,17 +54,6 @@ class TestConfigValidation:
     def test_nonpositive_laser_power(self):
         with pytest.raises(ValueError):
             DesignConfig("C", n_v=0.0)
-
-    def test_allocation_defaults(self):
-        assert DesignConfig("E", m_interferometers=2, n_squeezed=1.0).squeezed_allocation == "single-source"
-        assert DesignConfig("P", m_interferometers=2, n_squeezed=1.0).squeezed_allocation == "per-interferometer"
-
-    def test_allocation_contradiction(self):
-        with pytest.raises(ValueError):
-            DesignConfig(
-                "E", m_interferometers=2, n_squeezed=1.0,
-                squeezed_allocation="per-interferometer",
-            )
 
 
 class TestSingleInterferometer:
@@ -151,14 +138,6 @@ class TestDistributedEquivalences:
                 a = build_and_run(entangled, phi, eta)
                 b = build_and_run(product, phi, eta)
                 assert a.variance == pytest.approx(b.variance, abs=1e-12)
-
-    def test_closed_form_dispatch_errors(self):
-        with pytest.raises(ValueError):
-            distributed_homodyne_closed_form(DesignConfig("C"), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            conjugate_homodyne_closed_form(
-                DesignConfig("D", m_interferometers=2), 0.0, 1.0
-            )
 
 
 class TestEstimatorVariance:

@@ -140,6 +140,10 @@ class TestCountOptimization:
     def test_rejects_non_distributed(self):
         with pytest.raises(ValueError):
             optimize_m_integer("C", 0.5, 15.0)
+        with pytest.raises(ValueError):
+            optimize_m_continuous("C", 0.5, 15.0)
+        with pytest.raises(ValueError):
+            optimize_m_continuous("S", 0.5, 15.0, 1.0)
 
 
 class TestEnergySplitNumeric:

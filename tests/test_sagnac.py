@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogsim.sagnac import (
-    FiberSpec,
     GyroGeometry,
     RotationRegimeWarning,
     db_to_photons,
@@ -56,33 +55,27 @@ class TestSagnacPhase:
 
 class TestTransmissivity:
     def test_zero_length(self):
-        assert transmissivity(FiberSpec(0.5, 0.0)) == 1.0
+        assert transmissivity(0.5, 0.0) == 1.0
 
     def test_ten_db_total_loss(self):
-        assert transmissivity(FiberSpec(0.5, 20.0)) == pytest.approx(0.1, rel=1e-14)
+        assert transmissivity(0.5, 20.0) == pytest.approx(0.1, rel=1e-14)
 
     def test_optimal_classical_length_gives_e_minus_two(self):
         # L = 2 * (20 / (b ln 10)) / 2 at b = 0.5 is 20 / (ln(10) * 0.5) * ...
         # evaluated directly: 10^(-b L / 10) at L = 40/ln(10) equals e^-2.
         length = 40.0 / math.log(10.0)
         assert length == pytest.approx(17.372, abs=5e-4)
-        assert transmissivity(FiberSpec(0.5, length)) == pytest.approx(
+        assert transmissivity(0.5, length) == pytest.approx(
             math.exp(-2.0), rel=1e-12
         )
 
     def test_strictly_decreasing_in_length_and_loss(self):
         lengths = np.linspace(0.0, 50.0, 40)
-        etas = [transmissivity(FiberSpec(0.5, length)) for length in lengths]
+        etas = [transmissivity(0.5, length) for length in lengths]
         assert all(a > b for a, b in zip(etas, etas[1:]))
         bs = np.linspace(0.1, 2.0, 30)
-        etas_b = [transmissivity(FiberSpec(b, 10.0)) for b in bs]
+        etas_b = [transmissivity(b, 10.0) for b in bs]
         assert all(a > b for a, b in zip(etas_b, etas_b[1:]))
-
-    def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            FiberSpec(0.0, 1.0)
-        with pytest.raises(ValueError):
-            FiberSpec(0.5, -1.0)
 
 
 class TestTimeFactor:
@@ -124,6 +117,12 @@ class TestSqueezingUnits:
     def test_infinite(self):
         assert math.isinf(db_to_photons(math.inf))
         assert math.isinf(photons_to_db(math.inf))
+
+    def test_overflow_rejected_by_name(self):
+        assert math.isfinite(db_to_photons(3000.0))
+        for sigma in (4000.0, 1e6):
+            with pytest.raises(ValueError, match="'inf'"):
+                db_to_photons(sigma)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
