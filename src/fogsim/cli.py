@@ -218,6 +218,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
+    if config.m < 1:
+        raise ConfigError(f"m must be a positive integer, got {config.m}")
     return config
 
 
@@ -495,7 +497,14 @@ def cmd_figure(config: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def _emit_json(record: dict, out: str | None) -> None:
-    _write_output(json.dumps(record, indent=2, sort_keys=True) + "\n", out)
+    """Strict JSON: a non-finite number is an error, never NaN or Infinity."""
+    try:
+        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        bad = sorted(key for key, value in record.items()
+                     if isinstance(value, float) and not math.isfinite(value))
+        raise ValueError(f"non-finite result: {', '.join(bad)}") from None
+    _write_output(text + "\n", out)
 
 
 def cmd_variance(config: RunConfig) -> None:

@@ -15,10 +15,20 @@ conjugate-phase map to its (a_j, b_j) pair, both arms suffer equal pure loss
 ``eta``, and a final array coalesces the b-side outputs so that a single
 imaginary-quadrature homodyne on the symmetric port reads the rotation.
 
-``build_and_run`` propagates moments exactly at arbitrary phase, serving as
-the brute-force oracle for the closed-form expressions in
-:mod:`fogsim.analytic`; ``homodyne_closed_form`` gives the direct
-single-interferometer, separable and entangled formulas for every design.
+``build_and_run`` computes the readout exactly at arbitrary phase in the
+Heisenberg picture: the row of the measured quadrature is propagated
+backwards through the recombiner, the loss, the 4x4 phase block of each
+interferometer and the input splitters, then contracted with the product
+input state.  The splitter arrays are Householder reflections, applied as
+rank-1 updates, so a run costs O(M) time and memory and no 4M x 4M matrix
+is formed.  Each distinct single-mode input (coherent, vacuum, squeezed) is
+built once by the :mod:`fogsim.gaussian` constructors, which check its
+physicality; the passive maps and pure loss at eta in [0, 1] preserve it,
+and the readout variance is checked to be positive and finite.  The dense
+engine of :mod:`fogsim.gaussian`, which propagates the full covariance, is
+the independent reference the tests compare this route against.
+``homodyne_closed_form`` gives the direct single-interferometer, separable
+and entangled formulas for every design.
 """
 
 from __future__ import annotations
@@ -29,19 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
-    GaussianState,
     HomodyneResult,
-    SymplecticTransform,
     VACUUM_VARIANCE,
-    balanced_splitter_array,
     coherent_state,
     conjugate_phase_derivative,
     conjugate_phase_transform,
-    embed_transform,
-    homodyne_stats,
-    pure_loss,
     squeezed_vacuum,
-    tensor,
     vacuum_state,
 )
 
@@ -73,8 +76,8 @@ class DesignConfig:
         if int(self.m_interferometers) != self.m_interferometers or self.m_interferometers < 1:
             raise ValueError("m_interferometers must be a positive integer")
         object.__setattr__(self, "m_interferometers", int(self.m_interferometers))
-        if not self.n_v > 0:
-            raise ValueError("per-fiber laser photon number must be positive")
+        if not (self.n_v > 0 and math.isfinite(self.n_v)):
+            raise ValueError("per-fiber laser photon number must be positive and finite")
         if not (self.n_squeezed >= 0 and math.isfinite(self.n_squeezed)):
             raise ValueError("squeezed photon number must be finite and nonnegative")
         if self.variant in ("C", "D") and self.n_squeezed != 0:
@@ -118,87 +121,103 @@ class CircuitResult:
     variance_normalized: float
 
     def __post_init__(self) -> None:
-        if not self.estimator_variance > 0:
-            raise ValueError("estimator variance must be positive")
+        for name in ("estimator_variance", "variance_normalized"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                label = name.replace("_", " ")
+                raise ValueError(f"{label} must be positive and finite, got {value}")
 
 
-def _input_state(config: DesignConfig) -> GaussianState:
-    m = config.m
-    parts = [coherent_state(config.amplitude, 0.0)]
-    parts.extend(vacuum_state(1) for _ in range(m - 1))
-    if config.variant in ("C", "D"):
-        parts.extend(vacuum_state(1) for _ in range(m))
-    elif config.variant == "S":
-        parts.append(squeezed_vacuum(config.n_squeezed, "im"))
-    elif config.variant == "P":
-        parts.extend(
-            squeezed_vacuum(config.per_port_squeezed, "im") for _ in range(m)
-        )
-    else:  # E: one squeezer, distributed by the array below
-        parts.append(squeezed_vacuum(config.n_squeezed, "im"))
-        parts.extend(vacuum_state(1) for _ in range(m - 1))
-    return tensor(*parts)
+def _input_modes(config: DesignConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Means and covariances of the product input state, mode by mode.
 
-
-def _interferometer_stage(m: int, phi: float, derivative: bool = False) -> np.ndarray:
-    """Quadrature map of M parallel conjugate-phase interferometers.
-
-    Interferometer j couples modes (j, m + j).  With ``derivative`` the
-    entrywise d/dphi of the map is returned (zero outside the phase blocks).
+    Arrays are indexed [side, quadrature, (quadrature,) port], side 0 being
+    the laser side, so that the port axis is contiguous.  Each distinct
+    single-mode state is constructed (and so checked) once.
     """
-    block = (
-        conjugate_phase_derivative(phi)
-        if derivative
-        else conjugate_phase_transform(phi).matrix
-    )
-    out = np.zeros((4 * m, 4 * m)) if derivative else np.eye(4 * m)
-    for j in range(m):
-        idx = [2 * j, 2 * j + 1, 2 * (m + j), 2 * (m + j) + 1]
-        out[np.ix_(idx, idx)] = block
+    m = config.m
+    vacuum = vacuum_state(1)
+    laser = coherent_state(config.amplitude, 0.0)
+    means = np.zeros((2, 2, m))
+    covs = np.empty((2, 2, 2, m))
+    covs[...] = vacuum.cov[..., None]
+    means[0, :, 0] = laser.mean
+    covs[0, :, :, 0] = laser.cov
+    if config.variant in ("S", "E"):
+        covs[1, :, :, 0] = squeezed_vacuum(config.n_squeezed, "im").cov
+    elif config.variant == "P":
+        covs[1] = squeezed_vacuum(config.per_port_squeezed, "im").cov[..., None]
+    return means, covs
+
+
+def _splitter_mix(v: np.ndarray) -> np.ndarray:
+    """Mixing matrix of ``balanced_splitter_array(m)`` applied along the last axis.
+
+    The matrix is the Householder reflection I - 2 w w^T / |w|^2 with
+    w = e_1 - s (1, ..., 1) and s = 1/sqrt(m), so |w|^2 = 2 (1 - s) and
+    the reflection is a rank-1 update costing O(m).  It is symmetric, so
+    the same call propagates a readout row backwards.
+    """
+    m = v.shape[-1]
+    if m == 1:
+        return v.copy()
+    s = 1.0 / math.sqrt(m)
+    # 2 (w . v) / |w|^2, with w . v = v_1 - s * sum(v).
+    c = (v[..., 0] - s * v.sum(axis=-1)) / (1.0 - s)
+    out = v + (s * c)[..., None]
+    out[..., 0] -= c
     return out
+
+
+def _through_phase(row: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Row times the 4x4 ``block`` of every interferometer (a_j, b_j) pair."""
+    return (block.T @ row.reshape(4, -1)).reshape(row.shape)
 
 
 def _run_circuit(
     config: DesignConfig, phi: float, eta: float
-) -> tuple[GaussianState, float]:
-    """Propagate the full circuit; return the output state and d<b'_1>/dphi."""
-    m = config.m
-    n = 2 * m
-    state = _input_state(config)
-    if m > 1:
-        array = balanced_splitter_array(m)
-        state = embed_transform(array, n, range(m)).apply(state)
+) -> tuple[HomodyneResult, float]:
+    """Homodyne statistics of the read port at ``phi`` and d<b'_1>/dphi.
+
+    The Im-quadrature row of b-side port 0 is propagated backwards through
+    the recombiner, the loss (which scales it by sqrt(eta) and adds
+    (1 - eta)/4 |row|^2 of vacuum noise), the phase blocks (their derivative
+    gives the slope row) and the input splitters, then contracted with the
+    input means and covariances.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
+    means, covs = _input_modes(config)
+    row = np.zeros_like(means)
+    row[1, 1, 0] = 1.0
+    row[1] = _splitter_mix(row[1])
+    loss_variance = (1.0 - eta) * VACUUM_VARIANCE * float(np.sum(row * row))
+    row *= math.sqrt(eta)
+    slope_row = _through_phase(row, conjugate_phase_derivative(phi))
+    row = _through_phase(row, conjugate_phase_transform(phi).matrix)
+    for r in (row, slope_row):
+        r[0] = _splitter_mix(r[0])
         if config.variant == "E":
-            state = embed_transform(array, n, range(m, n)).apply(state)
-    mean_before_phase = state.mean
-
-    state = SymplecticTransform(_interferometer_stage(m, phi)).apply(state)
-    state = pure_loss(state, eta)
-    if m > 1:
-        recombiner = embed_transform(array, n, range(m, n))
-        state = recombiner.apply(state)
-        recombine_matrix = recombiner.matrix
-    else:
-        recombine_matrix = np.eye(2 * n)
-
-    derivative_stage = _interferometer_stage(m, phi, derivative=True)
-    slope_vector = recombine_matrix @ (
-        math.sqrt(eta) * (derivative_stage @ mean_before_phase)
-    )
-    # Im quadrature of the symmetric b-side output port (mode index m).
-    slope = float(slope_vector[2 * m + 1])
-    return state, slope
+            r[1] = _splitter_mix(r[1])
+    quadratic = row[:, :, None, :] * covs * row[:, None, :, :]
+    variance = float(np.sum(quadratic)) + loss_variance
+    if not math.isfinite(variance):
+        raise ValueError(f"homodyne variance must be finite, got {variance}")
+    result = HomodyneResult(mean=float(np.sum(row * means)), variance=variance)
+    return result, float(np.sum(slope_row * means))
 
 
 def build_and_run(config: DesignConfig, phi: float, eta: float) -> HomodyneResult:
     """Exact homodyne statistics of the symmetric output port at phase ``phi``.
 
-    No small-phase approximation: moments are propagated through the full
-    Gaussian circuit (splitter arrays, conjugate-phase interferometers,
-    symmetric loss, recombination).
+    No small-phase approximation: the readout is propagated through the
+    full Gaussian circuit (splitter arrays, conjugate-phase interferometers,
+    symmetric loss, recombination) in O(M).
     """
-    state, _ = _run_circuit(config, phi, eta)
-    return homodyne_stats(state, config.m, "im")
+    result, _ = _run_circuit(config, phi, eta)
+    return result
 
 
 def mean_slope(config: DesignConfig, phi: float, eta: float) -> float:
@@ -218,18 +237,20 @@ def estimator_variance_sim(
     """
     if not time_factor_s > 0:
         raise ValueError("time factor must be positive")
-    state, slope = _run_circuit(config, 0.0, eta)
-    result = homodyne_stats(state, config.m, "im")
+    result, slope = _run_circuit(config, 0.0, eta)
     if slope == 0.0:
         raise DegenerateConfigurationError(
             "zero homodyne mean slope: no rotation signal for this configuration"
         )
-    variance = (2.0 / time_factor_s) ** 2 * result.variance / slope**2
+    # Products and quotients, not powers: a float power raises on overflow,
+    # while these give inf or 0, which CircuitResult rejects by name.
+    gain = 2.0 / time_factor_s / slope
+    variance = gain * gain * result.variance
     return CircuitResult(
         homodyne=result,
         slope=slope,
         estimator_variance=variance,
-        variance_normalized=variance * time_factor_s**2 * config.n_v,
+        variance_normalized=variance * time_factor_s * time_factor_s * config.n_v,
     )
 
 

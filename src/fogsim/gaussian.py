@@ -167,7 +167,9 @@ def squeezed_vacuum(n_s: float, squeeze_axis: str = "im") -> GaussianState:
     The squeezed-axis variance is (mu - nu)^2 / 4 and the conjugate axis
     carries (mu + nu)^2 / 4, with nu = sqrt(n_s) and mu = sqrt(1 + n_s).
     The product of the two variances is 1/16 for every ``n_s`` (the state is
-    pure and saturates the uncertainty bound).
+    pure and saturates the uncertainty bound).  The squeezed axis is
+    evaluated as 1 / (4 (mu + nu)^2), which equals (mu - nu)^2 / 4 because
+    mu^2 - nu^2 = 1 but does not cancel at large ``n_s``.
     """
     if n_s < 0:
         raise ValueError("squeezed photon number must be nonnegative")
@@ -176,8 +178,8 @@ def squeezed_vacuum(n_s: float, squeeze_axis: str = "im") -> GaussianState:
         raise ValueError(f"squeeze_axis must be 're' or 'im', got {squeeze_axis!r}")
     nu = np.sqrt(n_s)
     mu = np.sqrt(1.0 + n_s)
-    squeezed = (mu - nu) ** 2 / 4.0
     anti = (mu + nu) ** 2 / 4.0
+    squeezed = 1.0 / (4.0 * (mu + nu) ** 2)
     diag = [squeezed, anti] if axis == "re" else [anti, squeezed]
     return GaussianState(np.zeros(2), np.diag(diag))
 

@@ -2,8 +2,9 @@
 
 These are deliberately written without reusing the library's internals:
 bisection for the Lambert-W defining equation, an explicit entrywise
-quadrature lifting, dense-grid minimization, and a Haar-random passive
-unitary generator.
+quadrature lifting, dense-grid minimization, a Haar-random passive
+unitary generator, and the dense 4M x 4M design circuit built from the
+public Gaussian-state primitives.
 """
 
 from __future__ import annotations
@@ -11,6 +12,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from fogsim.gaussian import (
+    HomodyneResult,
+    SymplecticTransform,
+    balanced_splitter_array,
+    coherent_state,
+    conjugate_phase_derivative,
+    conjugate_phase_transform,
+    embed_transform,
+    homodyne_stats,
+    pure_loss,
+    squeezed_vacuum,
+    tensor,
+    vacuum_state,
+)
 
 
 def lambert_bisect(x: float, steps: int = 200) -> float:
@@ -73,3 +89,75 @@ def random_passive_unitary(n: int, seed: int) -> np.ndarray:
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     return q * phases
+
+
+def _design_input(config):
+    m = config.m
+    parts = [coherent_state(config.amplitude, 0.0)]
+    parts.extend(vacuum_state(1) for _ in range(m - 1))
+    if config.variant in ("C", "D"):
+        parts.extend(vacuum_state(1) for _ in range(m))
+    elif config.variant == "S":
+        parts.append(squeezed_vacuum(config.n_squeezed, "im"))
+    elif config.variant == "P":
+        parts.extend(
+            squeezed_vacuum(config.per_port_squeezed, "im") for _ in range(m)
+        )
+    else:  # E: one squeezer, distributed by the array below
+        parts.append(squeezed_vacuum(config.n_squeezed, "im"))
+        parts.extend(vacuum_state(1) for _ in range(m - 1))
+    return tensor(*parts)
+
+
+def _interferometer_stage(m: int, phi: float, derivative: bool = False) -> np.ndarray:
+    """Quadrature map of M parallel conjugate-phase interferometers.
+
+    Interferometer j couples modes (j, m + j).  With ``derivative`` the
+    entrywise d/dphi of the map is returned (zero outside the phase blocks).
+    """
+    block = (
+        conjugate_phase_derivative(phi)
+        if derivative
+        else conjugate_phase_transform(phi).matrix
+    )
+    out = np.zeros((4 * m, 4 * m)) if derivative else np.eye(4 * m)
+    for j in range(m):
+        idx = [2 * j, 2 * j + 1, 2 * (m + j), 2 * (m + j) + 1]
+        out[np.ix_(idx, idx)] = block
+    return out
+
+
+def dense_design_circuit(config, phi: float, eta: float) -> tuple[HomodyneResult, float]:
+    """Read-port statistics and mean slope of a design, by dense propagation.
+
+    The full 2M-mode state (4M x 4M covariance) is pushed forward through
+    the splitter arrays, the interferometers, the loss and the recombiner,
+    and every intermediate state passes the engine's physicality check.
+    Returns the Im-quadrature homodyne statistics of b-side port 0 at
+    ``phi`` and d<mean>/dphi.
+    """
+    m = config.m
+    n = 2 * m
+    state = _design_input(config)
+    if m > 1:
+        array = balanced_splitter_array(m)
+        state = embed_transform(array, n, range(m)).apply(state)
+        if config.variant == "E":
+            state = embed_transform(array, n, range(m, n)).apply(state)
+    mean_before_phase = state.mean
+
+    state = SymplecticTransform(_interferometer_stage(m, phi)).apply(state)
+    state = pure_loss(state, eta)
+    if m > 1:
+        recombiner = embed_transform(array, n, range(m, n))
+        state = recombiner.apply(state)
+        recombine_matrix = recombiner.matrix
+    else:
+        recombine_matrix = np.eye(2 * n)
+
+    derivative_stage = _interferometer_stage(m, phi, derivative=True)
+    slope_vector = recombine_matrix @ (
+        math.sqrt(eta) * (derivative_stage @ mean_before_phase)
+    )
+    # Im quadrature of the symmetric b-side output port (mode index m).
+    return homodyne_stats(state, m, "im"), float(slope_vector[2 * m + 1])

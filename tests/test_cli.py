@@ -4,6 +4,7 @@ import json
 import math
 import re
 
+import mpmath
 import pytest
 
 from fogsim import cli
@@ -136,6 +137,27 @@ class TestSimulate:
         assert record["homodyne_mean"] == pytest.approx(
             math.sqrt(0.8) * math.sin(0.01) * 10.0, rel=1e-12
         )
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0])
+    @pytest.mark.parametrize("sigma_db", [0.0, 30.0, 80.0, 120.0])
+    @pytest.mark.parametrize("design, m", [("S", 1), ("P", 1), ("P", 16), ("E", 1), ("E", 16)])
+    def test_high_squeezing_matches_high_precision_closed_form(
+        self, capsys, design, m, sigma_db, eta
+    ):
+        code, out, err = run(
+            capsys, "simulate", "--design", design, "--m", str(m),
+            "--squeeze-db", str(sigma_db), "--eta", str(eta), "--n-v", "100",
+        )
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        with mpmath.workdps(50):
+            per_port = mpmath.mpf(record["n_squeezed"]) / (m if design == "P" else 1)
+            dark = 1 / (4 * (mpmath.sqrt(1 + per_port) + mpmath.sqrt(per_port)) ** 2)
+            e = mpmath.mpf(eta)
+            # (2 / T)^2 Var / slope^2 at T = 1, slope^2 = eta * M * n_v.
+            exact = 4 * (e * dark + (1 - e) / 4) / (e * m * 100)
+            deviation = abs(record["estimator_variance_sim"] - exact) / exact
+        assert deviation <= 1e-12
 
 
 class TestFigures:
@@ -297,6 +319,32 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "'inf'" in err
+
+    def test_zero_interferometers_with_fiber_length_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "ratio", "--squeeze-db", "10", "--length-km", "15", "--m", "0"
+        )
+        assert (code, out) == (2, "")
+        assert "m must be a positive integer" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("variance", "--design", "C", "--n-v", "inf", "--eta", "0.9"),
+            ("variance", "--design", "C", "--t", "inf", "--eta", "0.9"),
+            ("simulate", "--design", "E", "--m", "4", "--squeeze-db", "10", "--eta", "1e-320"),
+            ("simulate", "--design", "E", "--m", "4", "--squeeze-db", "10", "--eta", "1e-320",
+             "--n-v", "1e-10"),
+            ("simulate", "--n-v", "inf", "--eta", "0.9"),
+            ("simulate", "--phi", "inf", "--eta", "0.9"),
+            ("simulate", "--t", "1e-200", "--eta", "0.9"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_results_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("fogsim: error:") and err.count("\n") == 1
 
     def test_number_format_helper(self):
         assert format_number(17.3717792761) == "1.73717792761e+01"

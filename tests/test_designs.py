@@ -1,18 +1,24 @@
-"""Circuit-vs-closed-form tests for the five gyroscope designs."""
+"""Circuit tests for the five gyroscope designs: against the closed forms and the dense oracle."""
 
 import math
 
+import numpy as np
 import pytest
 
 from fogsim import analytic
 from fogsim.designs import (
     DesignConfig,
+    _run_circuit,
+    _splitter_mix,
     build_and_run,
     estimator_variance_sim,
     homodyne_closed_form,
     mean_slope,
 )
+from fogsim.gaussian import balanced_splitter_array
 from fogsim.sagnac import db_to_photons
+
+from _oracles import dense_design_circuit
 
 ETAS = (0.1, 0.5, 0.9, 1.0)
 PHIS = (0.0, 0.01, 0.3)
@@ -54,6 +60,11 @@ class TestConfigValidation:
     def test_nonpositive_laser_power(self):
         with pytest.raises(ValueError):
             DesignConfig("C", n_v=0.0)
+
+    @pytest.mark.parametrize("n_v", [math.inf, math.nan])
+    def test_non_finite_laser_power(self, n_v):
+        with pytest.raises(ValueError):
+            DesignConfig("C", n_v=n_v)
 
 
 class TestSingleInterferometer:
@@ -226,3 +237,58 @@ class TestMonotonicity:
                 for eta in sorted(ETAS)
             ]
             assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+
+ORACLE_PHIS = (0.0, 0.01, 0.3, 1.2)
+ORACLE_ETAS = (0.0, 0.5, 1.0)
+#: At most 30 dB, where the dense engine's eigen-checks are well conditioned.
+ORACLE_SQUEEZE_DB = (0.0, 10.0, 30.0)
+
+
+def _oracle_configs(variant, m):
+    if variant in ("C", "D"):
+        return [DesignConfig(variant, m_interferometers=m, n_v=2.5)]
+    return [
+        DesignConfig(variant, m_interferometers=m, n_v=2.5, n_squeezed=db_to_photons(db))
+        for db in ORACLE_SQUEEZE_DB
+    ]
+
+
+def _close(value, reference, tol=1e-12):
+    """Relative agreement, or absolute where the reference is 0."""
+    if reference == 0.0:
+        return abs(value) <= tol
+    return abs(value - reference) <= tol * abs(reference)
+
+
+class TestDenseOracle:
+    """The O(M) readout against the dense 4M x 4M propagation."""
+
+    @pytest.mark.parametrize(
+        "variant, m",
+        [("C", 1), ("S", 1)] + [(v, m) for v in "DPE" for m in (1, 2, 3, 4, 16)],
+    )
+    def test_mean_variance_and_slope_match(self, variant, m):
+        for config in _oracle_configs(variant, m):
+            for phi in ORACLE_PHIS:
+                for eta in ORACLE_ETAS:
+                    fast, fast_slope = _run_circuit(config, phi, eta)
+                    dense, dense_slope = dense_design_circuit(config, phi, eta)
+                    case = (config, phi, eta)
+                    assert _close(fast.mean, dense.mean), case
+                    assert _close(fast.variance, dense.variance), case
+                    assert _close(fast_slope, dense_slope), case
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 16])
+    def test_householder_update_is_the_splitter_mixing(self, m):
+        mixing = balanced_splitter_array(m).matrix[0::2, 0::2]
+        np.testing.assert_allclose(_splitter_mix(np.eye(m)), mixing, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("variant", ["D", "P", "E"])
+    def test_ten_thousand_interferometers(self, variant):
+        m, eta = 10_000, 0.8
+        n_s = 0.0 if variant == "D" else db_to_photons(10.0)
+        config = DesignConfig(variant, m_interferometers=m, n_v=100.0, n_squeezed=n_s)
+        result = estimator_variance_sim(config, eta, 1.0)
+        reference = analytic.design_variance(variant, 1.0, eta, m, 100.0, n_s)
+        assert result.estimator_variance == pytest.approx(reference, rel=1e-12)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,20 @@ class TestSqueezedVacuum:
     def test_variance_product_is_min_uncertainty(self, n_s):
         state = squeezed_vacuum(n_s)
         assert state.cov[0, 0] * state.cov[1, 1] == pytest.approx(1.0 / 16.0, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma_db", [0.0, 10.0, 28.0, 40.0, 80.0, 120.0])
+    def test_variances_match_high_precision(self, sigma_db):
+        # mpmath at 50 digits on the same photon number; (mu - nu)^2 / 4
+        # evaluated in floating point is 1e-12 off at 40 dB, 1e-5 at 120 dB.
+        n_s = db_to_photons(sigma_db)
+        state = squeezed_vacuum(n_s, "im")
+        with mpmath.workdps(50):
+            mu, nu = mpmath.sqrt(1 + mpmath.mpf(n_s)), mpmath.sqrt(mpmath.mpf(n_s))
+            for value, exact in (
+                (state.cov[1, 1], (mu - nu) ** 2 / 4),
+                (state.cov[0, 0], (mu + nu) ** 2 / 4),
+            ):
+                assert abs(value - exact) <= 4e-16 * exact
 
     def test_axis_selection(self):
         state = squeezed_vacuum(1.0, "re")
