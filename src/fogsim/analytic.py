@@ -113,8 +113,7 @@ def lambert_w0(x: float) -> float:
 
 def inverse_squeeze_factor(n_squeezed: float) -> float:
     """1 / (sqrt(1 + N_s) + sqrt(N_s))^2 = 10^(-sigma/10); 0 at infinite squeezing."""
-    if n_squeezed < 0:
-        raise ValueError("squeezed photon number must be nonnegative")
+    _check_squeezing(n_squeezed)
     if math.isinf(n_squeezed):
         return 0.0
     return 1.0 / (math.sqrt(1.0 + n_squeezed) + math.sqrt(n_squeezed)) ** 2
@@ -128,8 +127,7 @@ def length_exponent(n_squeezed: float, m: int = 1) -> float:
     of designs S and E.  Lies in (W(-2/e^2), 0] and tends to
     W(-2/e^2) = -0.4064 as the squeezing grows.
     """
-    if n_squeezed < 0:
-        raise ValueError("squeezed photon number must be nonnegative")
+    _check_squeezing(n_squeezed)
     if m < 1:
         raise ValueError("interferometer count must be at least 1")
     if math.isinf(n_squeezed):
@@ -148,8 +146,7 @@ def array_size_exponent(n_squeezed: float) -> float:
     (u - 1) e^(u - 1) = (1/g - 1)/e.  It runs from 0 (no squeezing) to -1
     (infinite squeezing), where the branch point of W is reached.
     """
-    if n_squeezed < 0:
-        raise ValueError("squeezed photon number must be nonnegative")
+    _check_squeezing(n_squeezed)
     if math.isinf(n_squeezed):
         return -1.0
     x = n_squeezed
@@ -165,7 +162,13 @@ def classical_variance(time_factor_s: float, eta: float, n_photons: float) -> fl
     _check_positive(time_factor_s, "time factor")
     _check_eta(eta, allow_zero=False)
     _check_positive(n_photons, "photon number")
-    return 1.0 / (time_factor_s**2 * eta * n_photons)
+    try:
+        return 1.0 / (time_factor_s**2 * eta * n_photons)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"time factor {time_factor_s} s puts the variance out of floating-point "
+            f"range (transmissivity {eta}, {n_photons} photons)"
+        ) from None
 
 
 def _quantum_term(
@@ -190,8 +193,7 @@ def _quantum_term(
     if variant in ("S", "E"):
         return eta * inverse_squeeze_factor(n_squeezed)
     if variant == "P":
-        if n_squeezed < 0:
-            raise ValueError("squeezed photon number must be nonnegative")
+        _check_squeezing(n_squeezed)
         if math.isinf(n_squeezed):
             return 0.0
         # Keep this evaluation order: eta * (m / ...) moves the last bit.
@@ -411,23 +413,6 @@ def optimal_m(
 # Sensitivity ratios against the matched classical baseline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RatioSet:
-    """Quantum-over-classical variance ratios (smaller is better).
-
-    ``fixed_eta`` compares at equal transmissivity and is shared by the
-    single-squeezer, entangled, and per-port-budget product designs; it is
-    None when no transmissivity was supplied.  ``optimal_length`` compares
-    length-optimized sensors (limit 0.836) and ``optimal_m`` compares
-    count-optimized sensors at fixed total length (limit 1/e).
-    """
-
-    n_squeezed: float
-    fixed_eta: float | None
-    optimal_length: float
-    optimal_m: float
-
-
 def ratio_fixed_eta(n_squeezed: float, eta: float) -> float:
     """eta / g + 1 - eta; tends to 1 - eta with infinite squeezing."""
     _check_eta(eta, allow_zero=False)
@@ -451,19 +436,15 @@ def ratio_optimal_m(n_squeezed: float) -> float:
     return math.exp(array_size_exponent(n_squeezed))
 
 
-def sensitivity_ratios(n_squeezed: float, eta: float | None = None) -> RatioSet:
-    """All three sensitivity ratios for a given squeezed photon number."""
-    return RatioSet(
-        n_squeezed=n_squeezed,
-        fixed_eta=None if eta is None else ratio_fixed_eta(n_squeezed, eta),
-        optimal_length=ratio_optimal_length(n_squeezed),
-        optimal_m=ratio_optimal_m(n_squeezed),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Small argument checks
 # ---------------------------------------------------------------------------
+
+def _check_squeezing(n_squeezed: float) -> None:
+    # Written so that NaN fails too.
+    if not n_squeezed >= 0:
+        raise ValueError("squeezed photon number must be nonnegative")
+
 
 def _check_positive(value: float, name: str) -> None:
     if not value > 0:

@@ -172,14 +172,6 @@ class RunConfig:
             raise ConfigError("fig6_lengths_km must list at least one length")
         return lengths
 
-    def design_config(self) -> designs.DesignConfig:
-        return designs.DesignConfig(
-            variant=self.design,
-            m_interferometers=self.m,
-            n_v=self.n_v,
-            n_squeezed=self.resolved_squeezed_photons(),
-        )
-
 
 def _parse_float(key: str, raw: str) -> float:
     try:
@@ -508,22 +500,20 @@ def _emit_json(record: dict, out: str | None) -> None:
 
 
 def cmd_variance(config: RunConfig) -> None:
-    design = config.design_config()
+    n_s = config.resolved_squeezed_photons()
     eta = config.resolved_eta()
     t = config.resolved_time_factor()
-    variance = analytic.design_variance(
-        design.variant, t, eta, design.m, design.n_v, design.n_squeezed
-    )
+    variance = analytic.design_variance(config.design, t, eta, config.m, config.n_v, n_s)
     _emit_json(
         {
-            "design": design.variant,
-            "m": design.m,
-            "n_v": design.n_v,
-            "n_squeezed": design.n_squeezed,
+            "design": config.design,
+            "m": config.m,
+            "n_v": config.n_v,
+            "n_squeezed": n_s if math.isfinite(n_s) else "inf",
             "eta": eta,
             "time_factor_s": t,
             "variance": variance,
-            "variance_normalized": variance * t**2 * design.n_v,
+            "variance_normalized": variance * t**2 * config.n_v,
             "provenance": "analytic",
         },
         config.out,
@@ -536,14 +526,16 @@ def cmd_ratio(config: RunConfig) -> None:
         eta: float | None = config.resolved_eta()
     except ConfigError:
         eta = None
-    ratios = analytic.sensitivity_ratios(n_s, eta)
+    fixed_eta = None if eta is None else analytic.ratio_fixed_eta(n_s, eta)
+    optimal_length = analytic.ratio_optimal_length(n_s)
+    optimal_m = analytic.ratio_optimal_m(n_s)
     record = {
         "n_squeezed": n_s if math.isfinite(n_s) else "inf",
-        "ratio_fixed_eta": ratios.fixed_eta,
-        "ratio_optimal_length": ratios.optimal_length,
-        "ratio_optimal_m": ratios.optimal_m,
-        "improvement_optimal_length": 1.0 / ratios.optimal_length,
-        "improvement_optimal_m": 1.0 / ratios.optimal_m,
+        "ratio_fixed_eta": fixed_eta,
+        "ratio_optimal_length": optimal_length,
+        "ratio_optimal_m": optimal_m,
+        "improvement_optimal_length": 1.0 / optimal_length,
+        "improvement_optimal_m": 1.0 / optimal_m,
         "provenance": "analytic",
     }
     if eta is not None and config.m > 1:
@@ -567,8 +559,8 @@ def cmd_optimize(config: RunConfig) -> None:
             "variance_best": search.variance_best,
             "provenance": "numeric-optimum",
         }
-        if search.analytic_reference is not None:
-            reference = search.analytic_reference
+        if variant in ("D", "E"):
+            reference = analytic.optimal_m(variant, config.b, length, n_s)
             record.update(
                 {
                     "m_continuous": reference.continuous,
@@ -603,7 +595,12 @@ def cmd_optimize(config: RunConfig) -> None:
 
 
 def cmd_simulate(config: RunConfig) -> None:
-    design = config.design_config()
+    design = designs.DesignConfig(
+        variant=config.design,
+        m_interferometers=config.m,
+        n_v=config.n_v,
+        n_squeezed=config.resolved_squeezed_photons(),
+    )
     eta = config.resolved_eta()
     t = config.resolved_time_factor()
     stats = designs.build_and_run(design, config.phi, eta)

@@ -13,8 +13,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import analytic
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -47,7 +45,10 @@ class ScalarMinimum:
 
 
 def _evaluate(objective: Callable[[float], float], x: float) -> float:
-    value = float(objective(x))
+    try:
+        value = float(objective(x))
+    except ArithmeticError as exc:
+        raise EvaluationError(f"objective cannot be evaluated at x = {x}: {exc}") from None
     if not math.isfinite(value):
         raise EvaluationError(f"objective is not finite at x = {x}: {value}")
     return value
@@ -66,11 +67,13 @@ def minimize_scalar(problem: ScalarProblem) -> ScalarMinimum:
     if not (math.isfinite(outer_lo) and math.isfinite(outer_hi) and outer_lo < outer_hi):
         raise ValueError(f"invalid bracket {problem.bracket}")
 
-    xs = np.linspace(outer_lo, outer_hi, _PRESCAN_SAMPLES + 1)
+    # Evenly spaced, ending exactly on outer_hi.
+    step = (outer_hi - outer_lo) / _PRESCAN_SAMPLES
+    xs = [i * step + outer_lo for i in range(_PRESCAN_SAMPLES)] + [outer_hi]
     values = [_evaluate(problem.objective, x) for x in xs]
-    coarse = int(np.argmin(values))
-    lo = float(xs[max(coarse - 1, 0)])
-    hi = float(xs[min(coarse + 1, _PRESCAN_SAMPLES)])
+    coarse = values.index(min(values))
+    lo = xs[max(coarse - 1, 0)]
+    hi = xs[min(coarse + 1, _PRESCAN_SAMPLES)]
 
     span = hi - lo
     c = hi - _GOLDEN * span
@@ -175,15 +178,12 @@ def optimize_length(
 class CountSearchResult:
     """Exhaustive integer search over the interferometer count.
 
-    ``profile`` holds (count, normalized variance) for every candidate, and
-    ``analytic_reference`` the closed-form continuous optimum when one
-    exists (designs D and E).
+    ``profile`` holds (count, normalized variance) for every candidate.
     """
 
     m_best: int
     variance_best: float
     profile: list[tuple[int, float]] = field(repr=False)
-    analytic_reference: analytic.IntegerOptimum | None = None
 
 
 def optimize_m_integer(
@@ -207,15 +207,7 @@ def optimize_m_integer(
         for m in range(1, m_max + 1)
     ]
     m_best, variance_best = min(profile, key=lambda item: item[1])
-    reference = None
-    if variant in ("D", "E"):
-        reference = analytic.optimal_m(variant, b, length_km, n_squeezed)
-    return CountSearchResult(
-        m_best=m_best,
-        variance_best=variance_best,
-        profile=profile,
-        analytic_reference=reference,
-    )
+    return CountSearchResult(m_best=m_best, variance_best=variance_best, profile=profile)
 
 
 def optimize_m_continuous(

@@ -196,12 +196,13 @@ def test_criterion_09_count_optimum_spot_check():
     expectation and is expected to fail; see the decisions ledger.
     """
     search = optimize.optimize_m_integer("E", 0.5, 15.0, db_to_photons(10.0))
+    continuous = analytic.optimal_m("E", 0.5, 15.0, db_to_photons(10.0)).continuous
     profile = dict(search.profile)
     assert search.m_best == 5, (
         "stated expectation M_opt = 5, measured argmin "
         f"M = {search.m_best} (normalized variance * L^2: "
         f"M=4 -> {profile[4] * 15.0 ** 2:.6f}, M=5 -> {profile[5] * 15.0 ** 2:.6f}; "
-        f"continuous optimum {search.analytic_reference.continuous:.4f})"
+        f"continuous optimum {continuous:.4f})"
     )
     _passed(9, "integer count optimum equals 5")
 

@@ -21,7 +21,6 @@ from fogsim.analytic import (
     ratio_optimal_length,
     ratio_optimal_m,
     ratio_product_fixed_eta,
-    sensitivity_ratios,
     variance_vs_length,
 )
 from fogsim.sagnac import db_to_photons, transmissivity
@@ -147,6 +146,12 @@ class TestVarianceFormulas:
                 "S", 1.0, eta, 1, 10.0, math.inf
             ) / classical_variance(1.0, eta, 10.0)
             assert ratio == pytest.approx(1.0 - eta, rel=1e-12)
+
+    @pytest.mark.parametrize("time_factor_s", [1e200, 1e-200])
+    def test_time_factor_out_of_range_is_named(self, time_factor_s):
+        # T^2 overflows (or underflows to 0); the error names the time factor.
+        with pytest.raises(ValueError, match="time factor"):
+            classical_variance(time_factor_s, 0.9, 100.0)
 
     def test_fiber_form_matches_optimized_value(self):
         b = 0.5
@@ -303,10 +308,9 @@ class TestOptimalCount:
 
 class TestRatios:
     def test_no_squeezing_means_no_improvement(self):
-        ratios = sensitivity_ratios(0.0, eta=0.6)
-        assert ratios.fixed_eta == 1.0
-        assert ratios.optimal_length == pytest.approx(1.0, rel=1e-14)
-        assert ratios.optimal_m == pytest.approx(1.0, rel=1e-14)
+        assert ratio_fixed_eta(0.0, 0.6) == 1.0
+        assert ratio_optimal_length(0.0) == pytest.approx(1.0, rel=1e-14)
+        assert ratio_optimal_m(0.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_fixed_eta_formula(self):
         n_s = db_to_photons(10.0)
@@ -383,6 +387,20 @@ class TestDesignVarianceDispatch:
             variance_vs_length("P", 0.5, 15.0, 0.5, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             ratio_product_fixed_eta(-1.0, 0.5, 4)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            analytic.inverse_squeeze_factor,
+            length_exponent,
+            array_size_exponent,
+            lambda n: ratio_product_fixed_eta(n, 0.5, 4),
+        ],
+        ids=["inverse_squeeze_factor", "length_exponent", "array_size_exponent", "design_P"],
+    )
+    def test_nan_squeezing_rejected(self, call):
+        with pytest.raises(ValueError, match="squeezed photon number must be nonnegative"):
+            call(math.nan)
 
     @pytest.mark.parametrize("variant,m", [("C", 1), ("S", 1), ("D", 4), ("P", 4), ("E", 4)])
     def test_variance_is_laser_only_times_ratio(self, variant, m):

@@ -76,6 +76,18 @@ class TestVariance:
         assert code == 2
         assert "eta" in err
 
+    @pytest.mark.parametrize("design, m", [("S", "1"), ("E", "4"), ("P", "4")])
+    def test_infinite_squeezing_leaves_the_loss_floor(self, capsys, design, m):
+        code, out, err = run(
+            capsys, "variance", "--design", design, "--m", m, "--squeeze-db", "inf",
+            "--eta", "0.9",
+        )
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["n_squeezed"] == "inf"
+        laser_only = 1.0 / (0.9 * int(m) * 100.0)
+        assert record["variance"] == pytest.approx(laser_only * (1.0 - 0.9), rel=1e-12)
+
 
 class TestOptimize:
     def test_fixed_length_count_search(self, capsys):
@@ -118,6 +130,13 @@ class TestRatio:
 
 
 class TestSimulate:
+    def test_rejects_infinite_squeezing(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--design", "S", "--squeeze-db", "inf", "--eta", "0.9"
+        )
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
     def test_matches_analytic_on_defaults(self, capsys):
         code, out, _ = run(
             capsys, "simulate", "--design", "E", "--m", "4", "--squeeze-db", "10",
@@ -338,6 +357,14 @@ class TestExitCodes:
             ("simulate", "--n-v", "inf", "--eta", "0.9"),
             ("simulate", "--phi", "inf", "--eta", "0.9"),
             ("simulate", "--t", "1e-200", "--eta", "0.9"),
+            ("variance", "--design", "C", "--eta", "0.9", "--t", "1e200"),
+            ("variance", "--design", "C", "--eta", "0.9", "--t", "1e-200"),
+            # The optimizer's objective overflows or divides by zero.
+            ("table1", "--b", "1e-300"),
+            ("table1", "--format", "json", "--b", "1e-300"),
+            ("table1", "--b", "1e300"),
+            ("table1", "--fix-length", "1e300"),
+            ("optimize", "--design", "S", "--squeeze-db", "10", "--b", "1e-300"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -345,6 +372,24 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("fogsim: error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("variance", "--design", "S", "--eta", "0.9"),
+            ("ratio",),
+            ("ratio", "--eta", "0.9", "--m", "4"),
+            ("optimize", "--design", "S"),
+            ("optimize", "--design", "P", "--m", "4"),
+            ("optimize", "--design", "E", "--fix-length", "15"),
+            ("optimize", "--design", "P", "--fix-length", "15"),
+        ],
+    )
+    @pytest.mark.parametrize("squeezing", [("--squeeze-db", "nan"), ("--n-squeezed", "nan")])
+    def test_nan_squeezing_is_named(self, capsys, argv, squeezing):
+        code, out, err = run(capsys, *argv, *squeezing)
+        assert (code, out) == (2, "")
+        assert err == "fogsim: error: squeezed photon number must be nonnegative\n"
 
     def test_number_format_helper(self):
         assert format_number(17.3717792761) == "1.73717792761e+01"

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fogsim import analytic
 from fogsim.optimize import (
@@ -46,9 +49,37 @@ class TestMinimizeScalar:
         with pytest.raises(ValueError):
             minimize_scalar(ScalarProblem(lambda x: x * x, (1.0, 1.0)))
 
-    def test_non_finite_objective(self):
+    @pytest.mark.parametrize(
+        "objective",
+        [
+            lambda x: math.inf,
+            lambda x: 1.0 / (x - x),  # ZeroDivisionError
+            lambda x: math.exp(1e6 * (x + 1.0)),  # OverflowError
+        ],
+        ids=["inf", "zero-division", "overflow"],
+    )
+    def test_non_finite_objective(self, objective):
         with pytest.raises(EvaluationError):
-            minimize_scalar(ScalarProblem(lambda x: math.inf, (0.0, 1.0)))
+            minimize_scalar(ScalarProblem(objective, (0.0, 1.0)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.floats(1e-9, 1e6, allow_nan=False),
+    )
+    def test_prescan_points_are_linspace(self, lo, width):
+        # The pre-scan grid must equal numpy.linspace bit for bit: every
+        # optimum the CLI prints depends on it.
+        hi = lo + width
+        assume(lo < hi)
+        seen = []
+
+        def objective(x):
+            seen.append(x)
+            return (x - lo) ** 2
+
+        minimize_scalar(ScalarProblem(objective, (lo, hi)))
+        assert seen[:65] == np.linspace(lo, hi, 65).tolist()
 
     def test_iteration_budget(self):
         problem = ScalarProblem(
@@ -83,9 +114,10 @@ class TestLengthCrossValidation:
 class TestCountOptimization:
     def test_short_fiber_prefers_single_interferometer(self):
         result = optimize_m_integer("D", 0.5, 1.0)
+        reference = analytic.optimal_m("D", 0.5, 1.0)
         assert result.m_best == 1
-        assert result.analytic_reference.below_threshold
-        assert result.analytic_reference.continuous == pytest.approx(0.1151, abs=1e-4)
+        assert reference.below_threshold
+        assert reference.continuous == pytest.approx(0.1151, abs=1e-4)
 
     def test_integer_profile_matches_analytic_choice(self):
         for b, length in ((0.5, 15.0), (0.5, 20.0), (0.25, 40.0)):
@@ -93,9 +125,10 @@ class TestCountOptimization:
                 n_s = db_to_photons(sigma)
                 variant = "D" if n_s == 0 else "E"
                 search = optimize_m_integer(variant, b, length, n_s)
-                assert search.m_best == search.analytic_reference.chosen
+                reference = analytic.optimal_m(variant, b, length, n_s)
+                assert search.m_best == reference.chosen
                 assert search.variance_best == pytest.approx(
-                    search.analytic_reference.variance_chosen, rel=1e-12
+                    reference.variance_chosen, rel=1e-12
                 )
 
     def test_entangled_spot_profile(self):
