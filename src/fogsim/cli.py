@@ -35,9 +35,6 @@ from .sagnac import GyroGeometry, db_to_photons, time_factor, transmissivity
 #: Squeezing grid of the improvement table, in dB ("inf" allowed in configs).
 TABLE_SIGMAS_DB = (5.0, 10.0, 15.0, 20.0, math.inf)
 
-FIGURE_IDS = ("3a", "3b", "5", "6", "7")
-
-
 class ConfigError(ValueError):
     """A configuration file or flag combination cannot be used."""
 
@@ -47,28 +44,16 @@ def format_number(value: float) -> str:
     return f"{value:.11e}"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid description for one swept parameter."""
-
-    parameter: str
-    start: float
-    stop: float
-    steps: int
-    log: bool = False
-
-    def values(self) -> list[float]:
-        if self.steps < 2:
-            raise ConfigError(f"sweep of {self.parameter} needs at least 2 steps")
-        if self.log:
-            if self.start <= 0 or self.stop <= 0:
-                raise ConfigError(f"log sweep of {self.parameter} needs positive bounds")
-            a, b = math.log10(self.start), math.log10(self.stop)
-            return [10.0 ** (a + (b - a) * i / (self.steps - 1)) for i in range(self.steps)]
-        return [
-            self.start + (self.stop - self.start) * i / (self.steps - 1)
-            for i in range(self.steps)
-        ]
+def _sweep(parameter: str, start: float, stop: float, steps: int, log: bool = False) -> list[float]:
+    """``steps`` evenly spaced grid values from ``start`` to ``stop`` (log-spaced if ``log``)."""
+    if steps < 2:
+        raise ConfigError(f"sweep of {parameter} needs at least 2 steps")
+    if log:
+        if start <= 0 or stop <= 0:
+            raise ConfigError(f"log sweep of {parameter} needs positive bounds")
+        a, b = math.log10(start), math.log10(stop)
+        return [10.0 ** (a + (b - a) * i / (steps - 1)) for i in range(steps)]
+    return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 
 @dataclass
@@ -108,29 +93,16 @@ class RunConfig:
     out: str | None = None
     format: str = "csv"
 
-    _INT_KEYS = ("m", "m_max", "samples", "seed", "fig3a_points", "fig3b_points", "fig6_max_m", "fig7_max_m")
-    _STR_KEYS = ("design", "squeeze_db", "figure_id", "fig6_lengths_km", "out", "format")
-
     @classmethod
     def known_keys(cls) -> tuple[str, ...]:
         return tuple(f.name for f in dataclasses.fields(cls))
 
     def apply(self, key: str, raw: str) -> None:
-        if key not in self.known_keys():
+        """Set ``key`` from its text, parsed by the field's declared type."""
+        kinds = {f.name: f.type.split(" |")[0] for f in dataclasses.fields(self)}
+        if key not in kinds:
             raise ConfigError(f"unknown configuration key: {key!r}")
-        if key in self._INT_KEYS:
-            try:
-                value: object = int(raw)
-            except ValueError:
-                raise ConfigError(f"configuration key {key!r} expects an integer, got {raw!r}") from None
-        elif key in self._STR_KEYS:
-            value = raw
-        else:
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ConfigError(f"configuration key {key!r} expects a number, got {raw!r}") from None
-        setattr(self, key, value)
+        setattr(self, key, _parse(key, raw, kinds[key]))
 
     def resolved_squeezed_photons(self) -> float:
         """Total squeezed photon number from either config route (0 if absent)."""
@@ -139,9 +111,7 @@ class RunConfig:
         if self.n_squeezed is not None:
             return self.n_squeezed
         if self.squeeze_db is not None:
-            text = str(self.squeeze_db).strip().lower()
-            sigma = math.inf if text in ("inf", "infinity") else _parse_float("squeeze_db", text)
-            return db_to_photons(sigma)
+            return db_to_photons(_parse("squeeze_db", self.squeeze_db, "float"))
         return 0.0
 
     def resolved_eta(self) -> float:
@@ -173,11 +143,15 @@ class RunConfig:
         return lengths
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _parse(key: str, raw: str, kind: str) -> object:
+    """``raw`` as the field type ``kind`` ("int", "float" or "str")."""
+    if kind == "str":
+        return raw
     try:
-        return float(raw)
+        return int(raw) if kind == "int" else float(raw)
     except ValueError:
-        raise ConfigError(f"configuration key {key!r} expects a number, got {raw!r}") from None
+        expected = "an integer" if kind == "int" else "a number"
+        raise ConfigError(f"configuration key {key!r} expects {expected}, got {raw!r}") from None
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -207,9 +181,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         for key, raw in load_config_file(args.config).items():
             config.apply(key, raw)
     for key in RunConfig.known_keys():
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
+        raw = getattr(args, key, None)
+        if raw is not None:
+            config.apply(key, raw)
     if config.m < 1:
         raise ConfigError(f"m must be a positive integer, got {config.m}")
     return config
@@ -287,6 +261,7 @@ def table1_rows(config: RunConfig) -> list[list[object]]:
 
 
 def cmd_table1(config: RunConfig) -> None:
+    """Constant-factor improvement table."""
     header = [
         "sigma_db",
         "improvement_length_opt_analytic",
@@ -314,12 +289,11 @@ def cmd_table1(config: RunConfig) -> None:
 def figure_3a(config: RunConfig) -> tuple[list[str], list[list[object]]]:
     """Energy-split-optimized variance against total photons, per transmissivity."""
     etas = (1.0, 0.9, 0.99, 0.999)
-    sweep = SweepSpec("n_photons", 1.0, config.fig3a_max_photons, config.fig3a_points, log=True)
     header = ["n_photons"]
     for eta in etas:
         header.extend([f"classical_eta_{eta}", f"squeezed_eta_{eta}"])
     rows = []
-    for n in sweep.values():
+    for n in _sweep("n_photons", 1.0, config.fig3a_max_photons, config.fig3a_points, log=True):
         row: list[object] = [n]
         for eta in etas:
             row.append(analytic.classical_variance(1.0, eta, n))
@@ -331,14 +305,13 @@ def figure_3a(config: RunConfig) -> tuple[list[str], list[list[object]]]:
 def figure_3b(config: RunConfig) -> tuple[list[str], list[list[object]]]:
     """Normalized variance against fiber length, plus the optimized parametric curve."""
     sigmas = (5.0, 10.0, 15.0, math.inf)
-    sweep = SweepSpec("length_km", 0.5, config.fig3b_max_length_km, config.fig3b_points)
     header = ["length_km", "classical"]
     header.extend(
         "squeezed_infdb" if math.isinf(s) else f"squeezed_{s:g}db" for s in sigmas
     )
     header.extend(["param_sigma_db", "param_length_km", "param_variance"])
-    lengths = sweep.values()
-    parametric = SweepSpec("sigma_db", 0.0, 40.0, 81).values()
+    lengths = _sweep("length_km", 0.5, config.fig3b_max_length_km, config.fig3b_points)
+    parametric = _sweep("sigma_db", 0.0, 40.0, 81)
     rows = []
     for i, length in enumerate(lengths):
         row: list[object] = [length, analytic.variance_vs_length("C", config.b, length)]
@@ -398,7 +371,7 @@ def figure_6(config: RunConfig) -> tuple[list[str], list[list[object]]]:
             "param_var_e",
         ]
     )
-    parametric_lengths = SweepSpec("length_km", 2.0, 40.0, 77).values()
+    parametric_lengths = _sweep("length_km", 2.0, 40.0, 77)
     count = max(config.fig6_max_m, len(parametric_lengths))
     rows = []
     for i in range(count):
@@ -441,7 +414,7 @@ def figure_7(config: RunConfig) -> tuple[list[str], list[list[object]]]:
     with the count, and every ratio is floored by 1 - eta.
     """
     length = config.fix_length_km if config.fix_length_km is not None else 15.0
-    sigma_grid = SweepSpec("sigma_db", 0.0, config.fig7_max_sigma_db, 61).values()
+    sigma_grid = _sweep("sigma_db", 0.0, config.fig7_max_sigma_db, 61)
     header = ["sigma_db", "m", "eta", "ratio_s_single", "ratio_p", "ratio_e", "one_minus_eta"]
     eta_single = transmissivity(config.b, length)
     rows = []
@@ -474,11 +447,8 @@ _FIGURE_BUILDERS = {
 
 
 def cmd_figure(config: RunConfig) -> None:
+    """Figure data set as CSV."""
     figure_id = config.figure_id
-    if figure_id not in _FIGURE_BUILDERS:
-        raise ConfigError(
-            f"unknown figure id {figure_id!r}; choose one of {', '.join(FIGURE_IDS)}"
-        )
     header, rows = _FIGURE_BUILDERS[figure_id](config)
     comment = _config_comment(config, command="figure", id=figure_id)
     _write_output(render_csv(comment, header, rows), config.out)
@@ -500,6 +470,7 @@ def _emit_json(record: dict, out: str | None) -> None:
 
 
 def cmd_variance(config: RunConfig) -> None:
+    """Estimator variance of one design."""
     n_s = config.resolved_squeezed_photons()
     eta = config.resolved_eta()
     t = config.resolved_time_factor()
@@ -521,6 +492,7 @@ def cmd_variance(config: RunConfig) -> None:
 
 
 def cmd_ratio(config: RunConfig) -> None:
+    """Quantum/classical sensitivity ratios."""
     n_s = config.resolved_squeezed_photons()
     try:
         eta: float | None = config.resolved_eta()
@@ -546,6 +518,7 @@ def cmd_ratio(config: RunConfig) -> None:
 
 
 def cmd_optimize(config: RunConfig) -> None:
+    """Optimal length or count."""
     n_s = config.resolved_squeezed_photons()
     variant = config.design
     if config.fix_length_km is not None:
@@ -595,6 +568,7 @@ def cmd_optimize(config: RunConfig) -> None:
 
 
 def cmd_simulate(config: RunConfig) -> None:
+    """Gaussian-circuit cross check."""
     design = designs.DesignConfig(
         variant=config.design,
         m_interferometers=config.m,
@@ -635,77 +609,6 @@ def cmd_simulate(config: RunConfig) -> None:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--b", type=float, help="fiber loss coefficient, dB/km")
-    parser.add_argument("--wavelength-nm", dest="wavelength_nm", type=float)
-    parser.add_argument("--radius-m", dest="radius_m", type=float)
-
-
-def _add_design_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--design", choices=designs.VARIANTS)
-    parser.add_argument("--m", type=int, help="number of interferometers")
-    parser.add_argument("--n-v", dest="n_v", type=float, help="per-fiber laser photons")
-    parser.add_argument(
-        "--squeeze-db", dest="squeeze_db", help="squeezing in dB ('inf' allowed)"
-    )
-    parser.add_argument(
-        "--n-squeezed", dest="n_squeezed", type=float, help="total squeezed photons"
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fogsim",
-        description="Rotation-sensitivity analysis of quantum-enhanced fiber gyroscopes",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_table = sub.add_parser("table1", help="constant-factor improvement table")
-    _add_common_options(p_table)
-    p_table.add_argument("--fix-length", dest="fix_length_km", type=float)
-    p_table.add_argument("--format", choices=("csv", "json"))
-
-    p_figure = sub.add_parser("figure", help="figure data set as CSV")
-    _add_common_options(p_figure)
-    p_figure.add_argument("--id", dest="figure_id", choices=FIGURE_IDS, required=True)
-
-    p_variance = sub.add_parser("variance", help="estimator variance of one design")
-    _add_common_options(p_variance)
-    _add_design_options(p_variance)
-    p_variance.add_argument("--eta", type=float)
-    p_variance.add_argument("--length-km", dest="length_km", type=float)
-    p_variance.add_argument("--t", dest="time_factor_s", type=float)
-
-    p_optimize = sub.add_parser("optimize", help="optimal length or count")
-    _add_common_options(p_optimize)
-    _add_design_options(p_optimize)
-    p_optimize.add_argument(
-        "--fix-length",
-        dest="fix_length_km",
-        type=float,
-        help="optimize the count at this total length (km); omit to optimize length",
-    )
-    p_optimize.add_argument("--m-max", dest="m_max", type=int)
-
-    p_ratio = sub.add_parser("ratio", help="quantum/classical sensitivity ratios")
-    _add_common_options(p_ratio)
-    _add_design_options(p_ratio)
-    p_ratio.add_argument("--eta", type=float)
-    p_ratio.add_argument("--length-km", dest="length_km", type=float)
-
-    p_simulate = sub.add_parser("simulate", help="Gaussian-circuit cross check")
-    _add_common_options(p_simulate)
-    _add_design_options(p_simulate)
-    p_simulate.add_argument("--eta", type=float)
-    p_simulate.add_argument("--length-km", dest="length_km", type=float)
-    p_simulate.add_argument("--phi", type=float)
-    p_simulate.add_argument("--t", dest="time_factor_s", type=float)
-
-    return parser
-
-
 _COMMANDS = {
     "table1": cmd_table1,
     "figure": cmd_figure,
@@ -714,6 +617,52 @@ _COMMANDS = {
     "ratio": cmd_ratio,
     "simulate": cmd_simulate,
 }
+
+#: The RunConfig keys each command reads; each key is one flag of that
+#: command, besides --config and --out.  Config files accept every key.
+COMMAND_SETTINGS = {
+    "table1": ("b", "fix_length_km", "format"),
+    "figure": ("b", "figure_id"),
+    "variance": ("b", "wavelength_nm", "radius_m", "design", "m", "n_v", "squeeze_db",
+                 "n_squeezed", "eta", "length_km", "time_factor_s"),
+    "optimize": ("b", "design", "m", "squeeze_db", "n_squeezed", "fix_length_km", "m_max"),
+    "ratio": ("b", "m", "squeeze_db", "n_squeezed", "eta", "length_km"),
+    "simulate": ("b", "wavelength_nm", "radius_m", "design", "m", "n_v", "squeeze_db",
+                 "n_squeezed", "eta", "length_km", "phi", "time_factor_s"),
+}
+
+#: Flag spelling (when it is not the key with dashes) and argparse options.
+#: Flags carry no ``type``: RunConfig.apply parses their text like a config file's.
+_FLAG_OPTIONS: dict[str, dict] = {
+    "out": {"help": "output path (default: stdout)"},
+    "b": {"help": "fiber loss coefficient, dB/km"},
+    "design": {"choices": designs.VARIANTS},
+    "m": {"help": "number of interferometers"},
+    "n_v": {"help": "per-fiber laser photons"},
+    "squeeze_db": {"help": "squeezing in dB ('inf' allowed)"},
+    "n_squeezed": {"help": "total squeezed photons"},
+    "fix_length_km": {"flag": "--fix-length", "help": "fixed total fiber length, km"},
+    "time_factor_s": {"flag": "--t", "help": "time factor per interferometer, s"},
+    "figure_id": {"flag": "--id", "choices": tuple(_FIGURE_BUILDERS), "required": True},
+    "format": {"choices": ("csv", "json")},
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fogsim",
+        description="Rotation-sensitivity analysis of quantum-enhanced fiber gyroscopes",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, keys in COMMAND_SETTINGS.items():
+        p_command = sub.add_parser(command, help=_COMMANDS[command].__doc__, allow_abbrev=False)
+        p_command.add_argument("--config", help="flat key = value configuration file")
+        for key in ("out", *keys):
+            options = dict(_FLAG_OPTIONS.get(key, {}))
+            flag = options.pop("flag", "--" + key.replace("_", "-"))
+            p_command.add_argument(flag, dest=key, **options)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -725,8 +674,12 @@ def main(argv: list[str] | None = None) -> int:
     except optimize.ConvergenceError as exc:
         print(f"fogsim: convergence error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"fogsim: error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # Overflow or division by zero that no library guard names.
+        print(f"fogsim: error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

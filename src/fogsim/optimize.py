@@ -17,6 +17,10 @@ from . import analytic
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _PRESCAN_SAMPLES = 64
+#: Golden-section stopping width, relative to the bracket's magnitude.
+_TOLERANCE = 1e-12
+_MAX_ITERATIONS = 200
+_POLISH_ROUNDS = 2
 
 
 class EvaluationError(ValueError):
@@ -33,8 +37,6 @@ class ScalarProblem:
 
     objective: Callable[[float], float]
     bracket: tuple[float, float]
-    tolerance: float = 1e-10
-    max_iterations: int = 200
 
 
 @dataclass(frozen=True)
@@ -81,10 +83,10 @@ def minimize_scalar(problem: ScalarProblem) -> ScalarMinimum:
     fc = _evaluate(problem.objective, c)
     fd = _evaluate(problem.objective, d)
     iterations = 0
-    while hi - lo > problem.tolerance * max(1.0, abs(lo) + abs(hi)) / 2.0:
-        if iterations >= problem.max_iterations:
+    while hi - lo > _TOLERANCE * max(1.0, abs(lo) + abs(hi)) / 2.0:
+        if iterations >= _MAX_ITERATIONS:
             raise ConvergenceError(
-                f"no convergence within {problem.max_iterations} iterations "
+                f"no convergence within {_MAX_ITERATIONS} iterations "
                 f"(bracket width {hi - lo:.3e})"
             )
         if fc < fd:
@@ -108,7 +110,6 @@ def _quadratic_polish(
     value: float,
     lo: float,
     hi: float,
-    rounds: int = 2,
 ) -> tuple[float, float]:
     """Newton steps on a finite-difference derivative around a smooth minimum.
 
@@ -119,7 +120,7 @@ def _quadratic_polish(
     unchanged.
     """
     best_x, best_value = x, value
-    for _ in range(rounds):
+    for _ in range(_POLISH_ROUNDS):
         h = 1e-4 * max(abs(x), 1.0)
         if not (lo < x - 2.0 * h and x + 2.0 * h < hi):
             break
@@ -154,7 +155,6 @@ def optimize_length(
     b: float,
     n_squeezed: float = 0.0,
     m: int = 1,
-    tolerance: float = 1e-12,
 ) -> ScalarMinimum:
     """Numerically minimize the normalized variance over the total fiber length."""
     analytic._check_positive(b, "loss coefficient")
@@ -165,7 +165,6 @@ def optimize_length(
                 variant, b, length, m, n_squeezed
             ),
             bracket=bracket,
-            tolerance=tolerance,
         )
     )
 
@@ -216,7 +215,6 @@ def optimize_m_continuous(
     length_km: float,
     n_squeezed: float = 0.0,
     m_hi: float = 1e5,
-    tolerance: float = 1e-12,
 ) -> ScalarMinimum:
     """Golden-section minimum over a continuous (real-valued) count."""
     return minimize_scalar(
@@ -225,7 +223,6 @@ def optimize_m_continuous(
                 variant, b, length_km, m, n_squeezed
             ),
             bracket=(1.0, m_hi),
-            tolerance=tolerance,
         )
     )
 
@@ -250,7 +247,6 @@ def optimize_energy_split_numeric(
         ScalarProblem(
             objective=objective,
             bracket=(0.0, n_total * (1.0 - 1e-9)),
-            tolerance=1e-12,
         )
     )
     return analytic.EnergySplit(n_squeezed=result.x, variance=result.value)
@@ -268,9 +264,9 @@ def numeric_ratio_optimal_length(n_squeezed: float, b: float = 0.5) -> float:
 
 
 def numeric_ratio_optimal_m(
-    n_squeezed: float, b: float = 0.5, length_km: float = 15.0, m_hi: float = 1e5
+    n_squeezed: float, b: float = 0.5, length_km: float = 15.0
 ) -> float:
     """Count-optimized (continuous) quantum/classical ratio at fixed length."""
-    quantum = optimize_m_continuous("E", b, length_km, n_squeezed, m_hi=m_hi)
-    classical = optimize_m_continuous("D", b, length_km, 0.0, m_hi=m_hi)
+    quantum = optimize_m_continuous("E", b, length_km, n_squeezed)
+    classical = optimize_m_continuous("D", b, length_km, 0.0)
     return quantum.value / classical.value

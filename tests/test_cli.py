@@ -1,11 +1,17 @@
 """Command-line interface: commands, config files, CSV determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import re
+import shlex
+from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fogsim import cli
 from fogsim.cli import RunConfig, format_number, main
@@ -16,6 +22,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of ``main`` without pytest fixtures."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def command_flags(command):
+    """Every flag a command's parser accepts, read from its help text."""
+    with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()) as help_text:
+        main([command, "--help"])
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", help_text.getvalue())) - {"--help"}
 
 
 def parse_csv(text):
@@ -365,6 +386,21 @@ class TestExitCodes:
             ("table1", "--b", "1e300"),
             ("table1", "--fix-length", "1e300"),
             ("optimize", "--design", "S", "--squeeze-db", "10", "--b", "1e-300"),
+            # Floating-point overflow or division by zero outside every
+            # library guard, named at the CLI boundary.
+            ("table1", "--b", "1e-12"),
+            ("optimize", "--design", "D", "--fix-length", "1e-12", "--b", "1e300"),
+            ("optimize", "--design", "S", "--b", "1e300", "--squeeze-db", "10"),
+            ("optimize", "--design", "D", "--m", "4", "--b", "1e300"),
+            ("optimize", "--design", "D", "--fix-length", "1", "--b", "inf"),
+            ("optimize", "--design", "P", "--fix-length", "1e-320", "--b", "inf",
+             "--squeeze-db", "10"),
+            ("optimize", "--design", "E", "--fix-length", "1e300", "--b", "1e-320",
+             "--squeeze-db", "0"),
+            ("ratio", "--squeeze-db", "10", "--length-km", "-1", "--b", "1e6"),
+            ("simulate", "--design", "S", "--squeeze-db", "200", "--eta", "1"),
+            ("figure", "--id", "6", "--b", "1e300"),
+            ("optimize", "--design", "E", "--fix-length", "1e6", "--squeeze-db", "10"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -394,6 +430,122 @@ class TestExitCodes:
     def test_number_format_helper(self):
         assert format_number(17.3717792761) == "1.73717792761e+01"
         assert len(format_number(math.pi).split("e")[0].replace("-", "").replace(".", "")) == 12
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Flags of settings the command does not read.
+            ("table1", "--wavelength-nm", "1"),
+            ("table1", "--radius-m", "1"),
+            ("figure", "--id", "5", "--wavelength-nm", "1"),
+            ("figure", "--id", "5", "--radius-m", "1"),
+            ("optimize", "--wavelength-nm", "1"),
+            ("optimize", "--radius-m", "1"),
+            ("optimize", "--n-v", "1"),
+            ("ratio", "--wavelength-nm", "1"),
+            ("ratio", "--radius-m", "1"),
+            ("ratio", "--design", "C"),
+            ("ratio", "--n-v", "1"),
+            # Flags match exactly; an abbreviation is not expanded.
+            ("ratio", "--squeeze", "10"),
+        ],
+        ids=" ".join,
+    )
+    def test_unread_and_abbreviated_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
+    def test_flag_and_file_parse_alike(self, capsys, tmp_path):
+        config = tmp_path / "m.cfg"
+        config.write_text("m = four\n")
+        expected = (2, "", "fogsim: error: configuration key 'm' expects an integer, got 'four'\n")
+        assert run(capsys, "variance", "--m", "four") == expected
+        assert run(capsys, "variance", "--config", str(config)) == expected
+
+    @pytest.mark.parametrize(
+        "line",
+        [line for line in README.read_text().splitlines() if line.startswith("fogsim ")],
+    )
+    def test_readme_example_runs(self, line, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_in_process(shlex.split(line, comments=True)[1:])
+        assert (code, err) == (0, "")
+
+    def test_readme_lists_each_command_flags(self):
+        rows = re.findall(r"^\| `(\w+)` \| (`--.*) \|$", README.read_text(), re.MULTILINE)
+        listed = {command: set(re.findall(r"`(--[\w-]+)`", flags)) for command, flags in rows}
+        assert set(listed) == set(cli.COMMAND_SETTINGS)
+        for command, flags in listed.items():
+            assert flags | {"--config", "--out"} == command_flags(command), command
+
+
+def _numbers(typical):
+    """The typical value half of the time, else an edge of the float range."""
+    edges = ("0", "-1", "1e-320", "1e-12", "1e6", "1e300", "inf", "-inf", "nan")
+    return st.just(typical) | st.sampled_from(edges)
+
+
+#: Values drawn for each flag.  Counts stay small (--m at most 10**6, and at
+#: most 16 for simulate; --m-max at most 64): huge counts are out of scope
+#: here because they only cost memory or time.
+FLAG_VALUES = {
+    "--b": _numbers("0.5"),
+    "--wavelength-nm": _numbers("1550"),
+    "--radius-m": _numbers("0.05"),
+    "--design": st.sampled_from("CSDPE"),
+    "--m": st.sampled_from(("-1", "0", "1", "2", "4", "16", "1000000")),
+    "--n-v": _numbers("100"),
+    "--squeeze-db": st.floats(0.0, 3000.0).map(repr) | st.just("inf"),
+    "--n-squeezed": _numbers("10"),
+    "--eta": _numbers("0.9"),
+    "--length-km": _numbers("15"),
+    "--fix-length": _numbers("15"),
+    "--t": _numbers("1"),
+    "--phi": _numbers("0.01"),
+    "--m-max": st.integers(-1, 64).map(str),
+    "--format": st.sampled_from(("csv", "json")),
+    "--id": st.sampled_from(("3a", "3b", "5", "6", "7")),
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestWholeInputSpace:
+    @pytest.mark.parametrize("command", list(cli.COMMAND_SETTINGS))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(
+        max_examples=40, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_every_request_ends_in_a_result_or_a_named_error(self, command, data):
+        values = dict(FLAG_VALUES)
+        if command == "simulate":
+            values["--m"] = st.integers(-1, 16).map(str)
+        flags = sorted(command_flags(command) - {"--config", "--out"})
+        chosen = data.draw(st.lists(st.sampled_from(flags), unique=True, max_size=5))
+        if command == "figure" and "--id" not in chosen:
+            chosen.append("--id")
+        argv = [command] + [f"{flag}={data.draw(values[flag], label=flag)}" for flag in chosen]
+        code, out, err = run_in_process(argv)
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert err == ""
+            if command not in ("table1", "figure") or "--format=json" in argv:
+                json.loads(out, parse_constant=_reject_constant)
+        elif code == 2:
+            assert out == ""
+            assert err.startswith("fogsim: error:") and err.count("\n") == 1
+        else:
+            assert err.startswith("fogsim: convergence error:")
 
 
 class TestRunConfig:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fogsim import analytic
+from fogsim import analytic, optimize
 from fogsim.optimize import (
     ConvergenceError,
     EvaluationError,
@@ -81,12 +81,10 @@ class TestMinimizeScalar:
         minimize_scalar(ScalarProblem(objective, (lo, hi)))
         assert seen[:65] == np.linspace(lo, hi, 65).tolist()
 
-    def test_iteration_budget(self):
-        problem = ScalarProblem(
-            lambda x: (x - 2.0) ** 2, (0.0, 5.0), tolerance=1e-14, max_iterations=2
-        )
+    def test_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 2)
         with pytest.raises(ConvergenceError):
-            minimize_scalar(problem)
+            minimize_scalar(ScalarProblem(lambda x: (x - 2.0) ** 2, (0.0, 5.0)))
 
 
 class TestLengthCrossValidation:
