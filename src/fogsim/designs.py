@@ -16,19 +16,15 @@ conjugate-phase map to its (a_j, b_j) pair, both arms suffer equal pure loss
 imaginary-quadrature homodyne on the symmetric port reads the rotation.
 
 ``build_and_run`` computes the readout exactly at arbitrary phase in the
-Heisenberg picture: the row of the measured quadrature is propagated
-backwards through the recombiner, the loss, the 4x4 phase block of each
-interferometer and the input splitters, then contracted with the product
-input state.  The splitter arrays are Householder reflections, applied as
-rank-1 updates, so a run costs O(M) time and memory and no 4M x 4M matrix
-is formed.  Each distinct single-mode input (coherent, vacuum, squeezed) is
-built once by the :mod:`fogsim.gaussian` constructors, which check its
-physicality; the passive maps and pure loss at eta in [0, 1] preserve it,
-and the readout variance is checked to be positive and finite.  The dense
-engine of :mod:`fogsim.gaussian`, which propagates the full covariance, is
-the independent reference the tests compare this route against.
-``homodyne_closed_form`` gives the direct single-interferometer, separable
-and entangled formulas for every design.
+Heisenberg picture, in O(M) time and memory on Python lists: the row of the
+measured quadrature is propagated backwards through the recombiner, the
+loss, the 4x4 phase block of each interferometer and the input splitters
+(Householder reflections, applied as rank-1 updates), then contracted with
+the product input state by ``math.fsum``.  Each distinct single-mode input
+is built once by the :mod:`fogsim.gaussian` constructors, which check its
+physicality.  The tests compare this route against a dense numpy engine
+that propagates the full 4M x 4M covariance.  ``homodyne_closed_form``
+gives the direct single-interferometer, separable and entangled formulas.
 """
 
 from __future__ import annotations
@@ -36,11 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gaussian import (
-    HomodyneResult,
     VACUUM_VARIANCE,
+    GaussianState,
+    HomodyneResult,
+    Matrix,
     coherent_state,
     conjugate_phase_derivative,
     conjugate_phase_transform,
@@ -90,13 +86,9 @@ class DesignConfig:
         return self.m_interferometers
 
     @property
-    def total_laser_photons(self) -> float:
-        return self.m_interferometers * self.n_v
-
-    @property
     def amplitude(self) -> float:
-        """Coherent amplitude alpha of the laser input (real, by convention)."""
-        return math.sqrt(self.total_laser_photons)
+        """Coherent amplitude alpha of the laser input, sqrt(M n_v) (real, by convention)."""
+        return math.sqrt(self.m_interferometers * self.n_v)
 
     @property
     def per_port_squeezed(self) -> float:
@@ -128,85 +120,92 @@ class CircuitResult:
                 raise ValueError(f"{label} must be positive and finite, got {value}")
 
 
-def _input_modes(config: DesignConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Means and covariances of the product input state, mode by mode.
+def _input_modes(config: DesignConfig) -> list[GaussianState]:
+    """One single-mode state per input mode, the M laser-side modes first.
 
-    Arrays are indexed [side, quadrature, (quadrature,) port], side 0 being
-    the laser side, so that the port axis is contiguous.  Each distinct
-    single-mode state is constructed (and so checked) once.
+    Each distinct state is constructed (and so checked) once.
     """
     m = config.m
-    vacuum = vacuum_state(1)
-    laser = coherent_state(config.amplitude, 0.0)
-    means = np.zeros((2, 2, m))
-    covs = np.empty((2, 2, 2, m))
-    covs[...] = vacuum.cov[..., None]
-    means[0, :, 0] = laser.mean
-    covs[0, :, :, 0] = laser.cov
+    vacuum = vacuum_state()
+    laser = [coherent_state(config.amplitude, 0.0)] + [vacuum] * (m - 1)
+    dark = [vacuum] * m
     if config.variant in ("S", "E"):
-        covs[1, :, :, 0] = squeezed_vacuum(config.n_squeezed, "im").cov
+        dark[0] = squeezed_vacuum(config.n_squeezed, "im")
     elif config.variant == "P":
-        covs[1] = squeezed_vacuum(config.per_port_squeezed, "im").cov[..., None]
-    return means, covs
+        dark = [squeezed_vacuum(config.per_port_squeezed, "im")] * m
+    return laser + dark
 
 
-def _splitter_mix(v: np.ndarray) -> np.ndarray:
-    """Mixing matrix of ``balanced_splitter_array(m)`` applied along the last axis.
+def _splitter_mix(v: list[float]) -> list[float]:
+    """Mixing matrix of an m-port balanced splitter array applied to ``v``.
 
     The matrix is the Householder reflection I - 2 w w^T / |w|^2 with
-    w = e_1 - s (1, ..., 1) and s = 1/sqrt(m), so |w|^2 = 2 (1 - s) and
-    the reflection is a rank-1 update costing O(m).  It is symmetric, so
-    the same call propagates a readout row backwards.
+    w = e_1 - s (1, ..., 1) and s = 1/sqrt(m), so |w|^2 = 2 (1 - s), applied
+    as a rank-1 update in O(m).  Its first row and column are all s, and it
+    is symmetric, so the same call propagates a readout row backwards.
     """
-    m = v.shape[-1]
+    m = len(v)
     if m == 1:
-        return v.copy()
+        return list(v)
     s = 1.0 / math.sqrt(m)
     # 2 (w . v) / |w|^2, with w . v = v_1 - s * sum(v).
-    c = (v[..., 0] - s * v.sum(axis=-1)) / (1.0 - s)
-    out = v + (s * c)[..., None]
-    out[..., 0] -= c
+    c = (v[0] - s * math.fsum(v)) / (1.0 - s)
+    shift = s * c
+    out = [x + shift for x in v]
+    out[0] -= c
     return out
 
 
-def _through_phase(row: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Row times the 4x4 ``block`` of every interferometer (a_j, b_j) pair."""
-    return (block.T @ row.reshape(4, -1)).reshape(row.shape)
+def _through_phase(row: list[list[float]], block: Matrix) -> list[list[float]]:
+    """Row times the 4x4 ``block`` of every interferometer (a_j, b_j) pair.
+
+    A phase block has two nonzero entries per column, so each sum rounds once.
+    """
+    return [
+        [a * c0 + b * c1 + c * c2 + d * c3 for a, b, c, d in zip(*row)]
+        for c0, c1, c2, c3 in zip(*block)
+    ]
 
 
-def _run_circuit(
-    config: DesignConfig, phi: float, eta: float
-) -> tuple[HomodyneResult, float]:
+def _per_mode(row: list[list[float]], modes: list[GaussianState]):
+    """(Re, Im) row entries of every input mode, paired with its state."""
+    return zip(zip(row[0] + row[2], row[1] + row[3]), modes)
+
+
+def _run_circuit(config: DesignConfig, phi: float, eta: float) -> tuple[HomodyneResult, float]:
     """Homodyne statistics of the read port at ``phi`` and d<b'_1>/dphi.
 
-    The Im-quadrature row of b-side port 0 is propagated backwards through
-    the recombiner, the loss (which scales it by sqrt(eta) and adds
-    (1 - eta)/4 |row|^2 of vacuum noise), the phase blocks (their derivative
-    gives the slope row) and the input splitters, then contracted with the
-    input means and covariances.
+    The row holds a list over the ports for each of a Re, a Im, b Re, b Im.
+    The loss scales it by sqrt(eta) and adds (1 - eta)/4 |row|^2 of vacuum
+    noise; the derivative of the phase blocks gives the slope row.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
     if not math.isfinite(phi):
         raise ValueError(f"phase must be finite, got {phi}")
-    means, covs = _input_modes(config)
-    row = np.zeros_like(means)
-    row[1, 1, 0] = 1.0
-    row[1] = _splitter_mix(row[1])
-    loss_variance = (1.0 - eta) * VACUUM_VARIANCE * float(np.sum(row * row))
-    row *= math.sqrt(eta)
+    modes = _input_modes(config)
+    row = [[0.0] * config.m for _ in range(4)]
+    row[3][0] = 1.0  # Im quadrature of b-side port 0, the read port
+    row[3] = _splitter_mix(row[3])
+    loss_variance = (1.0 - eta) * VACUUM_VARIANCE * math.fsum(x * x for r in row for x in r)
+    root_eta = math.sqrt(eta)
+    row = [[root_eta * x for x in r] for r in row]
     slope_row = _through_phase(row, conjugate_phase_derivative(phi))
     row = _through_phase(row, conjugate_phase_transform(phi).matrix)
+    mixed = 4 if config.variant == "E" else 2
     for r in (row, slope_row):
-        r[0] = _splitter_mix(r[0])
-        if config.variant == "E":
-            r[1] = _splitter_mix(r[1])
-    quadratic = row[:, :, None, :] * covs * row[:, None, :, :]
-    variance = float(np.sum(quadratic)) + loss_variance
+        r[:mixed] = [_splitter_mix(q) for q in r[:mixed]]
+    variance = math.fsum(
+        v[p] * state.cov[p][q] * v[q]
+        for v, state in _per_mode(row, modes) for p in (0, 1) for q in (0, 1)
+    ) + loss_variance
     if not math.isfinite(variance):
         raise ValueError(f"homodyne variance must be finite, got {variance}")
-    result = HomodyneResult(mean=float(np.sum(row * means)), variance=variance)
-    return result, float(np.sum(slope_row * means))
+    mean, slope = (
+        math.fsum(v[p] * state.mean[p] for v, state in _per_mode(r, modes) for p in (0, 1))
+        for r in (row, slope_row)
+    )
+    return HomodyneResult(mean=mean, variance=variance), slope
 
 
 def build_and_run(config: DesignConfig, phi: float, eta: float) -> HomodyneResult:

@@ -4,7 +4,7 @@ These are deliberately written without reusing the library's internals:
 bisection for the Lambert-W defining equation, an explicit entrywise
 quadrature lifting, dense-grid minimization, a Haar-random passive
 unitary generator, and the dense 4M x 4M design circuit built from the
-public Gaussian-state primitives.
+primitives of the dense engine in ``_dense``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from fogsim.gaussian import (
+from _dense import (
     HomodyneResult,
     SymplecticTransform,
     balanced_splitter_array,

@@ -9,10 +9,11 @@ import time
 
 import pytest
 
-from fogsim import analytic, designs, gaussian, optimize
+from fogsim import analytic, designs, optimize
 from fogsim.designs import DesignConfig
 from fogsim.sagnac import db_to_photons
 
+import _dense
 from _oracles import lambert_bisect
 
 TABLE_SIGMAS = (5.0, 10.0, 15.0, 20.0, math.inf)
@@ -213,15 +214,15 @@ def test_criterion_10_monte_carlo_sanity():
     config = DesignConfig("S", n_v=100.0, n_squeezed=n_s)
     exact = designs.build_and_run(config, phi, eta)
 
-    # Rebuild the same circuit from the public Gaussian primitives and draw
+    # Rebuild the same circuit with the dense engine of the tests and draw
     # seeded samples from the output port.
-    state = gaussian.tensor(
-        gaussian.coherent_state(config.amplitude, 0.0),
-        gaussian.squeezed_vacuum(n_s, "im"),
+    state = _dense.tensor(
+        _dense.coherent_state(config.amplitude, 0.0),
+        _dense.squeezed_vacuum(n_s, "im"),
     )
-    state = gaussian.conjugate_phase_transform(phi).apply(state)
-    state = gaussian.pure_loss(state, eta)
-    samples = gaussian.sample_homodyne(state, 1, "im", count, seed)
+    state = _dense.conjugate_phase_transform(phi).apply(state)
+    state = _dense.pure_loss(state, eta)
+    samples = _dense.sample_homodyne(state, 1, "im", count, seed)
 
     sigma = math.sqrt(exact.variance)
     mean_error = sigma / math.sqrt(count)

@@ -199,6 +199,28 @@ class TestSimulate:
             deviation = abs(record["estimator_variance_sim"] - exact) / exact
         assert deviation <= 1e-12
 
+    @pytest.mark.parametrize("design", ["S", "E", "P"])
+    @pytest.mark.parametrize("sigma_db", ["1000", "3000"])
+    @pytest.mark.filterwarnings("error")
+    def test_squeezing_up_to_the_overflow_limit(self, capsys, design, sigma_db):
+        # At 3000 dB the squeezed variances are 2.5e299 and 2.5e-301: the
+        # state is pure, and the circuit agrees with the closed form.
+        code, out, err = run(
+            capsys, "simulate", "--design", design, "--squeeze-db", sigma_db, "--eta", "0.5"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["relative_deviation"] <= 1e-15
+
+    @pytest.mark.parametrize("design", ["S", "E", "P"])
+    @pytest.mark.filterwarnings("error")
+    def test_squeezing_past_the_overflow_limit_is_named(self, capsys, design):
+        code, out, err = run(
+            capsys, "simulate", "--design", design, "--squeeze-db", "3080", "--eta", "0.5"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("fogsim: error:") and err.count("\n") == 1
+        assert "overflows the squeezed-vacuum variances" in err
+
 
 class TestFigures:
     def test_classical_curve_minimum_location(self, capsys):

@@ -1,6 +1,12 @@
-"""Tests of the Gaussian-state engine: constructors, transforms, loss, homodyne."""
+"""Tests of the Gaussian-state engines: the package's single-mode kit
+(``fogsim.gaussian``) and the dense n-mode oracle (``tests/_dense.py``).
+
+Single-mode cases run on both engines; multi-mode transforms, loss,
+homodyne statistics and sampling exist only in the dense engine.
+"""
 
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -8,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogsim.gaussian import (
+import _dense
+from _dense import (
     GaussianState,
     SymplecticTransform,
-    VACUUM_VARIANCE,
     balanced_splitter_array,
     coherent_state,
     conjugate_phase_transform,
@@ -25,16 +31,35 @@ from fogsim.gaussian import (
     tensor,
     vacuum_state,
 )
+from fogsim import gaussian as kit
 from fogsim.sagnac import db_to_photons
 
 from _oracles import lift_reference, random_passive_unitary
 
+ENGINES = {
+    "kit": SimpleNamespace(module=kit, vacuum=kit.vacuum_state),
+    "dense": SimpleNamespace(module=_dense, vacuum=lambda: _dense.vacuum_state(1)),
+}
+
+
+@pytest.fixture(params=list(ENGINES))
+def engine(request):
+    """One single-mode engine; ``engine.module`` holds its constructors."""
+    return ENGINES[request.param]
+
+
+def _cov(state) -> np.ndarray:
+    return np.asarray(state.cov, dtype=float)
+
 
 class TestVacuum:
-    def test_single_mode(self):
-        state = vacuum_state(1)
+    def test_single_mode(self, engine):
+        state = engine.vacuum()
         assert np.array_equal(state.mean, [0.0, 0.0])
-        assert np.array_equal(state.cov, 0.25 * np.eye(2))
+        assert np.array_equal(_cov(state), 0.25 * np.eye(2))
+
+    def test_symplectic_eigenvalues_saturate(self, engine):
+        assert np.allclose(engine.vacuum().symplectic_eigenvalues(), 0.25, atol=1e-12)
 
     def test_three_modes_is_tensor_of_vacua(self):
         state = vacuum_state(3)
@@ -42,7 +67,7 @@ class TestVacuum:
         assert np.array_equal(state.mean, np.zeros(6))
         assert np.array_equal(state.cov, 0.25 * np.eye(6))
 
-    def test_symplectic_eigenvalues_saturate(self):
+    def test_many_modes_saturate(self):
         nus = vacuum_state(4).symplectic_eigenvalues()
         assert np.allclose(nus, 0.25, atol=1e-12)
 
@@ -52,72 +77,96 @@ class TestVacuum:
 
 
 class TestCoherent:
-    def test_photon_number_100(self):
-        state = coherent_state(math.sqrt(100.0), 0.0)
+    def test_photon_number_100(self, engine):
+        state = engine.module.coherent_state(math.sqrt(100.0), 0.0)
         assert np.allclose(state.mean, [10.0, 0.0])
         assert state.mean[0] ** 2 + state.mean[1] ** 2 == pytest.approx(100.0)
 
-    def test_zero_amplitude_is_vacuum(self):
-        state = coherent_state(0.0, 0.0)
-        vac = vacuum_state(1)
+    def test_zero_amplitude_is_vacuum(self, engine):
+        state = engine.module.coherent_state(0.0, 0.0)
+        vac = engine.vacuum()
         assert np.array_equal(state.mean, vac.mean)
-        assert np.array_equal(state.cov, vac.cov)
+        assert np.array_equal(_cov(state), _cov(vac))
 
-    def test_photon_number_three_four(self):
-        state = coherent_state(3.0, 4.0)
+    def test_photon_number_three_four(self, engine):
+        state = engine.module.coherent_state(3.0, 4.0)
         assert state.mean[0] ** 2 + state.mean[1] ** 2 == pytest.approx(25.0)
-        assert np.array_equal(state.cov, 0.25 * np.eye(2))
+        assert np.array_equal(_cov(state), 0.25 * np.eye(2))
+
+
+#: The dense engine's eigen-check multiplies the two variances inside
+#: ``np.linalg.eigvals`` and loses their product from about 2500 dB.
+_DENSE_EIGVALS_LOSS = pytest.mark.xfail(
+    raises=ValueError, strict=True, reason="np.linalg.eigvals loses the variance product"
+)
 
 
 class TestSqueezedVacuum:
-    def test_zero_photons_is_vacuum(self):
-        state = squeezed_vacuum(0.0)
-        assert np.array_equal(state.cov, 0.25 * np.eye(2))
+    def test_zero_photons_is_vacuum(self, engine):
+        state = engine.module.squeezed_vacuum(0.0)
+        assert np.array_equal(_cov(state), 0.25 * np.eye(2))
 
-    def test_ten_db_squeezed_variance(self):
+    def test_ten_db_squeezed_variance(self, engine):
         # Independent check of the noise-reduction identity by direct
         # arithmetic, then the state variance against it.
         n_s = db_to_photons(10.0)
         reduction = (math.sqrt(1.0 + n_s) + math.sqrt(n_s)) ** 2
         assert reduction == pytest.approx(10.0, rel=1e-12)
-        state = squeezed_vacuum(n_s, "im")
-        assert state.cov[1, 1] == pytest.approx(0.25 * 10.0 ** (-10.0 / 10.0), rel=1e-12)
-        assert state.cov[1, 1] == pytest.approx(0.025, rel=1e-12)
+        cov = _cov(engine.module.squeezed_vacuum(n_s, "im"))
+        assert cov[1, 1] == pytest.approx(0.25 * 10.0 ** (-10.0 / 10.0), rel=1e-12)
+        assert cov[1, 1] == pytest.approx(0.025, rel=1e-12)
 
     @pytest.mark.parametrize("n_s", [0.0, 0.1, 1.0, 2.025, 50.0])
-    def test_variance_product_is_min_uncertainty(self, n_s):
-        state = squeezed_vacuum(n_s)
-        assert state.cov[0, 0] * state.cov[1, 1] == pytest.approx(1.0 / 16.0, rel=1e-12)
+    def test_variance_product_is_min_uncertainty(self, engine, n_s):
+        cov = _cov(engine.module.squeezed_vacuum(n_s))
+        assert cov[0, 0] * cov[1, 1] == pytest.approx(1.0 / 16.0, rel=1e-12)
 
-    @pytest.mark.parametrize("sigma_db", [0.0, 10.0, 28.0, 40.0, 80.0, 120.0])
-    def test_variances_match_high_precision(self, sigma_db):
-        # mpmath at 50 digits on the same photon number; (mu - nu)^2 / 4
+    @pytest.mark.parametrize(
+        "sigma_db", [0.0, 10.0, 28.0, 40.0, 80.0, 120.0, 200.0, 1000.0, 3000.0]
+    )
+    def test_variances_match_high_precision(self, request, engine, sigma_db):
+        # mpmath to 50 digits on the same photon number; (mu - nu)^2 / 4
         # evaluated in floating point is 1e-12 off at 40 dB, 1e-5 at 120 dB.
+        # mu - nu cancels sigma_db / 10 digits, so the working precision
+        # grows by as many.
+        if engine.module is _dense and sigma_db > 2000.0:
+            request.applymarker(_DENSE_EIGVALS_LOSS)
         n_s = db_to_photons(sigma_db)
-        state = squeezed_vacuum(n_s, "im")
-        with mpmath.workdps(50):
+        state = engine.module.squeezed_vacuum(n_s, "im")
+        cov = _cov(state)
+        with mpmath.workdps(50 + math.ceil(sigma_db / 10.0)):
             mu, nu = mpmath.sqrt(1 + mpmath.mpf(n_s)), mpmath.sqrt(mpmath.mpf(n_s))
             for value, exact in (
-                (state.cov[1, 1], (mu - nu) ** 2 / 4),
-                (state.cov[0, 0], (mu + nu) ** 2 / 4),
+                (cov[1, 1], (mu - nu) ** 2 / 4),
+                (cov[0, 0], (mu + nu) ** 2 / 4),
             ):
                 assert abs(value - exact) <= 4e-16 * exact
+        assert state.symplectic_eigenvalues()[0] == pytest.approx(0.25, rel=1e-15)
 
-    def test_axis_selection(self):
-        state = squeezed_vacuum(1.0, "re")
-        assert state.cov[0, 0] < VACUUM_VARIANCE < state.cov[1, 1]
+    def test_axis_selection(self, engine):
+        cov = _cov(engine.module.squeezed_vacuum(1.0, "re"))
+        assert cov[0, 0] < kit.VACUUM_VARIANCE < cov[1, 1]
 
-    def test_negative_photons_rejected(self):
+    def test_negative_photons_rejected(self, engine):
         with pytest.raises(ValueError):
-            squeezed_vacuum(-0.1)
+            engine.module.squeezed_vacuum(-0.1)
+
+    @pytest.mark.parametrize("n_s", [db_to_photons(3080.0), 1e308, math.inf])
+    def test_overflow_is_named(self, n_s):
+        with pytest.raises(ValueError, match="overflows the squeezed-vacuum variances"):
+            kit.squeezed_vacuum(n_s)
+
+    def test_nan_photons_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            kit.squeezed_vacuum(math.nan)
 
 
 class TestConjugatePhaseTransform:
-    def test_zero_phase(self):
-        t = conjugate_phase_transform(0.0)
+    def test_zero_phase(self, engine):
+        t = engine.module.conjugate_phase_transform(0.0)
         assert np.allclose(t.matrix, np.diag([1.0, 1.0, -1.0, -1.0]), atol=1e-15)
 
-    def test_half_pi_matches_factored_product(self):
+    def test_half_pi_matches_factored_product(self, engine):
         # The map factors into splitter, conjugate phases, splitter; multiply
         # those three matrices directly and lift with the reference lifting.
         phi = math.pi / 2.0
@@ -125,13 +174,29 @@ class TestConjugatePhaseTransform:
         phases = np.diag([np.exp(-1j * phi), np.exp(1j * phi)])
         splitter_in = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         expected = lift_reference(splitter_out @ phases @ splitter_in)
-        assert np.allclose(conjugate_phase_transform(phi).matrix, expected, atol=1e-12)
+        matrix = engine.module.conjugate_phase_transform(phi).matrix
+        assert np.allclose(matrix, expected, atol=1e-12)
 
     @pytest.mark.parametrize("phi", [0.0, 0.1, -0.7, 1.2, math.pi])
-    def test_preserves_symplectic_form(self, phi):
-        t = conjugate_phase_transform(phi)
+    def test_preserves_symplectic_form(self, engine, phi):
+        matrix = np.asarray(engine.module.conjugate_phase_transform(phi).matrix)
         omega = symplectic_form(2)
-        assert np.allclose(t.matrix @ omega @ t.matrix.T, omega, atol=1e-12)
+        assert np.allclose(matrix @ omega @ matrix.T, omega, atol=1e-12)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.01, 0.3, -0.7, 1.2, math.pi, 1e3])
+    def test_kit_blocks_equal_the_dense_ones(self, phi):
+        np.testing.assert_allclose(
+            kit.conjugate_phase_transform(phi).matrix,
+            _dense.conjugate_phase_transform(phi).matrix,
+            rtol=0,
+            atol=1e-15,
+        )
+        np.testing.assert_allclose(
+            kit.conjugate_phase_derivative(phi),
+            _dense.conjugate_phase_derivative(phi),
+            rtol=0,
+            atol=1e-15,
+        )
 
 
 class TestBalancedSplitterArray:
@@ -290,22 +355,51 @@ class TestInvariants:
             passive_transform(unitary).matrix, lift_reference(unitary), atol=1e-14
         )
 
-    def test_asymmetric_covariance_rejected(self):
-        cov = 0.25 * np.eye(2)
-        cov[0, 1] = 1e-6
-        with pytest.raises(ValueError):
-            GaussianState(np.zeros(2), cov)
-
-    def test_unphysical_covariance_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianState(np.zeros(2), 0.1 * np.eye(2))
-
-    def test_non_symplectic_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            SymplecticTransform(2.0 * np.eye(2))
-
     def test_embed_acts_only_on_selected_modes(self):
         t = embed_transform(conjugate_phase_transform(0.4), 3, [0, 2])
         state = tensor(coherent_state(1.0, 0.0), coherent_state(0.5, 0.5), vacuum_state(1))
         out = t.apply(state)
         assert np.allclose(out.mean[2:4], state.mean[2:4], atol=1e-15)
+
+
+class TestSingleModeChecks:
+    def test_asymmetric_covariance_rejected(self, engine):
+        cov = 0.25 * np.eye(2)
+        cov[0, 1] = 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            engine.module.GaussianState(np.zeros(2), cov)
+
+    def test_unphysical_covariance_rejected(self, engine):
+        with pytest.raises(ValueError, match="uncertainty principle"):
+            engine.module.GaussianState(np.zeros(2), 0.1 * np.eye(2))
+
+    def test_non_symplectic_matrix_rejected(self, engine):
+        with pytest.raises(ValueError, match="symplectic form"):
+            engine.module.SymplecticTransform(2.0 * np.eye(2))
+
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            [[math.nan, 0.0], [0.0, 0.25]],
+            [[0.25, math.nan], [math.nan, 0.25]],
+            [[-0.25, 0.0], [0.0, -0.25]],
+            [[0.25, 0.3], [0.3, 0.25]],
+        ],
+        ids=["nan-variance", "nan-correlation", "negative", "indefinite"],
+    )
+    def test_kit_rejects_nan_and_indefinite_as_unphysical(self, cov):
+        with pytest.raises(ValueError, match="uncertainty principle"):
+            kit.GaussianState((0.0, 0.0), cov)
+
+    def test_kit_apply_rotates_a_single_mode(self):
+        c, s = math.cos(0.3), math.sin(0.3)
+        rotation = kit.SymplecticTransform(((c, -s), (s, c)))
+        out = rotation.apply(kit.squeezed_vacuum(1.0))
+        expected = np.array([[c, -s], [s, c]])
+        cov = expected @ _cov(kit.squeezed_vacuum(1.0)) @ expected.T
+        np.testing.assert_allclose(_cov(out), cov, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out.mean, [0.0, 0.0], atol=0)
+
+    def test_kit_apply_rejects_a_two_mode_map(self):
+        with pytest.raises(ValueError, match="2 modes"):
+            kit.conjugate_phase_transform(0.1).apply(kit.vacuum_state())
