@@ -160,7 +160,7 @@ def array_size_exponent(n_squeezed: float) -> float:
 def classical_variance(time_factor_s: float, eta: float, n_photons: float) -> float:
     """Rotation-estimator variance of the laser-only single interferometer."""
     _check_positive(time_factor_s, "time factor")
-    _check_eta(eta, allow_zero=False)
+    _check_eta(eta)
     _check_positive(n_photons, "photon number")
     try:
         return 1.0 / (time_factor_s**2 * eta * n_photons)
@@ -201,6 +201,11 @@ def _quantum_term(
     raise ValueError(f"unknown design variant {variant!r}")
 
 
+def _with_loss(quantum: float, eta: float) -> float:
+    """eta * q + 1 - eta, in the grouping the pinned outputs hold; q + (1 - eta) cancels less."""
+    return quantum + 1.0 - eta
+
+
 def design_variance(
     variant: str,
     time_factor_s: float,
@@ -219,7 +224,7 @@ def design_variance(
     if variant in ("C", "D"):
         # eta + 1 - eta is not exactly 1.0 in floating point.
         return classical
-    return classical * (quantum + 1.0 - eta)
+    return classical * _with_loss(quantum, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +278,7 @@ def optimal_energy_split(
     analytically to 1 / (T^2 N (N + 1)) at eta = 1.
     """
     _check_positive(n_total, "total photon number")
-    _check_eta(eta, allow_zero=False)
+    _check_eta(eta)
     _check_positive(time_factor_s, "time factor")
     loss = 1.0 - eta
     z = math.sqrt(1.0 + 4.0 * eta * loss * n_total)
@@ -415,14 +420,14 @@ def optimal_m(
 
 def ratio_fixed_eta(n_squeezed: float, eta: float) -> float:
     """eta / g + 1 - eta; tends to 1 - eta with infinite squeezing."""
-    _check_eta(eta, allow_zero=False)
-    return _quantum_term("S", n_squeezed, 1, eta) + 1.0 - eta
+    _check_eta(eta)
+    return _with_loss(_quantum_term("S", n_squeezed, 1, eta), eta)
 
 
 def ratio_product_fixed_eta(n_squeezed: float, eta: float, m: int) -> float:
     """Fixed-transmissivity ratio for the product design with a shared budget."""
-    _check_eta(eta, allow_zero=False)
-    return _quantum_term("P", n_squeezed, m, eta) + 1.0 - eta
+    _check_eta(eta)
+    return _with_loss(_quantum_term("P", n_squeezed, m, eta), eta)
 
 
 def ratio_optimal_length(n_squeezed: float) -> float:
@@ -451,7 +456,6 @@ def _check_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
-def _check_eta(eta: float, allow_zero: bool = True) -> None:
-    low_ok = eta >= 0.0 if allow_zero else eta > 0.0
-    if not (low_ok and eta <= 1.0):
-        raise ValueError(f"transmissivity must lie in {'[0, 1]' if allow_zero else '(0, 1]'}, got {eta}")
+def _check_eta(eta: float) -> None:
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"transmissivity must lie in (0, 1], got {eta}")

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 
 from . import analytic, designs, optimize
-from .sagnac import GyroGeometry, db_to_photons, time_factor, transmissivity
+from .sagnac import db_to_photons, time_factor, transmissivity
 
 #: Squeezing grid of the improvement table, in dB ("inf" allowed in configs).
 TABLE_SIGMAS_DB = (5.0, 10.0, 15.0, 20.0, math.inf)
@@ -127,10 +127,7 @@ class RunConfig:
         if self.time_factor_s is not None:
             return self.time_factor_s
         if self.length_km is not None:
-            geometry = GyroGeometry.from_wavelength(
-                wavelength_m=self.wavelength_nm * 1e-9, radius=self.radius_m
-            )
-            return time_factor(geometry, self.length_km / self.m)
+            return time_factor(self.length_km / self.m, self.wavelength_nm, self.radius_m)
         return 1.0
 
     def fig6_lengths(self) -> list[float]:
@@ -544,8 +541,9 @@ def cmd_optimize(config: RunConfig) -> None:
                 }
             )
         if variant == "E":
-            record["ratio_fixed_length"] = analytic.ratio_optimal_m(n_s)
-            record["improvement_fixed_length"] = 1.0 / analytic.ratio_optimal_m(n_s)
+            ratio = analytic.ratio_optimal_m(n_s)
+            record["ratio_fixed_length"] = ratio
+            record["improvement_fixed_length"] = 1.0 / ratio
         _emit_json(record, config.out)
     else:
         optimum = analytic.optimal_length(variant, config.b, n_s, config.m)
@@ -580,12 +578,12 @@ def cmd_simulate(config: RunConfig) -> None:
     stats = designs.build_and_run(design, config.phi, eta)
     result = designs.estimator_variance_sim(design, eta, t)
     reference = analytic.design_variance(
-        design.variant, t, eta, design.m, design.n_v, design.n_squeezed
+        design.variant, t, eta, design.m_interferometers, design.n_v, design.n_squeezed
     )
     _emit_json(
         {
             "design": design.variant,
-            "m": design.m,
+            "m": design.m_interferometers,
             "n_v": design.n_v,
             "n_squeezed": design.n_squeezed,
             "eta": eta,

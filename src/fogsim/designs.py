@@ -82,10 +82,6 @@ class DesignConfig:
             raise ValueError(f"design {self.variant} uses a single interferometer")
 
     @property
-    def m(self) -> int:
-        return self.m_interferometers
-
-    @property
     def amplitude(self) -> float:
         """Coherent amplitude alpha of the laser input, sqrt(M n_v) (real, by convention)."""
         return math.sqrt(self.m_interferometers * self.n_v)
@@ -125,7 +121,7 @@ def _input_modes(config: DesignConfig) -> list[GaussianState]:
 
     Each distinct state is constructed (and so checked) once.
     """
-    m = config.m
+    m = config.m_interferometers
     vacuum = vacuum_state()
     laser = [coherent_state(config.amplitude, 0.0)] + [vacuum] * (m - 1)
     dark = [vacuum] * m
@@ -184,7 +180,7 @@ def _run_circuit(config: DesignConfig, phi: float, eta: float) -> tuple[Homodyne
     if not math.isfinite(phi):
         raise ValueError(f"phase must be finite, got {phi}")
     modes = _input_modes(config)
-    row = [[0.0] * config.m for _ in range(4)]
+    row = [[0.0] * config.m_interferometers for _ in range(4)]
     row[3][0] = 1.0  # Im quadrature of b-side port 0, the read port
     row[3] = _splitter_mix(row[3])
     loss_variance = (1.0 - eta) * VACUUM_VARIANCE * math.fsum(x * x for r in row for x in r)
@@ -217,12 +213,6 @@ def build_and_run(config: DesignConfig, phi: float, eta: float) -> HomodyneResul
     """
     result, _ = _run_circuit(config, phi, eta)
     return result
-
-
-def mean_slope(config: DesignConfig, phi: float, eta: float) -> float:
-    """d<homodyne mean>/dphi from the propagated means (no finite differences)."""
-    _, slope = _run_circuit(config, phi, eta)
-    return slope
 
 
 def estimator_variance_sim(

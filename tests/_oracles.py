@@ -92,7 +92,7 @@ def random_passive_unitary(n: int, seed: int) -> np.ndarray:
 
 
 def _design_input(config):
-    m = config.m
+    m = config.m_interferometers
     parts = [coherent_state(config.amplitude, 0.0)]
     parts.extend(vacuum_state(1) for _ in range(m - 1))
     if config.variant in ("C", "D"):
@@ -136,7 +136,7 @@ def dense_design_circuit(config, phi: float, eta: float) -> tuple[HomodyneResult
     Returns the Im-quadrature homodyne statistics of b-side port 0 at
     ``phi`` and d<mean>/dphi.
     """
-    m = config.m
+    m = config.m_interferometers
     n = 2 * m
     state = _design_input(config)
     if m > 1:

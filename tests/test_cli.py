@@ -389,6 +389,23 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "m must be a positive integer" in err
 
+    @pytest.mark.parametrize("command", ["variance", "simulate"])
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [("--radius-m", value, ("radius",)) for value in ("nan", "inf", "0", "-1")]
+        + [("--wavelength-nm", value, ("wavelength",)) for value in ("nan", "inf", "0")]
+        # Finite positive inputs whose loop area, frequency or time factor
+        # leaves floating-point range name the whole coil.
+        + [("--radius-m", value, ("radius", "wavelength")) for value in ("1e-170", "1e300")]
+        + [("--wavelength-nm", "1e-320", ("radius", "wavelength"))],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_bad_coil_input_is_named(self, capsys, command, flag, value, named):
+        code, out, err = run(capsys, command, "--length-km", "10", flag, value)
+        assert (code, out) == (2, "")
+        assert err.startswith("fogsim: error:") and err.count("\n") == 1
+        assert all(word in err for word in named)
+
     @pytest.mark.parametrize(
         "argv",
         [
