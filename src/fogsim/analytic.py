@@ -24,7 +24,7 @@ hyperbolic functions at infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 LN10 = math.log(10.0)
 
@@ -258,12 +258,8 @@ def variance_vs_length(
 # Optimal energy split between laser and squeezer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnergySplit:
-    """Optimal allocation of a fixed photon budget between laser and squeezer."""
-
-    n_squeezed: float
-    variance: float
+#: Optimal allocation of a fixed photon budget between laser and squeezer.
+EnergySplit = namedtuple("EnergySplit", ("n_squeezed", "variance"))
 
 
 def optimal_energy_split(
@@ -296,17 +292,11 @@ def optimal_energy_split(
 # Optimal fiber length (unconstrained total length)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LengthOptimum:
-    """Optimal total fiber length and the normalized variance it achieves.
-
-    ``variance_normalized`` is in units of V^-2 n_v (1/km^2 for unit
-    geometry), i.e. per-fiber photon budget; for the distributed designs it
-    therefore equals the single-interferometer value divided by M.
-    """
-
-    length_km: float
-    variance_normalized: float
+#: Optimal total fiber length and the normalized variance it achieves.
+#: ``variance_normalized`` is in units of V^-2 n_v (1/km^2 for unit
+#: geometry), i.e. per-fiber photon budget; for the distributed designs it
+#: therefore equals the single-interferometer value divided by M.
+LengthOptimum = namedtuple("LengthOptimum", ("length_km", "variance_normalized"))
 
 
 def optimal_length(
@@ -340,25 +330,17 @@ def optimal_length(
 # Optimal interferometer count (fixed total length)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntegerOptimum:
-    """Continuous optimum of the interferometer count and its integer choice.
-
-    The integer is picked by evaluating the variance at the floor and the
-    ceiling of the continuous optimum and keeping the smaller;
-    ``below_threshold`` flags a continuous optimum under 1, in which case a
-    single interferometer is reported.
-    """
-
-    continuous: float
-    variance_continuous: float
-    floor_candidate: int
-    ceil_candidate: int
-    variance_floor: float
-    variance_ceil: float
-    chosen: int
-    variance_chosen: float
-    below_threshold: bool = False
+#: Continuous optimum of the interferometer count and its integer choice.
+#: The integer is picked by evaluating the variance at the floor and the
+#: ceiling of the continuous optimum and keeping the smaller;
+#: ``below_threshold`` flags a continuous optimum under 1, in which case a
+#: single interferometer is reported.
+IntegerOptimum = namedtuple(
+    "IntegerOptimum",
+    ("continuous", "variance_continuous", "floor_candidate", "ceil_candidate",
+     "variance_floor", "variance_ceil", "chosen", "variance_chosen", "below_threshold"),
+    defaults=(False,),
+)
 
 
 def optimal_m(

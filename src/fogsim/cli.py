@@ -22,12 +22,9 @@ configuration error, 3 numeric convergence failure.
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import analytic, designs, optimize
 from .sagnac import db_to_photons, time_factor, transmissivity
@@ -56,53 +53,60 @@ def _sweep(parameter: str, start: float, stop: float, steps: int, log: bool = Fa
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 
-@dataclass
+#: Every configuration key with its type and default, in the order of the
+#: CSV comment line.
+_FIELDS: dict[str, tuple[type, object]] = {
+    # physical constants block
+    "wavelength_nm": (float, 1550.0),
+    "radius_m": (float, 0.05),
+    "b": (float, 0.5),
+    # design block
+    "design": (str, "C"),
+    "m": (int, 1),
+    "n_v": (float, 100.0),
+    "squeeze_db": (str, None),
+    "n_squeezed": (float, None),
+    # task block
+    "eta": (float, None),
+    "phi": (float, 0.0),
+    "length_km": (float, None),
+    "fix_length_km": (float, None),
+    "time_factor_s": (float, None),
+    "m_max": (int, 64),
+    "samples": (int, 1_000_000),
+    "seed": (int, 1),
+    "figure_id": (str, None),
+    # presentation-only grid defaults (match the standard plots visually)
+    "fig3a_max_photons": (float, 1e6),
+    "fig3a_points": (int, 61),
+    "fig3b_max_length_km": (float, 50.0),
+    "fig3b_points": (int, 199),
+    "fig6_lengths_km": (str, "5,15,30"),
+    "fig6_max_m": (int, 16),
+    "fig7_max_sigma_db": (float, 30.0),
+    "fig7_max_m": (int, 16),
+    # output block
+    "out": (str, None),
+    "format": (str, "csv"),
+}
+
+
 class RunConfig:
     """Resolved settings for one invocation (file values overridden by flags)."""
 
-    # physical constants block
-    wavelength_nm: float = 1550.0
-    radius_m: float = 0.05
-    b: float = 0.5
-    # design block
-    design: str = "C"
-    m: int = 1
-    n_v: float = 100.0
-    squeeze_db: str | None = None
-    n_squeezed: float | None = None
-    # task block
-    eta: float | None = None
-    phi: float = 0.0
-    length_km: float | None = None
-    fix_length_km: float | None = None
-    time_factor_s: float | None = None
-    m_max: int = 64
-    samples: int = 1_000_000
-    seed: int = 1
-    figure_id: str | None = None
-    # presentation-only grid defaults (match the standard plots visually)
-    fig3a_max_photons: float = 1e6
-    fig3a_points: int = 61
-    fig3b_max_length_km: float = 50.0
-    fig3b_points: int = 199
-    fig6_lengths_km: str = "5,15,30"
-    fig6_max_m: int = 16
-    fig7_max_sigma_db: float = 30.0
-    fig7_max_m: int = 16
-    # output block
-    out: str | None = None
-    format: str = "csv"
+    def __init__(self) -> None:
+        for key, (_, default) in _FIELDS.items():
+            setattr(self, key, default)
 
     @classmethod
     def known_keys(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in dataclasses.fields(cls))
+        return tuple(_FIELDS)
 
     def apply(self, key: str, raw: str) -> None:
         """Set ``key`` from its text, parsed by the field's declared type."""
-        kinds = {f.name: f.type.split(" |")[0] for f in dataclasses.fields(self)}
-        if key not in kinds:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown configuration key: {key!r}")
-        setattr(self, key, _parse(key, raw, kinds[key]))
+        setattr(self, key, _parse(key, raw, _FIELDS[key][0]))
 
     def resolved_squeezed_photons(self) -> float:
         """Total squeezed photon number from either config route (0 if absent)."""
@@ -111,7 +115,7 @@ class RunConfig:
         if self.n_squeezed is not None:
             return self.n_squeezed
         if self.squeeze_db is not None:
-            return db_to_photons(_parse("squeeze_db", self.squeeze_db, "float"))
+            return db_to_photons(_parse("squeeze_db", self.squeeze_db, float))
         return 0.0
 
     def resolved_eta(self) -> float:
@@ -140,14 +144,12 @@ class RunConfig:
         return lengths
 
 
-def _parse(key: str, raw: str, kind: str) -> object:
-    """``raw`` as the field type ``kind`` ("int", "float" or "str")."""
-    if kind == "str":
-        return raw
+def _parse(key: str, raw: str, kind: type) -> object:
+    """``raw`` as the field type ``kind`` (int, float or str)."""
     try:
-        return int(raw) if kind == "int" else float(raw)
+        return kind(raw)
     except ValueError:
-        expected = "an integer" if kind == "int" else "a number"
+        expected = "an integer" if kind is int else "a number"
         raise ConfigError(f"configuration key {key!r} expects {expected}, got {raw!r}") from None
 
 
@@ -171,16 +173,15 @@ def load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def resolve_config(flags: dict[str, str]) -> RunConfig:
     """RunConfig from defaults, then the config file, then explicit flags."""
     config = RunConfig()
-    if getattr(args, "config", None):
-        for key, raw in load_config_file(args.config).items():
+    if flags.get("config"):
+        for key, raw in load_config_file(flags["config"]).items():
             config.apply(key, raw)
-    for key in RunConfig.known_keys():
-        raw = getattr(args, key, None)
-        if raw is not None:
-            config.apply(key, raw)
+    for key in _FIELDS:
+        if key in flags:
+            config.apply(key, flags[key])
     if config.m < 1:
         raise ConfigError(f"m must be a positive integer, got {config.m}")
     return config
@@ -219,11 +220,7 @@ def _config_comment(config: RunConfig, **extra: object) -> str:
     parts = [f"{key}={value}" for key, value in sorted(extra.items())]
     # Full resolved configuration, minus output routing, so a data file is
     # reproducible from its own comment line.
-    resolved = [
-        f"{field.name}={getattr(config, field.name)}"
-        for field in dataclasses.fields(RunConfig)
-        if field.name != "out"
-    ]
+    resolved = [f"{key}={getattr(config, key)}" for key in _FIELDS if key != "out"]
     return " ".join(["fogsim", *parts, *resolved])
 
 
@@ -629,46 +626,92 @@ COMMAND_SETTINGS = {
                  "n_squeezed", "eta", "length_km", "phi", "time_factor_s"),
 }
 
-#: Flag spelling (when it is not the key with dashes) and argparse options.
-#: Flags carry no ``type``: RunConfig.apply parses their text like a config file's.
+#: Help text of each flag, its spelling when it is not the key with dashes,
+#: its allowed values and whether it must be given.  Flags carry no type:
+#: RunConfig.apply parses their text like a config file's.
 _FLAG_OPTIONS: dict[str, dict] = {
+    "config": {"help": "flat key = value configuration file"},
     "out": {"help": "output path (default: stdout)"},
     "b": {"help": "fiber loss coefficient, dB/km"},
-    "design": {"choices": designs.VARIANTS},
+    "wavelength_nm": {"help": "optical wavelength, nm"},
+    "radius_m": {"help": "coil radius, m"},
+    "design": {"help": "gyroscope design", "choices": designs.VARIANTS},
     "m": {"help": "number of interferometers"},
     "n_v": {"help": "per-fiber laser photons"},
     "squeeze_db": {"help": "squeezing in dB ('inf' allowed)"},
     "n_squeezed": {"help": "total squeezed photons"},
+    "eta": {"help": "transmissivity of each interferometer"},
+    "length_km": {"help": "total fiber length, km"},
+    "phi": {"help": "interferometer phase, rad"},
     "fix_length_km": {"flag": "--fix-length", "help": "fixed total fiber length, km"},
+    "m_max": {"help": "largest interferometer count searched"},
     "time_factor_s": {"flag": "--t", "help": "time factor per interferometer, s"},
-    "figure_id": {"flag": "--id", "choices": tuple(_FIGURE_BUILDERS), "required": True},
-    "format": {"choices": ("csv", "json")},
+    "figure_id": {"flag": "--id", "help": "figure, required", "required": True,
+                  "choices": tuple(_FIGURE_BUILDERS)},
+    "format": {"help": "output format", "choices": ("csv", "json")},
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fogsim",
-        description="Rotation-sensitivity analysis of quantum-enhanced fiber gyroscopes",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, keys in COMMAND_SETTINGS.items():
-        p_command = sub.add_parser(command, help=_COMMANDS[command].__doc__, allow_abbrev=False)
-        p_command.add_argument("--config", help="flat key = value configuration file")
-        for key in ("out", *keys):
-            options = dict(_FLAG_OPTIONS.get(key, {}))
-            flag = options.pop("flag", "--" + key.replace("_", "-"))
-            p_command.add_argument(flag, dest=key, **options)
-    return parser
+def _flag(key: str) -> str:
+    return _FLAG_OPTIONS[key].get("flag", "--" + key.replace("_", "-"))
+
+
+def _help(command: str | None) -> str:
+    """Usage text of one command, or the command list when ``command`` is None."""
+    lines = [f"usage: fogsim {command or 'COMMAND'} [FLAG VALUE ...]", ""]
+    if command is None:
+        lines += [f"  {name:<10}{run.__doc__}" for name, run in _COMMANDS.items()]
+    else:
+        lines += [_COMMANDS[command].__doc__, ""]
+        for key in ("config", "out", *COMMAND_SETTINGS[command]):
+            choices = ", ".join(_FLAG_OPTIONS[key].get("choices", ()))
+            text = _FLAG_OPTIONS[key]["help"] + (f" ({choices})" if choices else "")
+            lines.append(f"  {_flag(key):<18}{text}")
+        lines.append(f"  {'-h, --help':<18}show this help")
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv: list[str]) -> tuple[str | None, dict[str, str] | None]:
+    """(command, {key: flag text}) from ``argv``; the flags are None when help is asked for.
+
+    A flag takes its value as ``--flag value`` or ``--flag=value``, is spelled
+    exactly, and its last occurrence wins.  Anything else raises ConfigError.
+    """
+    if argv and argv[0] in ("-h", "--help"):
+        return None, None
+    if not argv or argv[0] not in _COMMANDS:
+        got = f", got {argv[0]!r}" if argv else ""
+        raise ConfigError(f"expected a command ({', '.join(_COMMANDS)}){got}")
+    command, tokens = argv[0], iter(argv[1:])
+    keys = {_flag(key): key for key in ("config", "out", *COMMAND_SETTINGS[command])}
+    flags: dict[str, str] = {}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return command, None
+        flag, equals, value = token.partition("=")
+        if flag not in keys:
+            raise ConfigError(f"{command}: unknown flag {flag!r}")
+        if not equals:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ConfigError(f"{command}: flag {flag} expects a value")
+        choices = _FLAG_OPTIONS[keys[flag]].get("choices")
+        if choices and value not in choices:
+            raise ConfigError(f"{command}: {flag} takes one of {', '.join(choices)}, got {value!r}")
+        flags[keys[flag]] = value
+    for flag, key in keys.items():
+        if _FLAG_OPTIONS[key].get("required") and key not in flags:
+            raise ConfigError(f"{command}: flag {flag} is required")
+    return command, flags
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = resolve_config(args)
-        _COMMANDS[args.command](config)
+        command, flags = parse_args(sys.argv[1:] if argv is None else argv)
+        if flags is None:
+            sys.stdout.write(_help(command))
+            return 0
+        _COMMANDS[command](resolve_config(flags))
     except optimize.ConvergenceError as exc:
         print(f"fogsim: convergence error: {exc}", file=sys.stderr)
         return 3
@@ -677,7 +720,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ArithmeticError as exc:
         # Overflow or division by zero that no library guard names.
-        print(f"fogsim: error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"fogsim: error: {command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -30,7 +30,7 @@ gives the direct single-interferometer, separable and entangled formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .gaussian import (
     VACUUM_VARIANCE,
@@ -51,8 +51,9 @@ class DegenerateConfigurationError(ValueError):
     """The configuration produces no usable rotation signal (zero mean slope)."""
 
 
-@dataclass(frozen=True)
-class DesignConfig:
+class DesignConfig(
+    namedtuple("DesignConfig", ("variant", "m_interferometers", "n_v", "n_squeezed"))
+):
     """One gyroscope design with its energy budget.
 
     ``n_v`` is the per-fiber laser mean photon number (total laser photons
@@ -61,25 +62,24 @@ class DesignConfig:
     E, one source per interferometer, sharing that total, for design P.
     """
 
-    variant: str
-    m_interferometers: int = 1
-    n_v: float = 1.0
-    n_squeezed: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if int(self.m_interferometers) != self.m_interferometers or self.m_interferometers < 1:
+    def __new__(cls, variant: str, m_interferometers: int = 1, n_v: float = 1.0,
+                n_squeezed: float = 0.0) -> DesignConfig:
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        if int(m_interferometers) != m_interferometers or m_interferometers < 1:
             raise ValueError("m_interferometers must be a positive integer")
-        object.__setattr__(self, "m_interferometers", int(self.m_interferometers))
-        if not (self.n_v > 0 and math.isfinite(self.n_v)):
+        m_interferometers = int(m_interferometers)
+        if not (n_v > 0 and math.isfinite(n_v)):
             raise ValueError("per-fiber laser photon number must be positive and finite")
-        if not (self.n_squeezed >= 0 and math.isfinite(self.n_squeezed)):
+        if not (n_squeezed >= 0 and math.isfinite(n_squeezed)):
             raise ValueError("squeezed photon number must be finite and nonnegative")
-        if self.variant in ("C", "D") and self.n_squeezed != 0:
-            raise ValueError(f"design {self.variant} takes no squeezed light")
-        if self.variant in ("C", "S") and self.m_interferometers != 1:
-            raise ValueError(f"design {self.variant} uses a single interferometer")
+        if variant in ("C", "D") and n_squeezed != 0:
+            raise ValueError(f"design {variant} takes no squeezed light")
+        if variant in ("C", "S") and m_interferometers != 1:
+            raise ValueError(f"design {variant} uses a single interferometer")
+        return super().__new__(cls, variant, m_interferometers, n_v, n_squeezed)
 
     @property
     def amplitude(self) -> float:
@@ -94,8 +94,9 @@ class DesignConfig:
         return self.n_squeezed
 
 
-@dataclass(frozen=True)
-class CircuitResult:
+class CircuitResult(
+    namedtuple("CircuitResult", ("homodyne", "slope", "estimator_variance", "variance_normalized"))
+):
     """Homodyne statistics and the rotation-estimator variance they imply.
 
     ``estimator_variance`` is in rad^2/s^2 for the supplied time factor;
@@ -103,17 +104,16 @@ class CircuitResult:
     variance * T^2 * n_v.
     """
 
-    homodyne: HomodyneResult
-    slope: float
-    estimator_variance: float
-    variance_normalized: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> CircuitResult:
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("estimator_variance", "variance_normalized"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 label = name.replace("_", " ")
                 raise ValueError(f"{label} must be positive and finite, got {value}")
+        return self
 
 
 def _input_modes(config: DesignConfig) -> list[GaussianState]:

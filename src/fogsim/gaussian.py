@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 #: Quadrature variance of the vacuum state in this package's convention.
 VACUUM_VARIANCE = 0.25
@@ -27,34 +27,32 @@ PHYSICALITY_TOL = 1e-10
 Matrix = tuple[tuple[float, ...], ...]
 
 
-@dataclass(frozen=True)
-class GaussianState:
+class GaussianState(namedtuple("GaussianState", ("mean", "cov"))):
     """First moments and 2x2 quadrature covariance of one optical mode.
 
     Construction checks that ``cov`` is symmetric and physical: positive
     variances and a symplectic eigenvalue of at least the vacuum variance.
     """
 
-    mean: tuple[float, float]
-    cov: Matrix
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        mean = tuple(map(float, self.mean))
-        cov = tuple(tuple(map(float, row)) for row in self.cov)
+    def __new__(cls, mean: tuple[float, float], cov: Matrix) -> GaussianState:
+        mean = tuple(map(float, mean))
+        cov = tuple(tuple(map(float, row)) for row in cov)
         if len(mean) != 2 or len(cov) != 2 or any(len(row) != 2 for row in cov):
             raise ValueError("a single-mode state takes a mean of length 2 and a 2x2 cov")
         (a, b), (c, d) = cov
         # NaN passes this test and fails the physicality test below.
         if abs(b - c) > SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", ((a, 0.5 * (b + c)), (0.5 * (b + c), d)))
+        self = super().__new__(cls, mean, ((a, 0.5 * (b + c)), (0.5 * (b + c), d)))
         (nu,) = self.symplectic_eigenvalues()
         if not (a > 0.0 and d > 0.0 and nu >= VACUUM_VARIANCE - PHYSICALITY_TOL):
             raise ValueError(
                 "covariance matrix violates the uncertainty principle: variances "
                 f"{a:.3e} and {d:.3e} (need > 0), symplectic eigenvalue {nu:.3e} (need >= 0.25)"
             )
+        return self
 
     def symplectic_eigenvalues(self) -> tuple[float]:
         """(sqrt(det V),), or (NaN,) when det V is negative or NaN."""
@@ -63,23 +61,22 @@ class GaussianState:
         return (math.sqrt(det) if det >= 0.0 else math.nan,)
 
 
-@dataclass(frozen=True)
-class SymplecticTransform:
+class SymplecticTransform(namedtuple("SymplecticTransform", ("matrix",))):
     """Real 2n x 2n quadrature map, checked to preserve the symplectic form."""
 
-    matrix: Matrix
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        matrix = tuple(tuple(map(float, row)) for row in self.matrix)
+    def __new__(cls, matrix: Matrix) -> SymplecticTransform:
+        matrix = tuple(tuple(map(float, row)) for row in matrix)
         dim = len(matrix)
         if dim == 0 or dim % 2 or any(len(row) != dim for row in matrix):
             raise ValueError("transform matrix must be square, of even dimension 2n")
-        object.__setattr__(self, "matrix", matrix)
         # (S Omega S^T)_ij against Omega, one [[0, 1], [-1, 0]] block per mode.
         for (i, r), (j, t) in itertools.product(enumerate(matrix), repeat=2):
             form = math.fsum(r[k] * t[k + 1] - r[k + 1] * t[k] for k in range(0, dim, 2))
             if not abs(form - (i // 2 == j // 2) * ((j > i) - (j < i))) <= SYMPLECTIC_TOL:
                 raise ValueError("matrix does not preserve the symplectic form")
+        return super().__new__(cls, matrix)
 
     def apply(self, state: GaussianState) -> GaussianState:
         """Propagate a single-mode state through a one-mode (2x2) transform.
@@ -98,16 +95,15 @@ class SymplecticTransform:
         return GaussianState(mean, cov)
 
 
-@dataclass(frozen=True)
-class HomodyneResult:
+class HomodyneResult(namedtuple("HomodyneResult", ("mean", "variance"))):
     """Mean and variance of the Gaussian outcome of a quadrature measurement."""
 
-    mean: float
-    variance: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.variance > 0.0:
-            raise ValueError(f"homodyne variance must be positive, got {self.variance}")
+    def __new__(cls, mean: float, variance: float) -> HomodyneResult:
+        if not variance > 0.0:
+            raise ValueError(f"homodyne variance must be positive, got {variance}")
+        return super().__new__(cls, mean, variance)
 
 
 _VACUUM_COV = ((VACUUM_VARIANCE, 0.0), (0.0, VACUUM_VARIANCE))

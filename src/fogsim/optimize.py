@@ -10,8 +10,9 @@ in :mod:`fogsim.analytic`.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import analytic
 
@@ -31,6 +32,8 @@ class ConvergenceError(RuntimeError):
     """The iteration budget ran out before reaching the requested tolerance."""
 
 
+# The package's one dataclass: the benchmark's tracer rebuilds a problem
+# with ``dataclasses.replace`` to count objective evaluations.
 @dataclass
 class ScalarProblem:
     """One-dimensional minimization problem on a closed bracket."""
@@ -39,11 +42,7 @@ class ScalarProblem:
     bracket: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class ScalarMinimum:
-    x: float
-    value: float
-    iterations: int
+ScalarMinimum = namedtuple("ScalarMinimum", ("x", "value", "iterations"))
 
 
 def _evaluate(objective: Callable[[float], float], x: float) -> float:
@@ -173,16 +172,9 @@ def optimize_length(
 # Interferometer-count optimization at fixed total length
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CountSearchResult:
-    """Exhaustive integer search over the interferometer count.
-
-    ``profile`` holds (count, normalized variance) for every candidate.
-    """
-
-    m_best: int
-    variance_best: float
-    profile: list[tuple[int, float]] = field(repr=False)
+#: Exhaustive integer search over the interferometer count.
+#: ``profile`` holds (count, normalized variance) for every candidate.
+CountSearchResult = namedtuple("CountSearchResult", ("m_best", "variance_best", "profile"))
 
 
 def optimize_m_integer(

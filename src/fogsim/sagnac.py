@@ -76,9 +76,12 @@ def sagnac_phase(
 def transmissivity(b: float, length_km: float) -> float:
     """Fiber transmissivity 10^(-b L / 10) for loss ``b`` dB/km over L km.
 
-    Unchecked: a negative ``b`` or length gives a value above 1, which the
-    variance and circuit layers reject.
+    Zero loss or zero length transmits everything; a negative or non-finite
+    loss coefficient or fiber length is named.
     """
+    for name, value in (("loss coefficient", b), ("fiber length", length_km)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
     return 10.0 ** (-b * length_km / 10.0)
 
 

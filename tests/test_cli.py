@@ -33,10 +33,18 @@ def run_in_process(argv):
 
 
 def command_flags(command):
-    """Every flag a command's parser accepts, read from its help text."""
-    with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()) as help_text:
-        main([command, "--help"])
+    """Every flag a command accepts, read from its help text."""
+    with contextlib.redirect_stdout(io.StringIO()) as help_text:
+        assert main([command, "--help"]) == 0
     return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", help_text.getvalue())) - {"--help"}
+
+
+def assert_usage_error(result, *named):
+    """Exit 2, no output, and one stderr line naming each of ``named``."""
+    code, out, err = result
+    assert (code, out) == (2, "")
+    assert err.startswith("fogsim: error:") and err.count("\n") == 1
+    assert all(word in err for word in named), err
 
 
 def parse_csv(text):
@@ -284,10 +292,8 @@ class TestFigures:
         assert "design_e_15km" in header
         assert "param_m_e" in header
 
-    def test_unknown_id_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["figure", "--id", "9"])
-        assert exc.value.code == 2
+    def test_unknown_id_rejected(self, capsys):
+        assert_usage_error(run(capsys, "figure", "--id", "9"), "figure:", "--id", "'9'")
 
     def test_determinism_and_number_format(self, capsys, tmp_path):
         first = tmp_path / "a.csv"
@@ -349,10 +355,8 @@ class TestConfigFile:
 
 
 class TestExitCodes:
-    def test_invalid_design_value_flagged_by_argparse(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["variance", "--design", "Q"])
-        assert exc.value.code == 2
+    def test_invalid_design_value_is_usage_error(self, capsys):
+        assert_usage_error(run(capsys, "variance", "--design", "Q"), "variance:", "--design", "'Q'")
 
     def test_convergence_error_maps_to_three(self, capsys, monkeypatch):
         from fogsim.optimize import ConvergenceError
@@ -405,6 +409,22 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("fogsim: error:") and err.count("\n") == 1
         assert all(word in err for word in named)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("variance", "--design", "C", "--length-km", "10", "--b", "nan"),
+             "loss coefficient must be nonnegative and finite, got nan"),
+            (("ratio", "--squeeze-db", "10", "--length-km", "10", "--b", "-1"),
+             "loss coefficient must be nonnegative and finite, got -1.0"),
+            (("ratio", "--squeeze-db", "10", "--length-km=-1"),
+             "fiber length must be nonnegative and finite, got -1.0"),
+            (("simulate", "--design", "C", "--length-km", "10", "--b", "inf"),
+             "loss coefficient must be nonnegative and finite, got inf"),
+        ],
+    )
+    def test_bad_fiber_input_is_named(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"fogsim: error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -495,10 +515,63 @@ class TestFlags:
         ],
         ids=" ".join,
     )
-    def test_unread_and_abbreviated_flags_rejected(self, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 2
+    def test_unread_and_abbreviated_flags_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"fogsim: error: {argv[0]}: unknown flag {argv[-2]!r}\n"
+
+    def test_negative_exponent_value_reads_like_the_equals_form(self, capsys):
+        request = ("simulate", "--design", "C", "--eta", "0.9")
+        spaced = run(capsys, *request, "--phi", "-1e-3")
+        assert spaced == run(capsys, *request, "--phi=-1e-3")
+        assert spaced[0] == 0 and json.loads(spaced[1])["phi"] == -1e-3
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("variance", "--design", "C", "--eta", "0.9", "--t", "-inf"),
+             "time factor must be positive, got -inf"),
+            (("variance", "--design", "C", "--length-km", "10", "--b", "-1e6"),
+             "loss coefficient must be nonnegative and finite, got -1000000.0"),
+        ],
+    )
+    def test_negative_value_reaches_the_library_check(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"fogsim: error: {message}\n")
+
+    def test_last_occurrence_of_a_flag_wins(self, capsys):
+        code, out, _ = run(capsys, "variance", "--design", "C", "--eta", "0.9", "--eta=0.5")
+        assert code == 0 and json.loads(out)["eta"] == 0.5
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ((), "expected a command (table1, figure, variance, optimize, ratio, simulate)"),
+            (("plot",), "expected a command (table1, figure, variance, optimize, ratio, "
+                        "simulate), got 'plot'"),
+            (("variance", "--eta"), "variance: flag --eta expects a value"),
+            (("variance", "--eta", "--m", "2"), "variance: flag --eta expects a value"),
+            (("variance", "0.9"), "variance: unknown flag '0.9'"),
+            (("table1", "--format", "xml"), "table1: --format takes one of csv, json, got 'xml'"),
+            (("figure", "--b", "0.5"), "figure: flag --id is required"),
+        ],
+        ids=repr,
+    )
+    def test_usage_error_is_one_named_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"fogsim: error: {message}\n")
+
+    @pytest.mark.parametrize("command", list(cli.COMMAND_SETTINGS))
+    def test_help_lists_each_flag_with_its_text(self, capsys, command):
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        for key in ("config", "out", *cli.COMMAND_SETTINGS[command]):
+            text = re.escape(cli._FLAG_OPTIONS[key]["help"])
+            assert re.search(rf"^  {cli._flag(key)} +{text}", out, re.M), key
+        assert run(capsys, command, "-h", "--design", "Q") == (0, out, "")
+
+    def test_program_help_lists_the_commands(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert re.findall(r"^  (\w+) ", out, re.M) == list(cli.COMMAND_SETTINGS)
 
     def test_flag_and_file_parse_alike(self, capsys, tmp_path):
         config = tmp_path / "m.cfg"
@@ -553,6 +626,14 @@ FLAG_VALUES = {
 }
 
 
+#: Flags whose value must be one of a fixed set, and values outside every set.
+CHOICE_FLAGS = ("--design", "--id", "--format")
+BAD_CHOICES = ("Q", "c", "", "CSV", "4")
+
+#: What a request may get wrong in its flags, on top of its drawn values.
+FLAG_DEFECTS = (None, "repeated flag", "unknown flag", "flag without value", "value outside choices")
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -573,18 +654,42 @@ class TestWholeInputSpace:
         chosen = data.draw(st.lists(st.sampled_from(flags), unique=True, max_size=5))
         if command == "figure" and "--id" not in chosen:
             chosen.append("--id")
-        argv = [command] + [f"{flag}={data.draw(values[flag], label=flag)}" for flag in chosen]
-        code, out, err = run_in_process(argv)
+        drawn = {flag: data.draw(values[flag], label=flag) for flag in chosen}
+        argv = [command]
+        for flag, value in drawn.items():
+            argv += data.draw(st.sampled_from(([f"{flag}={value}"], [flag, value])), label="form")
+        result = run_in_process(argv)
+        code, out, err = result
         assert code in (0, 2, 3)
         if code == 0:
             assert err == ""
-            if command not in ("table1", "figure") or "--format=json" in argv:
+            if command not in ("table1", "figure") or drawn.get("--format") == "json":
                 json.loads(out, parse_constant=_reject_constant)
         elif code == 2:
             assert out == ""
             assert err.startswith("fogsim: error:") and err.count("\n") == 1
         else:
             assert err.startswith("fogsim: convergence error:")
+
+        defect = data.draw(st.sampled_from(FLAG_DEFECTS), label="defect")
+        choice_flags = sorted(set(flags) & set(CHOICE_FLAGS))
+        if defect == "repeated flag" and chosen:
+            # An earlier occurrence of a flag is overridden by the last one.
+            flag = data.draw(st.sampled_from(chosen), label="repeated")
+            earlier = f"{flag}={data.draw(values[flag], label='earlier value')}"
+            assert run_in_process([command, earlier, *argv[1:]]) == result
+        elif defect == "unknown flag":
+            unread = sorted(set(FLAG_VALUES) - set(flags))
+            abbreviated = [flag[:-1] for flag in flags if len(flag) > 4]
+            bad = data.draw(st.sampled_from(unread + abbreviated), label="unknown")
+            assert_usage_error(run_in_process([*argv, bad, "1"]), f"{command}: unknown flag {bad!r}")
+        elif defect == "flag without value":
+            flag = data.draw(st.sampled_from(flags), label="without value")
+            assert_usage_error(run_in_process([*argv, flag]), f"{command}: flag {flag} expects a value")
+        elif defect == "value outside choices" and choice_flags:
+            flag = data.draw(st.sampled_from(choice_flags), label="choice flag")
+            bad = data.draw(st.sampled_from(BAD_CHOICES), label="bad choice")
+            assert_usage_error(run_in_process([*argv, flag, bad]), f"{command}: {flag} takes one of")
 
 
 class TestRunConfig:

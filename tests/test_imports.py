@@ -1,7 +1,10 @@
-"""Route independence at import time: the package, the CLI and every
-command run without numpy, which only the test suite's oracles use."""
+"""Import-time guards.  The package, the CLI and every command run without
+numpy, which only the test suite's oracles use; importing the CLI loads
+every layer but no argument-parsing library; and the layers' records are
+immutable tuples, built without generated dataclass code."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +14,7 @@ import sys
 import pytest
 
 import fogsim
-from fogsim import analytic, cli, optimize, sagnac
+from fogsim import analytic, cli, designs, gaussian, optimize, sagnac
 
 SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(fogsim.__file__)))
 
@@ -54,6 +57,58 @@ def test_import_leaves_numpy_unloaded(module):
     result = _python(f"import sys, {module}; print('numpy' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_loads_every_layer_and_no_argument_parser():
+    result = _python(
+        "import json, sys, fogsim.cli\n"
+        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('fogsim.')\n"
+        "                        or name in ('argparse', 'gettext'))))"
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [
+        f"fogsim.{layer}" for layer in ("analytic", "cli", "designs", "gaussian", "optimize", "sagnac")
+    ]
+
+
+def test_scalar_problem_is_the_only_dataclass():
+    modules = (analytic, cli, designs, gaussian, optimize, sagnac)
+    classes = {
+        value for module in modules for value in vars(module).values()
+        if isinstance(value, type) and value.__module__.startswith("fogsim.")
+    }
+    assert [cls for cls in classes if dataclasses.is_dataclass(cls)] == [optimize.ScalarProblem]
+
+
+#: One instance of each result and configuration record of the layers.
+RECORDS = [
+    analytic.optimal_energy_split(100.0, 0.9),
+    analytic.optimal_length("S", 0.5, 10.0),
+    analytic.optimal_m("E", 0.5, 15.0, 10.0),
+    optimize.optimize_length("C", 0.5),
+    optimize.optimize_m_integer("P", 0.5, 15.0, 10.0),
+    gaussian.vacuum_state(),
+    gaussian.SymplecticTransform(((1.0, 0.0), (0.0, 1.0))),
+    gaussian.HomodyneResult(0.0, 0.25),
+    designs.DesignConfig("C"),
+    designs.estimator_variance_sim(designs.DesignConfig("C"), 0.9, 1.0),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_records_are_immutable(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+    with pytest.raises(AttributeError):
+        record.extra = 0.0
+
+
+def test_every_record_class_is_covered():
+    assert {type(record).__name__ for record in RECORDS} == {
+        "EnergySplit", "LengthOptimum", "IntegerOptimum", "ScalarMinimum", "CountSearchResult",
+        "GaussianState", "SymplecticTransform", "HomodyneResult", "DesignConfig", "CircuitResult",
+    }
 
 
 #: One request of every command; simulate for each multi-port design.

@@ -57,6 +57,16 @@ class TestTransmissivity:
     def test_zero_length(self):
         assert transmissivity(0.5, 0.0) == 1.0
 
+    def test_zero_loss(self):
+        assert transmissivity(0.0, 10.0) == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -1e-300, math.inf, -math.inf])
+    def test_bad_loss_or_length_is_named(self, bad):
+        with pytest.raises(ValueError, match="loss coefficient must be nonnegative and finite"):
+            transmissivity(bad, 10.0)
+        with pytest.raises(ValueError, match="fiber length must be nonnegative and finite"):
+            transmissivity(0.5, bad)
+
     def test_ten_db_total_loss(self):
         assert transmissivity(0.5, 20.0) == pytest.approx(0.1, rel=1e-14)
 
