@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from .sagnac import DOMAIN
+
 LN10 = math.log(10.0)
 
 #: Branch point of the principal Lambert-W branch.
@@ -113,8 +115,7 @@ def lambert_w0(x: float) -> float:
 
 def inverse_squeeze_factor(n_squeezed: float) -> float:
     """1 / (sqrt(1 + N_s) + sqrt(N_s))^2 = 10^(-sigma/10); 0 at infinite squeezing."""
-    _check_squeezing(n_squeezed)
-    if math.isinf(n_squeezed):
+    if DOMAIN.check("n_squeezed", n_squeezed) == math.inf:
         return 0.0
     return 1.0 / (math.sqrt(1.0 + n_squeezed) + math.sqrt(n_squeezed)) ** 2
 
@@ -127,10 +128,8 @@ def length_exponent(n_squeezed: float, m: int = 1) -> float:
     of designs S and E.  Lies in (W(-2/e^2), 0] and tends to
     W(-2/e^2) = -0.4064 as the squeezing grows.
     """
-    _check_squeezing(n_squeezed)
-    if m < 1:
-        raise ValueError("interferometer count must be at least 1")
-    if math.isinf(n_squeezed):
+    DOMAIN.check("m", m)
+    if DOMAIN.check("n_squeezed", n_squeezed) == math.inf:
         return lambert_w0(-2.0 / math.e**2)
     x = n_squeezed
     return lambert_w0(4.0 * (x - math.sqrt(x * (m + x))) / (m * math.e**2))
@@ -146,8 +145,7 @@ def array_size_exponent(n_squeezed: float) -> float:
     (u - 1) e^(u - 1) = (1/g - 1)/e.  It runs from 0 (no squeezing) to -1
     (infinite squeezing), where the branch point of W is reached.
     """
-    _check_squeezing(n_squeezed)
-    if math.isinf(n_squeezed):
+    if DOMAIN.check("n_squeezed", n_squeezed) == math.inf:
         return -1.0
     x = n_squeezed
     return lambert_w0(2.0 * (x - math.sqrt(x * (1.0 + x))) / math.e)
@@ -159,9 +157,9 @@ def array_size_exponent(n_squeezed: float) -> float:
 
 def classical_variance(time_factor_s: float, eta: float, n_photons: float) -> float:
     """Rotation-estimator variance of the laser-only single interferometer."""
-    _check_positive(time_factor_s, "time factor")
-    _check_eta(eta)
-    _check_positive(n_photons, "photon number")
+    DOMAIN.check("eta", eta)
+    DOMAIN.check("time_factor_s", time_factor_s)
+    DOMAIN.check("n_total", n_photons)
     try:
         return 1.0 / (time_factor_s**2 * eta * n_photons)
     except (OverflowError, ZeroDivisionError):
@@ -180,25 +178,17 @@ def _quantum_term(
     entangled probe keeps the full N_s whatever M), and
     M / (sqrt(M + N_s) + sqrt(N_s))^2 for the M squeezers of P sharing N_s.
     Every variance is the laser-only one times eta * q + 1 - eta.  ``m`` may
-    be real.  All variant, count and squeezing checks happen here.
+    be real.  The design, count and squeezing are checked here.
     """
-    if m < 1:
-        raise ValueError("interferometer count must be at least 1")
-    if variant in ("C", "S") and m != 1:
-        raise ValueError(f"design {variant} uses a single interferometer")
+    DOMAIN.check_design(variant, m, n_squeezed)
     if variant in ("C", "D"):
-        if n_squeezed != 0:
-            raise ValueError(f"design {variant} takes no squeezed light")
         return eta
-    if variant in ("S", "E"):
+    if variant != "P":
         return eta * inverse_squeeze_factor(n_squeezed)
-    if variant == "P":
-        _check_squeezing(n_squeezed)
-        if math.isinf(n_squeezed):
-            return 0.0
-        # Keep this evaluation order: eta * (m / ...) moves the last bit.
-        return eta * m / (math.sqrt(m + n_squeezed) + math.sqrt(n_squeezed)) ** 2
-    raise ValueError(f"unknown design variant {variant!r}")
+    if n_squeezed == math.inf:
+        return 0.0
+    # Keep this evaluation order: eta * (m / ...) moves the last bit.
+    return eta * m / (math.sqrt(m + n_squeezed) + math.sqrt(n_squeezed)) ** 2
 
 
 def _with_loss(quantum: float, eta: float) -> float:
@@ -219,12 +209,15 @@ def design_variance(
     ``time_factor_s`` is the per-interferometer time factor and ``n_v`` the
     per-fiber laser photon budget (equal to the total for C and S).
     """
-    classical = classical_variance(time_factor_s, eta, m * n_v)
     quantum = _quantum_term(variant, n_squeezed, m, eta)
-    if variant in ("C", "D"):
-        # eta + 1 - eta is not exactly 1.0 in floating point.
-        return classical
-    return classical * _with_loss(quantum, eta)
+    DOMAIN.check("n_v", n_v)
+    classical = classical_variance(time_factor_s, eta, m * n_v)
+    # For C and D, eta + 1 - eta is not exactly 1.0 in floating point.
+    variance = classical if variant in ("C", "D") else classical * _with_loss(quantum, eta)
+    # Worded as the circuit's CircuitResult words the same rejection.
+    if not 0.0 < variance < math.inf:
+        raise ValueError(f"estimator variance must be positive and finite, got {variance}")
+    return variance
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +240,8 @@ def variance_vs_length(
     fixed-length optimization (minimize over M at fixed L, with M real for
     the continuous optimum).
     """
-    _check_positive(b, "loss coefficient")
-    _check_positive(length_km, "fiber length")
+    DOMAIN.check("b_optimum", b)
+    DOMAIN.check("length_optimum", length_km)
     quantum = _quantum_term(variant, n_squeezed, m)
     inverse_eta = math.exp(b * LN10 / 10.0 * length_km / m)
     return m * (quantum - 1.0 + inverse_eta) / length_km**2
@@ -273,9 +266,9 @@ def optimal_energy_split(
     (1 + 2 (1 - eta) N + z) / (2 T^2 eta N (N + 1)), which continues
     analytically to 1 / (T^2 N (N + 1)) at eta = 1.
     """
-    _check_positive(n_total, "total photon number")
-    _check_eta(eta)
-    _check_positive(time_factor_s, "time factor")
+    DOMAIN.check("n_total", n_total)
+    DOMAIN.check("eta", eta)
+    DOMAIN.check("time_factor_s", time_factor_s)
     loss = 1.0 - eta
     z = math.sqrt(1.0 + 4.0 * eta * loss * n_total)
     n_s = (
@@ -311,8 +304,8 @@ def optimal_length(
     e^(2 + lam) ln(10)^2 b^2 / (200 (2 + lam)), again scaled by M for the
     arrays (with the per-port exponent for design P).
     """
-    _check_positive(b, "loss coefficient")
-    _quantum_term(variant, n_squeezed, m)  # argument checks only
+    DOMAIN.check("b_optimum", b)
+    DOMAIN.check_design(variant, m, n_squeezed)
     if variant in ("C", "D"):
         length = 20.0 / (LN10 * b)
         variance = math.e**2 * LN10**2 * b**2 / 400.0
@@ -354,15 +347,15 @@ def optimal_m(
     e^(array_size_exponent); at zero squeezing both reduce to the laser-only
     values.
     """
-    _check_positive(b, "loss coefficient")
-    _check_positive(length_km, "fiber length")
+    DOMAIN.check("b_optimum", b)
+    DOMAIN.check("length_optimum", length_km)
+    if variant not in ("D", "E"):
+        raise ValueError("closed-form count optimization covers designs D and E")
     c = b * LN10 / 10.0
     if variant == "D":
-        if n_squeezed != 0:
-            raise ValueError("design D takes no squeezed light")
         continuous = c * length_km
         variance_continuous = c * math.e / length_km
-    elif variant == "E":
+    else:
         if math.isinf(n_squeezed):
             raise ValueError(
                 "the continuous optimum diverges at infinite squeezing; "
@@ -371,8 +364,6 @@ def optimal_m(
         exponent = array_size_exponent(n_squeezed)
         continuous = c * length_km / (1.0 + exponent)
         variance_continuous = c * math.exp(1.0 + exponent) / length_km
-    else:
-        raise ValueError("closed-form count optimization covers designs D and E")
 
     below = continuous < 1.0
     floor_candidate = max(1, math.floor(continuous))
@@ -402,13 +393,13 @@ def optimal_m(
 
 def ratio_fixed_eta(n_squeezed: float, eta: float) -> float:
     """eta / g + 1 - eta; tends to 1 - eta with infinite squeezing."""
-    _check_eta(eta)
+    DOMAIN.check("eta", eta)
     return _with_loss(_quantum_term("S", n_squeezed, 1, eta), eta)
 
 
 def ratio_product_fixed_eta(n_squeezed: float, eta: float, m: int) -> float:
     """Fixed-transmissivity ratio for the product design with a shared budget."""
-    _check_eta(eta)
+    DOMAIN.check("eta", eta)
     return _with_loss(_quantum_term("P", n_squeezed, m, eta), eta)
 
 
@@ -421,23 +412,3 @@ def ratio_optimal_length(n_squeezed: float) -> float:
 def ratio_optimal_m(n_squeezed: float) -> float:
     """e^(array size exponent); independent of b and L, limit 1/e."""
     return math.exp(array_size_exponent(n_squeezed))
-
-
-# ---------------------------------------------------------------------------
-# Small argument checks
-# ---------------------------------------------------------------------------
-
-def _check_squeezing(n_squeezed: float) -> None:
-    # Written so that NaN fails too.
-    if not n_squeezed >= 0:
-        raise ValueError("squeezed photon number must be nonnegative")
-
-
-def _check_positive(value: float, name: str) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-
-
-def _check_eta(eta: float) -> None:
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"transmissivity must lie in (0, 1], got {eta}")

@@ -27,7 +27,7 @@ import math
 import sys
 
 from . import analytic, designs, optimize
-from .sagnac import db_to_photons, time_factor, transmissivity
+from .sagnac import DOMAIN, VARIANTS, db_to_photons, time_factor, transmissivity
 
 #: Squeezing grid of the improvement table, in dB ("inf" allowed in configs).
 TABLE_SIGMAS_DB = (5.0, 10.0, 15.0, 20.0, math.inf)
@@ -97,10 +97,6 @@ class RunConfig:
     def __init__(self) -> None:
         for key, (_, default) in _FIELDS.items():
             setattr(self, key, default)
-
-    @classmethod
-    def known_keys(cls) -> tuple[str, ...]:
-        return tuple(_FIELDS)
 
     def apply(self, key: str, raw: str) -> None:
         """Set ``key`` from its text, parsed by the field's declared type."""
@@ -182,8 +178,7 @@ def resolve_config(flags: dict[str, str]) -> RunConfig:
     for key in _FIELDS:
         if key in flags:
             config.apply(key, flags[key])
-    if config.m < 1:
-        raise ConfigError(f"m must be a positive integer, got {config.m}")
+    DOMAIN.check("m", config.m)
     return config
 
 
@@ -212,8 +207,11 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out}: {exc.strerror or exc}") from None
 
 
 def _config_comment(config: RunConfig, **extra: object) -> str:
@@ -564,16 +562,13 @@ def cmd_optimize(config: RunConfig) -> None:
 
 def cmd_simulate(config: RunConfig) -> None:
     """Gaussian-circuit cross check."""
-    design = designs.DesignConfig(
-        variant=config.design,
-        m_interferometers=config.m,
-        n_v=config.n_v,
-        n_squeezed=config.resolved_squeezed_photons(),
-    )
+    # Inputs are resolved and checked in the order cmd_variance checks them.
+    n_s = config.resolved_squeezed_photons()
     eta = config.resolved_eta()
     t = config.resolved_time_factor()
-    stats = designs.build_and_run(design, config.phi, eta)
+    design = designs.DesignConfig(config.design, config.m, config.n_v, n_s)
     result = designs.estimator_variance_sim(design, eta, t)
+    stats = designs.build_and_run(design, config.phi, eta)
     reference = analytic.design_variance(
         design.variant, t, eta, design.m_interferometers, design.n_v, design.n_squeezed
     )
@@ -635,7 +630,7 @@ _FLAG_OPTIONS: dict[str, dict] = {
     "b": {"help": "fiber loss coefficient, dB/km"},
     "wavelength_nm": {"help": "optical wavelength, nm"},
     "radius_m": {"help": "coil radius, m"},
-    "design": {"help": "gyroscope design", "choices": designs.VARIANTS},
+    "design": {"help": "gyroscope design", "choices": VARIANTS},
     "m": {"help": "number of interferometers"},
     "n_v": {"help": "per-fiber laser photons"},
     "squeeze_db": {"help": "squeezing in dB ('inf' allowed)"},

@@ -30,10 +30,12 @@ gives the direct single-interferometer, separable and entangled formulas.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 from .gaussian import (
     VACUUM_VARIANCE,
+    CheckedRecord,
     GaussianState,
     HomodyneResult,
     Matrix,
@@ -43,16 +45,12 @@ from .gaussian import (
     squeezed_vacuum,
     vacuum_state,
 )
-
-VARIANTS = ("C", "S", "D", "P", "E")
-
-
-class DegenerateConfigurationError(ValueError):
-    """The configuration produces no usable rotation signal (zero mean slope)."""
+from .sagnac import DOMAIN
 
 
 class DesignConfig(
-    namedtuple("DesignConfig", ("variant", "m_interferometers", "n_v", "n_squeezed"))
+    CheckedRecord,
+    namedtuple("DesignConfig", ("variant", "m_interferometers", "n_v", "n_squeezed")),
 ):
     """One gyroscope design with its energy budget.
 
@@ -66,20 +64,11 @@ class DesignConfig(
 
     def __new__(cls, variant: str, m_interferometers: int = 1, n_v: float = 1.0,
                 n_squeezed: float = 0.0) -> DesignConfig:
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        if int(m_interferometers) != m_interferometers or m_interferometers < 1:
-            raise ValueError("m_interferometers must be a positive integer")
-        m_interferometers = int(m_interferometers)
-        if not (n_v > 0 and math.isfinite(n_v)):
-            raise ValueError("per-fiber laser photon number must be positive and finite")
-        if not (n_squeezed >= 0 and math.isfinite(n_squeezed)):
-            raise ValueError("squeezed photon number must be finite and nonnegative")
-        if variant in ("C", "D") and n_squeezed != 0:
-            raise ValueError(f"design {variant} takes no squeezed light")
-        if variant in ("C", "S") and m_interferometers != 1:
-            raise ValueError(f"design {variant} uses a single interferometer")
-        return super().__new__(cls, variant, m_interferometers, n_v, n_squeezed)
+        DOMAIN.check_design(variant, m_interferometers, n_squeezed)
+        DOMAIN.check("n_v", n_v)
+        DOMAIN.check("n_squeezed_circuit", n_squeezed)
+        # A circuit has a whole number of interferometers: an int, not a float.
+        return super().__new__(cls, variant, operator.index(m_interferometers), n_v, n_squeezed)
 
     @property
     def amplitude(self) -> float:
@@ -95,7 +84,8 @@ class DesignConfig(
 
 
 class CircuitResult(
-    namedtuple("CircuitResult", ("homodyne", "slope", "estimator_variance", "variance_normalized"))
+    CheckedRecord,
+    namedtuple("CircuitResult", ("homodyne", "slope", "estimator_variance", "variance_normalized")),
 ):
     """Homodyne statistics and the rotation-estimator variance they imply.
 
@@ -175,10 +165,8 @@ def _run_circuit(config: DesignConfig, phi: float, eta: float) -> tuple[Homodyne
     The loss scales it by sqrt(eta) and adds (1 - eta)/4 |row|^2 of vacuum
     noise; the derivative of the phase blocks gives the slope row.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phase must be finite, got {phi}")
+    DOMAIN.check("eta_homodyne", eta)
+    DOMAIN.check("phi", phi)
     modes = _input_modes(config)
     row = [[0.0] * config.m_interferometers for _ in range(4)]
     row[3][0] = 1.0  # Im quadrature of b-side port 0, the read port
@@ -224,13 +212,11 @@ def estimator_variance_sim(
     slope and by the time factor, so
     Var(rate) = (2 / T)^2 * Var(homodyne) / slope^2.
     """
-    if not time_factor_s > 0:
-        raise ValueError("time factor must be positive")
+    DOMAIN.check("eta", eta)
+    DOMAIN.check("time_factor_s", time_factor_s)
     result, slope = _run_circuit(config, 0.0, eta)
     if slope == 0.0:
-        raise DegenerateConfigurationError(
-            "zero homodyne mean slope: no rotation signal for this configuration"
-        )
+        raise ValueError("zero homodyne mean slope: no rotation signal for this configuration")
     # Products and quotients, not powers: a float power raises on overflow,
     # while these give inf or 0, which CircuitResult rejects by name.
     gain = 2.0 / time_factor_s / slope
@@ -252,8 +238,7 @@ def homodyne_closed_form(config: DesignConfig, phi: float, eta: float) -> Homody
     cancel, leaving the single-squeezer form of S with the full squeezed
     photon number.  Exact at arbitrary phase.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
+    DOMAIN.check("eta_homodyne", eta)
     # Im-quadrature variance of the dark-side squeezed vacuum (vacuum for C
     # and D): (mu - nu)^2 / 4 written in cancellation-free form.
     n_s = config.per_port_squeezed

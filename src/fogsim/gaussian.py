@@ -17,6 +17,8 @@ import itertools
 import math
 from collections import namedtuple
 
+from .sagnac import DOMAIN
+
 #: Quadrature variance of the vacuum state in this package's convention.
 VACUUM_VARIANCE = 0.25
 
@@ -27,7 +29,18 @@ PHYSICALITY_TOL = 1e-10
 Matrix = tuple[tuple[float, ...], ...]
 
 
-class GaussianState(namedtuple("GaussianState", ("mean", "cov"))):
+class CheckedRecord:
+    """Base of a namedtuple whose ``__new__`` checks its fields: ``_make``, and
+    ``_replace`` through it, build the record through ``__new__`` too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class GaussianState(CheckedRecord, namedtuple("GaussianState", ("mean", "cov"))):
     """First moments and 2x2 quadrature covariance of one optical mode.
 
     Construction checks that ``cov`` is symmetric and physical: positive
@@ -61,7 +74,7 @@ class GaussianState(namedtuple("GaussianState", ("mean", "cov"))):
         return (math.sqrt(det) if det >= 0.0 else math.nan,)
 
 
-class SymplecticTransform(namedtuple("SymplecticTransform", ("matrix",))):
+class SymplecticTransform(CheckedRecord, namedtuple("SymplecticTransform", ("matrix",))):
     """Real 2n x 2n quadrature map, checked to preserve the symplectic form."""
 
     __slots__ = ()
@@ -95,7 +108,7 @@ class SymplecticTransform(namedtuple("SymplecticTransform", ("matrix",))):
         return GaussianState(mean, cov)
 
 
-class HomodyneResult(namedtuple("HomodyneResult", ("mean", "variance"))):
+class HomodyneResult(CheckedRecord, namedtuple("HomodyneResult", ("mean", "variance"))):
     """Mean and variance of the Gaussian outcome of a quadrature measurement."""
 
     __slots__ = ()
@@ -129,8 +142,7 @@ def squeezed_vacuum(n_s: float, squeeze_axis: str = "im") -> GaussianState:
     4 (mu + nu)^2 overflows (from 3076.5 dB), the squeezed variance is
     lost with it, and the photon number is rejected as overflowing.
     """
-    if not n_s >= 0:
-        raise ValueError(f"squeezed photon number must be nonnegative, got {n_s}")
+    DOMAIN.check("n_squeezed", n_s)
     if squeeze_axis not in ("re", "im"):
         raise ValueError(f"squeeze_axis must be 're' or 'im', got {squeeze_axis!r}")
     spread = math.sqrt(1.0 + n_s) + math.sqrt(n_s)

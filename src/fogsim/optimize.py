@@ -15,6 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import analytic
+from .sagnac import DOMAIN
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _PRESCAN_SAMPLES = 64
@@ -156,7 +157,7 @@ def optimize_length(
     m: int = 1,
 ) -> ScalarMinimum:
     """Numerically minimize the normalized variance over the total fiber length."""
-    analytic._check_positive(b, "loss coefficient")
+    DOMAIN.check("b_optimum", b)
     bracket = (0.1 * m / b, 40.0 * m / b)
     return minimize_scalar(
         ScalarProblem(
@@ -191,8 +192,7 @@ def optimize_m_integer(
     """
     if variant not in ("D", "P", "E"):
         raise ValueError("count optimization applies to the distributed designs")
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
+    DOMAIN.check("m_max", m_max)
     profile = [
         (m, analytic.variance_vs_length(variant, b, length_km, m, n_squeezed))
         for m in range(1, m_max + 1)
@@ -227,8 +227,7 @@ def optimize_energy_split_numeric(
     n_total: float, eta: float, time_factor_s: float = 1.0
 ) -> analytic.EnergySplit:
     """Golden-section split of a fixed photon budget between laser and squeezer."""
-    if not n_total > 0:
-        raise ValueError("total photon number must be positive")
+    DOMAIN.check("n_total", n_total)
 
     def objective(n_s: float) -> float:
         return analytic.design_variance(

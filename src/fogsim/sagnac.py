@@ -1,9 +1,10 @@
-"""Physical model of a rotating fiber coil.
+"""Physical model of a rotating fiber coil, and the domain of every input.
 
-Provides the rotation-induced phase between counter-propagating beams in a
-multi-loop circular fiber coil, the fiber transmission model, the time
-factor ``T`` relating phase to angular velocity (``Omega = 2 phi / T``), and
-the conversion from decibels of quadrature squeezing to mean photon number.
+Provides the fiber transmission model, the time factor ``T`` relating phase
+to angular velocity (``Omega = 2 phi / T``), the conversion from decibels of
+quadrature squeezing to mean photon number, and ``DOMAIN``: the one table of
+bounds that every route checks its physical inputs against, with the design
+rules next to it.
 
 Units: optical wavelength in nanometers, coil radius in meters, fiber
 length in kilometers at the API boundary (converted internally), angular
@@ -13,31 +14,136 @@ rates in rad/s.
 from __future__ import annotations
 
 import math
-import warnings
+import sys
 
 #: Speed of light in vacuum (m/s).
 C_LIGHT = 299_792_458.0
 
-#: First-order validity threshold for r * |Omega| / c.
-REGIME_THRESHOLD = 1e-3
-
 _KM = 1000.0
 
+#: Largest finite squeezed photon number every route represents: the circuit
+#: forms 4 (sqrt(1 + N) + sqrt(N))^2, about 16 N, which overflows above it.
+_MAX_SQUEEZED = sys.float_info.max / 16.0
+#: The squeezing in dB whose photon number is _MAX_SQUEEZED (3076.5 dB).
+_MAX_SQUEEZE_DB = 20.0 / math.log(10.0) * math.asinh(math.sqrt(_MAX_SQUEEZED))
 
-class RotationRegimeWarning(UserWarning):
-    """Raised when a requested rotation rate strains the first-order phase model."""
+_INF = math.inf
+
+VARIANTS = ("C", "S", "D", "P", "E")
 
 
-def _coil(length_km: float, wavelength_nm: float, radius_m: float) -> tuple[float, float, float]:
-    """Optical frequency omega (rad/s), loop area pi r^2 (m^2) and time factor T (s).
+class _Domain(dict):
+    """The input domain table, which checks inputs against itself.
 
-    Names the input that is not positive and finite, and rejects by its radius
-    and wavelength a coil whose omega, area or T leaves floating-point range.
+    Its checks are methods, not module functions, so that a span tracer
+    wrapping each public function of a module times none of them.
     """
-    inputs = {"coil fiber length": length_km, "wavelength": wavelength_nm, "coil radius": radius_m}
-    for name, value in inputs.items():
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+    __slots__ = ()
+
+    def check(self, key: str, value: float) -> float:
+        """``value`` if it lies in the domain of input ``key``, else a ValueError naming it."""
+        lo, hi = _CLOSED[key]
+        if lo <= value <= hi:
+            return value
+        if value == _INF and key in _LIMITS:
+            return value
+        raise ValueError(_rejection(key, value))
+
+    def check_design(self, variant: str, m: float, n_squeezed: float) -> None:
+        """Reject an unknown design, a count or squeezing out of its domain, or a
+        broken design rule: C and S use a single interferometer, C and D take
+        no squeezed light."""
+        if variant not in VARIANTS:
+            raise ValueError(f"design must be one of {', '.join(VARIANTS)}, got {variant!r}")
+        self.check("m", m)
+        if variant in ("C", "S") and m != 1:
+            raise ValueError(f"design {variant} uses a single interferometer")
+        self.check("n_squeezed", n_squeezed)
+        if variant in ("C", "D") and n_squeezed != 0:
+            raise ValueError(f"design {variant} takes no squeezed light")
+
+
+#: Domain of each physical input, keyed by the setting that carries it: the
+#: name a rejection gives it, its unit, its bounds, and whether each end is
+#: open "(" ")" or closed "[" "]".  An input with two domains has a second
+#: key, named for its use.
+DOMAIN = _Domain({
+    "squeeze_db": ("squeezing in dB", "dB", 0.0, _MAX_SQUEEZE_DB, "[]"),
+    "n_squeezed": ("squeezed photon number", "photons", 0.0, _MAX_SQUEEZED, "[]"),
+    # The circuit takes no infinite squeezing.
+    "n_squeezed_circuit": ("squeezed photon number", "photons", 0.0, _INF, "[)"),
+    # An estimator variance needs light through the coil; homodyne moments do not.
+    "eta": ("transmissivity", "", 0.0, 1.0, "(]"),
+    "eta_homodyne": ("transmissivity", "", 0.0, 1.0, "[]"),
+    "n_v": ("per-fiber laser photon number", "photons", 0.0, _INF, "()"),
+    "n_total": ("total photon number", "photons", 0.0, _INF, "()"),
+    "time_factor_s": ("time factor", "s", 0.0, _INF, "()"),
+    # A transmissivity takes no loss or no fiber; an optimum needs both.
+    "b": ("loss coefficient", "dB/km", 0.0, _INF, "[)"),
+    "length_km": ("fiber length", "km", 0.0, _INF, "[)"),
+    "b_optimum": ("loss coefficient", "dB/km", 0.0, _INF, "(]"),
+    "length_optimum": ("fiber length", "km", 0.0, _INF, "(]"),
+    "coil_length_km": ("coil fiber length", "km", 0.0, _INF, "()"),
+    "wavelength_nm": ("wavelength", "nm", 0.0, _INF, "()"),
+    "radius_m": ("coil radius", "m", 0.0, _INF, "()"),
+    "phi": ("phase", "rad", -_INF, _INF, "()"),
+    # Real counts too: the continuous count optimum evaluates them.
+    "m": ("interferometer count", "", 1.0, _INF, "[)"),
+    "m_max": ("m_max", "", 1.0, _INF, "[)"),
+})
+
+#: Inputs whose value inf is the closed form's infinite-squeezing limit, and
+#: the rejection of a finite value above their bound.
+_LIMITS = {
+    "squeeze_db": "{} dB of squeezing overflows the squeezed photon number; "
+                  "use 'inf' for the infinite-squeezing limit",
+    "n_squeezed": "squeezed photon number {:.6g} overflows the squeezed-vacuum variances",
+}
+
+
+#: The bounds of each input as closed float bounds: an open end moves to
+#: the next float inside.
+_CLOSED = {
+    key: (math.nextafter(lo, _INF) if ends[0] == "(" else lo,
+          math.nextafter(hi, -_INF) if ends[1] == ")" else hi)
+    for key, (_, _, lo, hi, ends) in DOMAIN.items()
+}
+
+
+def _rejection(key: str, value: float) -> str:
+    name, _, lo, hi, ends = DOMAIN[key]
+    if key in _LIMITS:
+        if value > hi:
+            return _LIMITS[key].format(value)
+        hi = _INF
+    if (lo, hi) == (0.0, _INF):
+        sign = "positive" if ends[0] == "(" else "nonnegative"
+        return f"{name} must be {sign}{' and finite' if ends[1] == ')' else ''}, got {value}"
+    return f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {value}"
+
+
+def transmissivity(b: float, length_km: float) -> float:
+    """Fiber transmissivity 10^(-b L / 10) for loss ``b`` dB/km over L km.
+
+    Zero loss or zero length transmits everything.
+    """
+    DOMAIN.check("b", b)
+    DOMAIN.check("length_km", length_km)
+    return 10.0 ** (-b * length_km / 10.0)
+
+
+def time_factor(length_km: float, wavelength_nm: float, radius_m: float) -> float:
+    """Phase-to-rate conversion time T (s) of a circular coil: delta_phi = T * Omega.
+
+    T = 4 * omega * L * A / (2 pi r c^2) with omega = 2 pi c / lambda, L in
+    meters and A = pi r^2.  Names the input out of its domain, and rejects
+    by its radius and wavelength a coil whose omega, area or T leaves
+    floating-point range.
+    """
+    DOMAIN.check("coil_length_km", length_km)
+    DOMAIN.check("wavelength_nm", wavelength_nm)
+    DOMAIN.check("radius_m", radius_m)
     try:
         omega = 2.0 * math.pi * C_LIGHT / (wavelength_nm * 1e-9)
         area = math.pi * radius_m**2
@@ -50,47 +156,7 @@ def _coil(length_km: float, wavelength_nm: float, radius_m: float) -> tuple[floa
             f"coil radius {radius_m} m and wavelength {wavelength_nm} nm put the time "
             f"factor of {length_km} km of fiber out of floating-point range"
         )
-    return omega, area, t
-
-
-def sagnac_phase(
-    length_km: float, rotation_rate: float, wavelength_nm: float, radius_m: float
-) -> float:
-    """Relative phase between counter-propagating beams under rotation.
-
-    delta_phi = 4 * omega * m * A * Omega / c^2 with m = L / (2 pi r) loops of
-    fiber.  Linear in both the fiber length and the rotation rate; valid to
-    first order in r * Omega / c (a warning is emitted outside that regime).
-    """
-    omega, area, _ = _coil(length_km, wavelength_nm, radius_m)
-    if radius_m * abs(rotation_rate) / C_LIGHT > REGIME_THRESHOLD:
-        warnings.warn(
-            "rotation rate outside the first-order (slow rotation) regime",
-            RotationRegimeWarning,
-            stacklevel=2,
-        )
-    loops = length_km * _KM / (2.0 * math.pi * radius_m)
-    return 4.0 * omega * loops * area * rotation_rate / C_LIGHT**2
-
-
-def transmissivity(b: float, length_km: float) -> float:
-    """Fiber transmissivity 10^(-b L / 10) for loss ``b`` dB/km over L km.
-
-    Zero loss or zero length transmits everything; a negative or non-finite
-    loss coefficient or fiber length is named.
-    """
-    for name, value in (("loss coefficient", b), ("fiber length", length_km)):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
-    return 10.0 ** (-b * length_km / 10.0)
-
-
-def time_factor(length_km: float, wavelength_nm: float, radius_m: float) -> float:
-    """Phase-to-rate conversion time T (s) of a circular coil: delta_phi = T * Omega.
-
-    T = 4 * omega * L * A / (2 pi r c^2) with L in meters and A = pi r^2.
-    """
-    return _coil(length_km, wavelength_nm, radius_m)[2]
+    return t
 
 
 def db_to_photons(sigma_db: float) -> float:
@@ -99,14 +165,6 @@ def db_to_photons(sigma_db: float) -> float:
     N_s = sinh^2(sigma * ln(10) / 20).  Infinity maps to infinity, which the
     analytic layer treats as the explicit infinite-squeezing limit.
     """
-    if sigma_db < 0:
-        raise ValueError("squeezing in dB must be nonnegative")
-    if math.isinf(sigma_db):
-        return math.inf
-    try:
-        return math.sinh(sigma_db * math.log(10.0) / 20.0) ** 2
-    except OverflowError:
-        raise ValueError(
-            f"{sigma_db} dB of squeezing overflows the squeezed photon number; "
-            "use 'inf' for the infinite-squeezing limit"
-        ) from None
+    if DOMAIN.check("squeeze_db", sigma_db) == _INF:
+        return _INF
+    return math.sinh(sigma_db * math.log(10.0) / 20.0) ** 2

@@ -383,7 +383,7 @@ class TestDesignVarianceDispatch:
             design_variance("S", 1.0, 0.5, 2, 10.0, 1.0)
         with pytest.raises(ValueError, match="no squeezed light"):
             design_variance("D", 1.0, 0.5, 2, 10.0, 1.0)
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ValueError, match=r"interferometer count must lie in \[1, inf\)"):
             variance_vs_length("P", 0.5, 15.0, 0.5, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             ratio_product_fixed_eta(-1.0, 0.5, 4)

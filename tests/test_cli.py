@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fogsim import cli
+from fogsim import cli, sagnac
 from fogsim.cli import RunConfig, format_number, main
 from fogsim.sagnac import db_to_photons
 
@@ -45,6 +45,14 @@ def assert_usage_error(result, *named):
     assert (code, out) == (2, "")
     assert err.startswith("fogsim: error:") and err.count("\n") == 1
     assert all(word in err for word in named), err
+
+
+def table_rejection(err):
+    """Whether ``err`` is a rejection by the input domain table or the design rules."""
+    message = err.removeprefix("fogsim: error: ")
+    names = {name for name, *_ in sagnac.DOMAIN.values()}
+    return (any(message.startswith(f"{name} must ") for name in names)
+            or message.startswith("design ") or " overflows the squeezed" in message)
 
 
 def parse_csv(text):
@@ -219,15 +227,24 @@ class TestSimulate:
         assert (code, err) == (0, "")
         assert json.loads(out)["relative_deviation"] <= 1e-15
 
+    @pytest.mark.parametrize("command", ["variance", "simulate"])
+    @pytest.mark.parametrize("design, m", [("S", "1"), ("E", "4"), ("P", "16")])
+    @pytest.mark.parametrize("flag, key", [("--squeeze-db", "squeeze_db"), ("--n-squeezed", "n_squeezed")])
+    @pytest.mark.filterwarnings("error")
+    def test_largest_declared_squeezing_runs_on_every_route(self, capsys, command, design, m, flag, key):
+        largest = repr(sagnac.DOMAIN[key][3])
+        code, out, err = run(capsys, command, "--design", design, "--m", m, flag, largest, "--eta", "0.5")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n_squeezed"] <= sagnac.DOMAIN["n_squeezed"][3]
+
+    @pytest.mark.parametrize("command", ["variance", "simulate"])
     @pytest.mark.parametrize("design", ["S", "E", "P"])
     @pytest.mark.filterwarnings("error")
-    def test_squeezing_past_the_overflow_limit_is_named(self, capsys, design):
-        code, out, err = run(
-            capsys, "simulate", "--design", design, "--squeeze-db", "3080", "--eta", "0.5"
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("fogsim: error:") and err.count("\n") == 1
-        assert "overflows the squeezed-vacuum variances" in err
+    def test_squeezing_past_the_overflow_limit_is_named(self, capsys, command, design):
+        assert run(
+            capsys, command, "--design", design, "--squeeze-db", "3080", "--eta", "0.5"
+        ) == (2, "", "fogsim: error: 3080.0 dB of squeezing overflows the squeezed photon "
+                     "number; use 'inf' for the infinite-squeezing limit\n")
 
 
 class TestFigures:
@@ -391,7 +408,7 @@ class TestExitCodes:
             capsys, "ratio", "--squeeze-db", "10", "--length-km", "15", "--m", "0"
         )
         assert (code, out) == (2, "")
-        assert "m must be a positive integer" in err
+        assert "interferometer count must lie in [1, inf), got 0" in err
 
     @pytest.mark.parametrize("command", ["variance", "simulate"])
     @pytest.mark.parametrize(
@@ -480,11 +497,40 @@ class TestExitCodes:
             ("optimize", "--design", "P", "--fix-length", "15"),
         ],
     )
-    @pytest.mark.parametrize("squeezing", [("--squeeze-db", "nan"), ("--n-squeezed", "nan")])
-    def test_nan_squeezing_is_named(self, capsys, argv, squeezing):
-        code, out, err = run(capsys, *argv, *squeezing)
+    @pytest.mark.parametrize(
+        "flag, name", [("--squeeze-db", "squeezing in dB"), ("--n-squeezed", "squeezed photon number")]
+    )
+    def test_nan_squeezing_is_named(self, capsys, argv, flag, name):
+        code, out, err = run(capsys, *argv, flag, "nan")
         assert (code, out) == (2, "")
-        assert err == "fogsim: error: squeezed photon number must be nonnegative\n"
+        assert err == f"fogsim: error: {name} must be nonnegative, got nan\n"
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("--design", "S", "--squeeze-db", "3080", "--eta", "0.5"), "3080.0 dB of squeezing"),
+            (("--design", "P", "--m", "4", "--squeeze-db", "3085", "--eta", "0.5"),
+             "3085.0 dB of squeezing"),
+            (("--design", "S", "--squeeze-db", "10", "--eta", "0"), "transmissivity"),
+            (("--design", "C", "--n-v", "inf", "--eta", "0.9"), "per-fiber laser photon number"),
+            (("--design", "C", "--t", "inf", "--eta", "0.9"), "time factor"),
+            (("--design", "S", "--n-squeezed", "-1", "--eta", "0.9"), "squeezed photon number"),
+            (("--design", "S", "--n-squeezed", "nan", "--eta", "0.9"), "squeezed photon number"),
+            (("--design", "C", "--m", "3", "--squeeze-db", "10", "--eta", "0.9"),
+             "design C uses a single interferometer"),
+        ],
+        ids=" ".join,
+    )
+    def test_variance_and_simulate_reject_alike(self, capsys, argv, named):
+        variance = run(capsys, "variance", *argv)
+        assert_usage_error(variance, named)
+        assert run(capsys, "simulate", *argv) == variance
+
+    @pytest.mark.parametrize("command", [("table1",), ("figure", "--id", "3a")])
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["missing directory", "directory"])
+    def test_unwritable_out_is_named(self, capsys, tmp_path, command, target):
+        path = str(tmp_path / target)
+        assert_usage_error(run(capsys, *command, "--out", path), "cannot write output file", path)
 
     def test_number_format_helper(self):
         assert format_number(17.3717792761) == "1.73717792761e+01"
@@ -530,7 +576,7 @@ class TestFlags:
         "argv, message",
         [
             (("variance", "--design", "C", "--eta", "0.9", "--t", "-inf"),
-             "time factor must be positive, got -inf"),
+             "time factor must be positive and finite, got -inf"),
             (("variance", "--design", "C", "--length-km", "10", "--b", "-1e6"),
              "loss coefficient must be nonnegative and finite, got -1000000.0"),
         ],
@@ -595,6 +641,25 @@ class TestFlags:
         assert set(listed) == set(cli.COMMAND_SETTINGS)
         for command, flags in listed.items():
             assert flags | {"--config", "--out"} == command_flags(command), command
+
+
+def domain_bounds(key):
+    """Bounds of a ``sagnac.DOMAIN`` entry as the README's domain table writes them."""
+    _, _, lo, hi, ends = sagnac.DOMAIN[key]
+    bounds = f"{ends[0]}{lo:g}, {hi:g}{ends[1]}"
+    return f"{bounds} or inf" if key in sagnac._LIMITS else bounds
+
+
+def test_readme_domain_table_matches_the_code():
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \| ([^|]+) \| ([^|]+) \| ([^|]+) \|$",
+                      README.read_text(), re.MULTILINE)
+    assert [row[0] for row in rows] == list(sagnac.DOMAIN)
+    for key, name, unit, bounds, flags, commands in rows:
+        expected_name, expected_unit, *_ = sagnac.DOMAIN[key]
+        assert (name, unit, bounds) == (expected_name, expected_unit or "—", domain_bounds(key))
+        flags = set(re.findall(r"`(--[\w-]+)`", flags))
+        for command in [] if commands == "—" else commands.split(", "):
+            assert flags and flags <= command_flags(command), (key, command)
 
 
 def _numbers(typical):
@@ -692,11 +757,33 @@ class TestWholeInputSpace:
             assert_usage_error(run_in_process([*argv, flag, bad]), f"{command}: {flag} takes one of")
 
 
-class TestRunConfig:
-    def test_known_keys_cover_fields(self):
-        assert "design" in RunConfig.known_keys()
-        assert "fig6_lengths_km" in RunConfig.known_keys()
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(
+        max_examples=300, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_variance_and_simulate_accept_the_same_inputs(self, data):
+        argv = ["--design", data.draw(FLAG_VALUES["--design"], label="--design"),
+                "--m", data.draw(st.integers(-1, 16).map(str), label="--m")]
+        squeezing = data.draw(st.sampled_from((None, "--squeeze-db", "--n-squeezed")), label="squeezing")
+        transmission = data.draw(st.sampled_from((("--eta",), ("--length-km", "--b"))), label="route")
+        optional = ("--n-v", "--t", "--wavelength-nm", "--radius-m")
+        flags = [*transmission, *([squeezing] if squeezing else []),
+                 *data.draw(st.lists(st.sampled_from(optional), unique=True), label="optional")]
+        for flag in flags:
+            argv += [flag, data.draw(FLAG_VALUES[flag], label=flag)]
+        variance = run_in_process(["variance", *argv])
+        simulate = run_in_process(["simulate", *argv])
+        if squeezing and argv[argv.index(squeezing) + 1] == "inf":
+            # Infinite squeezing is the closed form's limit; the circuit rejects it.
+            return
+        assert variance[0] == simulate[0], (variance, simulate)
+        if table_rejection(variance[2]) or table_rejection(simulate[2]):
+            assert variance == simulate
 
+
+class TestRunConfig:
     def test_apply_type_errors(self):
         config = RunConfig()
         with pytest.raises(cli.ConfigError):

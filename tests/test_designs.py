@@ -205,10 +205,10 @@ class TestEstimatorVariance:
                 numeric = (upper - lower) / (2 * step)
                 assert numeric == pytest.approx(exact, rel=1e-8)
 
-    def test_zero_transmissivity_is_degenerate(self):
-        from fogsim.designs import DegenerateConfigurationError
-
-        with pytest.raises(DegenerateConfigurationError):
+    def test_zero_transmissivity_is_named(self):
+        # The homodyne moments exist at eta = 0, but no rotation signal does.
+        build_and_run(DesignConfig("C"), 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"^transmissivity must lie in \(0, 1\], got 0.0$"):
             estimator_variance_sim(DesignConfig("C"), 0.0, 1.0)
 
     def test_bad_time_factor(self):

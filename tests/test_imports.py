@@ -1,15 +1,20 @@
 """Import-time guards.  The package, the CLI and every command run without
 numpy, which only the test suite's oracles use; importing the CLI loads
-every layer but no argument-parsing library; and the layers' records are
-immutable tuples, built without generated dataclass code."""
+every layer but no argument-parsing library; the layers' records are
+immutable tuples, built without generated dataclass code, and a checked
+record cannot be rebuilt unchecked; and no module reads another module's
+private names."""
 
+import ast
 import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +109,28 @@ def test_records_are_immutable(record):
         record.extra = 0.0
 
 
+#: A rebuild of each checked record, with one field its constructor rejects.
+BAD_REBUILDS = [
+    (gaussian.vacuum_state(), {"cov": ((-1.0, 0.0), (0.0, -1.0))}),
+    (gaussian.SymplecticTransform(((1.0, 0.0), (0.0, 1.0))), {"matrix": ((2.0, 0.0), (0.0, 2.0))}),
+    (gaussian.HomodyneResult(0.0, 1.0), {"variance": -1.0}),
+    (designs.DesignConfig("C"), {"variant": "Q", "m_interferometers": 0, "n_v": -1.0,
+                                 "n_squeezed": math.nan}),
+    (designs.estimator_variance_sim(designs.DesignConfig("C"), 0.9, 1.0),
+     {"estimator_variance": math.inf}),
+]
+
+
+@pytest.mark.parametrize("record, fields", BAD_REBUILDS,
+                         ids=[type(record).__name__ for record, _ in BAD_REBUILDS])
+def test_checked_records_cannot_be_rebuilt_unchecked(record, fields):
+    assert type(record)._make(record) == record
+    with pytest.raises(ValueError):
+        record._replace(**fields)
+    with pytest.raises(ValueError):
+        type(record)._make({**record._asdict(), **fields}.values())
+
+
 def test_every_record_class_is_covered():
     assert {type(record).__name__ for record in RECORDS} == {
         "EnergySplit", "LengthOptimum", "IntegerOptimum", "ScalarMinimum", "CountSearchResult",
@@ -153,3 +180,35 @@ def test_every_command_runs_without_numpy():
             expected_code = cli.main(argv)
         assert (code, out) == (expected_code, expected.getvalue()), argv
         assert code == 0, argv
+
+
+SOURCES = sorted((Path(SOURCE_ROOT) / "fogsim").glob("*.py"))
+
+
+def _private_reads(source: str) -> list[str]:
+    """``module._name`` reads and ``from .module import _name`` imports of a sibling's private name."""
+    tree = ast.parse(source)
+    siblings = set()
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    reads.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")):
+            reads.append(f"{node.value.id}.{node.attr}")
+    return reads
+
+
+def test_private_read_finder_sees_both_forms():
+    source = "from . import analytic\nfrom .sagnac import _KM, check\nanalytic._check(1)\n"
+    assert _private_reads(source) == ["sagnac._KM", "analytic._check"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_reads_another_modules_private_names(path):
+    assert _private_reads(path.read_text()) == []

@@ -1,4 +1,4 @@
-"""Tests of the coil model: rotation phase, fiber loss, time factor, dB units."""
+"""Tests of the coil model: fiber loss, time factor, dB units."""
 
 import math
 
@@ -6,51 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from fogsim.sagnac import (
-    C_LIGHT,
-    RotationRegimeWarning,
-    db_to_photons,
-    sagnac_phase,
-    time_factor,
-    transmissivity,
-)
+from fogsim.sagnac import C_LIGHT, db_to_photons, time_factor, transmissivity
 
 #: The default coil: 1550 nm light, 5 cm radius.
 COIL = (1550.0, 0.05)
-
-
-def slow_phase(length_km, wavelength_nm, radius_m):
-    """Sagnac phase at 1e-5 rad/s, with the argument order of ``time_factor``."""
-    return sagnac_phase(length_km, 1e-5, wavelength_nm, radius_m)
-
-
-class TestSagnacPhase:
-    def test_zero_rotation(self):
-        assert sagnac_phase(1.0, 0.0, *COIL) == 0.0
-
-    def test_linear_in_length(self):
-        one = sagnac_phase(1.0, 1e-5, *COIL)
-        two = sagnac_phase(2.0, 1e-5, *COIL)
-        assert two == pytest.approx(2.0 * one, rel=1e-14)
-
-    @pytest.mark.parametrize("coil", [COIL, (800.0, 0.01), (1310.0, 1.0)])
-    def test_consistent_with_time_factor(self, coil):
-        # Two independent routes to the same phase: the loop-count formula
-        # and delta_phi = T * Omega.
-        rate = 1e-5
-        direct = sagnac_phase(1.0, rate, *coil)
-        via_time = time_factor(1.0, *coil) * rate
-        assert direct == pytest.approx(via_time, rel=1e-12)
-
-    def test_odd_in_rotation_rate(self):
-        assert sagnac_phase(1.0, 2e-6, *COIL) == pytest.approx(
-            -sagnac_phase(1.0, -2e-6, *COIL), rel=1e-14
-        )
-
-    def test_regime_warning(self):
-        fast = 1.1e-3 * C_LIGHT / COIL[1]
-        with pytest.warns(RotationRegimeWarning):
-            sagnac_phase(1.0, fast, *COIL)
 
 
 class TestTransmissivity:
@@ -105,23 +64,13 @@ class TestTimeFactor:
             error = abs(time_factor(length_km, *coil) / exact - 1)
         assert error <= 12 * 2.0**-53
 
-    def test_rate_recovery_identity(self):
-        # 2 * (delta_phi / 2) / T recovers the rotation rate.
-        rate = 3.7e-6
-        for length in (0.2, 5.0, 40.0):
-            phi = sagnac_phase(length, rate, *COIL) / 2.0
-            assert 2.0 * phi / time_factor(length, *COIL) == pytest.approx(
-                rate, rel=1e-13
-            )
-
-    @pytest.mark.parametrize("function", [time_factor, slow_phase])
     @pytest.mark.parametrize("position, name", [(0, "coil fiber length"), (1, "wavelength"), (2, "coil radius")])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    def test_bad_input_is_named(self, function, position, name, value):
+    def test_bad_input_is_named(self, position, name, value):
         args = [10.0, *COIL]
         args[position] = value
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
-            function(*args)
+            time_factor(*args)
 
     @pytest.mark.parametrize(
         "length_km, wavelength_nm, radius_m",
@@ -135,9 +84,8 @@ class TestTimeFactor:
         ],
     )
     def test_coil_out_of_range_names_radius_and_wavelength(self, length_km, wavelength_nm, radius_m):
-        for function in (time_factor, slow_phase):
-            with pytest.raises(ValueError, match="coil radius .* and wavelength .* out of floating-point range"):
-                function(length_km, wavelength_nm, radius_m)
+        with pytest.raises(ValueError, match="coil radius .* and wavelength .* out of floating-point range"):
+            time_factor(length_km, wavelength_nm, radius_m)
 
 
 class TestSqueezingUnits:
