@@ -53,56 +53,18 @@ def _sweep(parameter: str, start: float, stop: float, steps: int, log: bool = Fa
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 
-#: Every configuration key with its type and default, in the order of the
-#: CSV comment line.
-_FIELDS: dict[str, tuple[type, object]] = {
-    # physical constants block
-    "wavelength_nm": (float, 1550.0),
-    "radius_m": (float, 0.05),
-    "b": (float, 0.5),
-    # design block
-    "design": (str, "C"),
-    "m": (int, 1),
-    "n_v": (float, 100.0),
-    "squeeze_db": (str, None),
-    "n_squeezed": (float, None),
-    # task block
-    "eta": (float, None),
-    "phi": (float, 0.0),
-    "length_km": (float, None),
-    "fix_length_km": (float, None),
-    "time_factor_s": (float, None),
-    "m_max": (int, 64),
-    "samples": (int, 1_000_000),
-    "seed": (int, 1),
-    "figure_id": (str, None),
-    # presentation-only grid defaults (match the standard plots visually)
-    "fig3a_max_photons": (float, 1e6),
-    "fig3a_points": (int, 61),
-    "fig3b_max_length_km": (float, 50.0),
-    "fig3b_points": (int, 199),
-    "fig6_lengths_km": (str, "5,15,30"),
-    "fig6_max_m": (int, 16),
-    "fig7_max_sigma_db": (float, 30.0),
-    "fig7_max_m": (int, 16),
-    # output block
-    "out": (str, None),
-    "format": (str, "csv"),
-}
-
-
 class RunConfig:
     """Resolved settings for one invocation (file values overridden by flags)."""
 
     def __init__(self) -> None:
-        for key, (_, default) in _FIELDS.items():
+        for key, (_, default, *_) in _SETTINGS.items():
             setattr(self, key, default)
 
     def apply(self, key: str, raw: str) -> None:
-        """Set ``key`` from its text, parsed by the field's declared type."""
-        if key not in _FIELDS:
+        """Set ``key`` from its text, parsed by the setting's declared type."""
+        if key not in _SETTINGS:
             raise ConfigError(f"unknown configuration key: {key!r}")
-        setattr(self, key, _parse(key, raw, _FIELDS[key][0]))
+        setattr(self, key, _parse(key, raw))
 
     def resolved_squeezed_photons(self) -> float:
         """Total squeezed photon number from either config route (0 if absent)."""
@@ -111,7 +73,7 @@ class RunConfig:
         if self.n_squeezed is not None:
             return self.n_squeezed
         if self.squeeze_db is not None:
-            return db_to_photons(_parse("squeeze_db", self.squeeze_db, float))
+            return db_to_photons(self.squeeze_db)
         return 0.0
 
     def resolved_eta(self) -> float:
@@ -132,7 +94,7 @@ class RunConfig:
 
     def fig6_lengths(self) -> list[float]:
         try:
-            lengths = [float(tok) for tok in str(self.fig6_lengths_km).split(",") if tok.strip()]
+            lengths = [float(tok) for tok in self.fig6_lengths_km.split(",") if tok.strip()]
         except ValueError:
             raise ConfigError(f"fig6_lengths_km expects comma-separated numbers, got {self.fig6_lengths_km!r}") from None
         if not lengths:
@@ -140,13 +102,19 @@ class RunConfig:
         return lengths
 
 
-def _parse(key: str, raw: str, kind: type) -> object:
-    """``raw`` as the field type ``kind`` (int, float or str)."""
-    try:
-        return kind(raw)
-    except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"configuration key {key!r} expects {expected}, got {raw!r}") from None
+def _parse(key: str, raw: str) -> object:
+    """``raw`` as the declared type of setting ``key``, or one of its allowed values."""
+    kind = _SETTINGS[key][0]
+    if isinstance(kind, tuple):
+        if raw in kind:
+            return raw
+        expected = f"one of {', '.join(kind)}"
+    else:
+        try:
+            return kind(raw)
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+    raise ConfigError(f"configuration key {key!r} expects {expected}, got {raw!r}")
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -175,7 +143,7 @@ def resolve_config(flags: dict[str, str]) -> RunConfig:
     if flags.get("config"):
         for key, raw in load_config_file(flags["config"]).items():
             config.apply(key, raw)
-    for key in _FIELDS:
+    for key in _SETTINGS:
         if key in flags:
             config.apply(key, flags[key])
     DOMAIN.check("m", config.m)
@@ -189,9 +157,7 @@ def resolve_config(flags: dict[str, str]) -> RunConfig:
 def _cell(value: object) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (str, int)):
         return str(value)
     return format_number(float(value))
 
@@ -218,7 +184,7 @@ def _config_comment(config: RunConfig, **extra: object) -> str:
     parts = [f"{key}={value}" for key, value in sorted(extra.items())]
     # Full resolved configuration, minus output routing, so a data file is
     # reproducible from its own comment line.
-    resolved = [f"{key}={getattr(config, key)}" for key in _FIELDS if key != "out"]
+    resolved = [f"{key}={getattr(config, key)}" for key in _SETTINGS if key != "out"]
     return " ".join(["fogsim", *parts, *resolved])
 
 
@@ -266,12 +232,10 @@ def cmd_table1(config: RunConfig) -> None:
     rows = table1_rows(config)
     if config.format == "json":
         records = [dict(zip(header, [row[0]] + [float(v) for v in row[1:]])) for row in rows]
-        _write_output(json.dumps(records, indent=2, sort_keys=True) + "\n", config.out)
+        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
     else:
-        _write_output(
-            render_csv(_config_comment(config, command="table1"), header, rows),
-            config.out,
-        )
+        text = render_csv(_config_comment(config, command="table1"), header, rows)
+    _write_output(text, config.out)
 
 
 # ---------------------------------------------------------------------------
@@ -364,19 +328,20 @@ def figure_6(config: RunConfig) -> tuple[list[str], list[list[object]]]:
         ]
     )
     parametric_lengths = _sweep("length_km", 2.0, 40.0, 77)
+    if config.fig6_max_m < 1:
+        raise ConfigError(f"fig6_max_m must be at least 1, got {config.fig6_max_m}")
     count = max(config.fig6_max_m, len(parametric_lengths))
     rows = []
     for i in range(count):
-        row: list[object] = []
-        if i < config.fig6_max_m:
-            m = i + 1
-            row.append(m)
+        m = i + 1
+        if m <= config.fig6_max_m:
+            row: list[object] = [m]
             for length in lengths:
                 row.append(analytic.variance_vs_length("D", config.b, length, m))
                 row.append(analytic.variance_vs_length("P", config.b, length, m, n_s))
                 row.append(analytic.variance_vs_length("E", config.b, length, m, n_s))
         else:
-            row.extend([None] * (1 + 3 * len(lengths)))
+            row = [None] * (1 + 3 * len(lengths))
         if i < len(parametric_lengths):
             length = parametric_lengths[i]
             d_opt = analytic.optimal_m("D", config.b, length)
@@ -407,6 +372,8 @@ def figure_7(config: RunConfig) -> tuple[list[str], list[list[object]]]:
     """
     length = config.fix_length_km if config.fix_length_km is not None else 15.0
     sigma_grid = _sweep("sigma_db", 0.0, config.fig7_max_sigma_db, 61)
+    if config.fig7_max_m < 1:
+        raise ConfigError(f"fig7_max_m must be at least 1, got {config.fig7_max_m}")
     header = ["sigma_db", "m", "eta", "ratio_s_single", "ratio_p", "ratio_e", "one_minus_eta"]
     eta_single = transmissivity(config.b, length)
     rows = []
@@ -440,9 +407,10 @@ _FIGURE_BUILDERS = {
 
 def cmd_figure(config: RunConfig) -> None:
     """Figure data set as CSV."""
-    figure_id = config.figure_id
-    header, rows = _FIGURE_BUILDERS[figure_id](config)
-    comment = _config_comment(config, command="figure", id=figure_id)
+    if config.figure_id is None:
+        raise ConfigError("figure: flag --id is required")
+    header, rows = _FIGURE_BUILDERS[config.figure_id](config)
+    comment = _config_comment(config, command="figure", id=config.figure_id)
     _write_output(render_csv(comment, header, rows), config.out)
 
 
@@ -486,10 +454,7 @@ def cmd_variance(config: RunConfig) -> None:
 def cmd_ratio(config: RunConfig) -> None:
     """Quantum/classical sensitivity ratios."""
     n_s = config.resolved_squeezed_photons()
-    try:
-        eta: float | None = config.resolved_eta()
-    except ConfigError:
-        eta = None
+    eta = config.resolved_eta() if config.eta is not None or config.length_km is not None else None
     fixed_eta = None if eta is None else analytic.ratio_fixed_eta(n_s, eta)
     optimal_length = analytic.ratio_optimal_length(n_s)
     optimal_m = analytic.ratio_optimal_m(n_s)
@@ -608,6 +573,45 @@ _COMMANDS = {
     "simulate": cmd_simulate,
 }
 
+#: Every setting, in the order of the CSV comment line: its type, or the
+#: tuple of its allowed values; its default; and, for a setting some command
+#: takes as a flag, its help text and its flag when that is not the key with
+#: dashes.  A flag's text is parsed like the same key in a config file.
+_SETTINGS: dict[str, tuple] = {
+    # physical constants block
+    "wavelength_nm": (float, 1550.0, "optical wavelength, nm"),
+    "radius_m": (float, 0.05, "coil radius, m"),
+    "b": (float, 0.5, "fiber loss coefficient, dB/km"),
+    # design block
+    "design": (VARIANTS, "C", "gyroscope design"),
+    "m": (int, 1, "number of interferometers"),
+    "n_v": (float, 100.0, "per-fiber laser photons"),
+    "squeeze_db": (float, None, "squeezing in dB ('inf' allowed)"),
+    "n_squeezed": (float, None, "total squeezed photons"),
+    # task block
+    "eta": (float, None, "transmissivity of each interferometer"),
+    "phi": (float, 0.0, "interferometer phase, rad"),
+    "length_km": (float, None, "total fiber length, km"),
+    "fix_length_km": (float, None, "fixed total fiber length, km", "--fix-length"),
+    "time_factor_s": (float, None, "time factor per interferometer, s", "--t"),
+    "m_max": (int, 64, "largest interferometer count searched"),
+    "samples": (int, 1_000_000),
+    "seed": (int, 1),
+    "figure_id": (tuple(_FIGURE_BUILDERS), None, "figure, required", "--id"),
+    # presentation-only grid defaults (match the standard plots visually)
+    "fig3a_max_photons": (float, 1e6),
+    "fig3a_points": (int, 61),
+    "fig3b_max_length_km": (float, 50.0),
+    "fig3b_points": (int, 199),
+    "fig6_lengths_km": (str, "5,15,30"),
+    "fig6_max_m": (int, 16),
+    "fig7_max_sigma_db": (float, 30.0),
+    "fig7_max_m": (int, 16),
+    # output block
+    "out": (str, None, "output path (default: stdout)"),
+    "format": (("csv", "json"), "csv", "output format"),
+}
+
 #: The RunConfig keys each command reads; each key is one flag of that
 #: command, besides --config and --out.  Config files accept every key.
 COMMAND_SETTINGS = {
@@ -621,34 +625,10 @@ COMMAND_SETTINGS = {
                  "n_squeezed", "eta", "length_km", "phi", "time_factor_s"),
 }
 
-#: Help text of each flag, its spelling when it is not the key with dashes,
-#: its allowed values and whether it must be given.  Flags carry no type:
-#: RunConfig.apply parses their text like a config file's.
-_FLAG_OPTIONS: dict[str, dict] = {
-    "config": {"help": "flat key = value configuration file"},
-    "out": {"help": "output path (default: stdout)"},
-    "b": {"help": "fiber loss coefficient, dB/km"},
-    "wavelength_nm": {"help": "optical wavelength, nm"},
-    "radius_m": {"help": "coil radius, m"},
-    "design": {"help": "gyroscope design", "choices": VARIANTS},
-    "m": {"help": "number of interferometers"},
-    "n_v": {"help": "per-fiber laser photons"},
-    "squeeze_db": {"help": "squeezing in dB ('inf' allowed)"},
-    "n_squeezed": {"help": "total squeezed photons"},
-    "eta": {"help": "transmissivity of each interferometer"},
-    "length_km": {"help": "total fiber length, km"},
-    "phi": {"help": "interferometer phase, rad"},
-    "fix_length_km": {"flag": "--fix-length", "help": "fixed total fiber length, km"},
-    "m_max": {"help": "largest interferometer count searched"},
-    "time_factor_s": {"flag": "--t", "help": "time factor per interferometer, s"},
-    "figure_id": {"flag": "--id", "help": "figure, required", "required": True,
-                  "choices": tuple(_FIGURE_BUILDERS)},
-    "format": {"help": "output format", "choices": ("csv", "json")},
-}
-
 
 def _flag(key: str) -> str:
-    return _FLAG_OPTIONS[key].get("flag", "--" + key.replace("_", "-"))
+    row = _SETTINGS[key]
+    return row[3] if len(row) > 3 else "--" + key.replace("_", "-")
 
 
 def _help(command: str | None) -> str:
@@ -657,11 +637,11 @@ def _help(command: str | None) -> str:
     if command is None:
         lines += [f"  {name:<10}{run.__doc__}" for name, run in _COMMANDS.items()]
     else:
-        lines += [_COMMANDS[command].__doc__, ""]
-        for key in ("config", "out", *COMMAND_SETTINGS[command]):
-            choices = ", ".join(_FLAG_OPTIONS[key].get("choices", ()))
-            text = _FLAG_OPTIONS[key]["help"] + (f" ({choices})" if choices else "")
-            lines.append(f"  {_flag(key):<18}{text}")
+        lines += [_COMMANDS[command].__doc__, "", f"  {'--config':<18}flat key = value configuration file"]
+        for key in ("out", *COMMAND_SETTINGS[command]):
+            kind, _, text, *_ = _SETTINGS[key]
+            choices = f" ({', '.join(kind)})" if isinstance(kind, tuple) else ""
+            lines.append(f"  {_flag(key):<18}{text}{choices}")
         lines.append(f"  {'-h, --help':<18}show this help")
     return "\n".join(lines) + "\n"
 
@@ -678,7 +658,7 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict[str, str] | None]:
         got = f", got {argv[0]!r}" if argv else ""
         raise ConfigError(f"expected a command ({', '.join(_COMMANDS)}){got}")
     command, tokens = argv[0], iter(argv[1:])
-    keys = {_flag(key): key for key in ("config", "out", *COMMAND_SETTINGS[command])}
+    keys = {"--config": "config", **{_flag(key): key for key in ("out", *COMMAND_SETTINGS[command])}}
     flags: dict[str, str] = {}
     for token in tokens:
         if token in ("-h", "--help"):
@@ -690,13 +670,7 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict[str, str] | None]:
             value = next(tokens, None)
             if value is None or value.startswith("--"):
                 raise ConfigError(f"{command}: flag {flag} expects a value")
-        choices = _FLAG_OPTIONS[keys[flag]].get("choices")
-        if choices and value not in choices:
-            raise ConfigError(f"{command}: {flag} takes one of {', '.join(choices)}, got {value!r}")
         flags[keys[flag]] = value
-    for flag, key in keys.items():
-        if _FLAG_OPTIONS[key].get("required") and key not in flags:
-            raise ConfigError(f"{command}: flag {flag} is required")
     return command, flags
 
 

@@ -116,9 +116,9 @@ def _input_modes(config: DesignConfig) -> list[GaussianState]:
     laser = [coherent_state(config.amplitude, 0.0)] + [vacuum] * (m - 1)
     dark = [vacuum] * m
     if config.variant in ("S", "E"):
-        dark[0] = squeezed_vacuum(config.n_squeezed, "im")
+        dark[0] = squeezed_vacuum(config.n_squeezed)
     elif config.variant == "P":
-        dark = [squeezed_vacuum(config.per_port_squeezed, "im")] * m
+        dark = [squeezed_vacuum(config.per_port_squeezed)] * m
     return laser + dark
 
 

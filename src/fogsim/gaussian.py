@@ -132,8 +132,8 @@ def coherent_state(alpha_re: float, alpha_im: float) -> GaussianState:
     return GaussianState((alpha_re, alpha_im), _VACUUM_COV)
 
 
-def squeezed_vacuum(n_s: float, squeeze_axis: str = "im") -> GaussianState:
-    """Squeezed vacuum with mean photon number ``n_s``.
+def squeezed_vacuum(n_s: float) -> GaussianState:
+    """Squeezed vacuum with mean photon number ``n_s``, squeezed in the Im quadrature.
 
     The squeezed-axis variance is (mu - nu)^2 / 4 and the conjugate axis
     carries (mu + nu)^2 / 4, with nu = sqrt(n_s) and mu = sqrt(1 + n_s); their
@@ -143,17 +143,13 @@ def squeezed_vacuum(n_s: float, squeeze_axis: str = "im") -> GaussianState:
     lost with it, and the photon number is rejected as overflowing.
     """
     DOMAIN.check("n_squeezed", n_s)
-    if squeeze_axis not in ("re", "im"):
-        raise ValueError(f"squeeze_axis must be 're' or 'im', got {squeeze_axis!r}")
     spread = math.sqrt(1.0 + n_s) + math.sqrt(n_s)
     inverse_squeezed = 4.0 * (spread * spread)
     if not inverse_squeezed < math.inf:
         raise ValueError(
             f"squeezed photon number {n_s:.6g} overflows the squeezed-vacuum variances"
         )
-    squeezed, anti = 1.0 / inverse_squeezed, spread * spread / 4.0
-    re, im = (squeezed, anti) if squeeze_axis == "re" else (anti, squeezed)
-    return GaussianState((0.0, 0.0), ((re, 0.0), (0.0, im)))
+    return GaussianState((0.0, 0.0), ((spread * spread / 4.0, 0.0), (0.0, 1.0 / inverse_squeezed)))
 
 
 def _phase_block(c: float, s: float) -> Matrix:

@@ -310,7 +310,21 @@ class TestFigures:
         assert "param_m_e" in header
 
     def test_unknown_id_rejected(self, capsys):
-        assert_usage_error(run(capsys, "figure", "--id", "9"), "figure:", "--id", "'9'")
+        assert_usage_error(run(capsys, "figure", "--id", "9"), "'figure_id'", "3a, 3b, 5, 6, 7", "'9'")
+
+    @pytest.mark.parametrize("key, figure_id", [("fig6_max_m", "6"), ("fig7_max_m", "7")])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_named(self, capsys, tmp_path, key, figure_id, count):
+        config = tmp_path / "count.cfg"
+        config.write_text(f"{key} = {count}\n")
+        assert run(capsys, "figure", "--id", figure_id, "--config", str(config)) == (
+            2, "", f"fogsim: error: {key} must be at least 1, got {count}\n")
+
+    def test_id_from_a_config_file(self, capsys, tmp_path):
+        config = tmp_path / "figure.cfg"
+        config.write_text("figure_id = 5\n")
+        from_file = run(capsys, "figure", "--config", str(config))
+        assert from_file[0] == 0 and from_file == run(capsys, "figure", "--id", "5")
 
     def test_determinism_and_number_format(self, capsys, tmp_path):
         first = tmp_path / "a.csv"
@@ -373,7 +387,7 @@ class TestConfigFile:
 
 class TestExitCodes:
     def test_invalid_design_value_is_usage_error(self, capsys):
-        assert_usage_error(run(capsys, "variance", "--design", "Q"), "variance:", "--design", "'Q'")
+        assert_usage_error(run(capsys, "variance", "--design", "Q"), "'design'", "C, S, D, P, E", "'Q'")
 
     def test_convergence_error_maps_to_three(self, capsys, monkeypatch):
         from fogsim.optimize import ConvergenceError
@@ -597,7 +611,7 @@ class TestFlags:
             (("variance", "--eta"), "variance: flag --eta expects a value"),
             (("variance", "--eta", "--m", "2"), "variance: flag --eta expects a value"),
             (("variance", "0.9"), "variance: unknown flag '0.9'"),
-            (("table1", "--format", "xml"), "table1: --format takes one of csv, json, got 'xml'"),
+            (("table1", "--format", "xml"), "configuration key 'format' expects one of csv, json, got 'xml'"),
             (("figure", "--b", "0.5"), "figure: flag --id is required"),
         ],
         ids=repr,
@@ -609,8 +623,9 @@ class TestFlags:
     def test_help_lists_each_flag_with_its_text(self, capsys, command):
         code, out, err = run(capsys, command, "--help")
         assert (code, err) == (0, "")
-        for key in ("config", "out", *cli.COMMAND_SETTINGS[command]):
-            text = re.escape(cli._FLAG_OPTIONS[key]["help"])
+        assert re.search(r"^  --config +flat key = value configuration file$", out, re.M)
+        for key in ("out", *cli.COMMAND_SETTINGS[command]):
+            text = re.escape(cli._SETTINGS[key][2])
             assert re.search(rf"^  {cli._flag(key)} +{text}", out, re.M), key
         assert run(capsys, command, "-h", "--design", "Q") == (0, out, "")
 
@@ -619,12 +634,21 @@ class TestFlags:
         assert (code, err) == (0, "")
         assert re.findall(r"^  (\w+) ", out, re.M) == list(cli.COMMAND_SETTINGS)
 
-    def test_flag_and_file_parse_alike(self, capsys, tmp_path):
-        config = tmp_path / "m.cfg"
-        config.write_text("m = four\n")
-        expected = (2, "", "fogsim: error: configuration key 'm' expects an integer, got 'four'\n")
-        assert run(capsys, "variance", "--m", "four") == expected
-        assert run(capsys, "variance", "--config", str(config)) == expected
+    @pytest.mark.parametrize(
+        "command, key, flag, value, expected",
+        [
+            ("variance", "m", "--m", "four", "an integer"),
+            ("variance", "design", "--design", "Q", "one of C, S, D, P, E"),
+            ("table1", "format", "--format", "xml", "one of csv, json"),
+            ("figure", "figure_id", "--id", "9", "one of 3a, 3b, 5, 6, 7"),
+        ],
+    )
+    def test_flag_and_file_parse_alike(self, capsys, tmp_path, command, key, flag, value, expected):
+        config = tmp_path / "setting.cfg"
+        config.write_text(f"{key} = {value}\n")
+        rejection = (2, "", f"fogsim: error: configuration key {key!r} expects {expected}, got {value!r}\n")
+        assert run(capsys, command, flag, value) == rejection
+        assert run(capsys, command, "--config", str(config)) == rejection
 
     @pytest.mark.parametrize(
         "line",
@@ -662,6 +686,21 @@ def test_readme_domain_table_matches_the_code():
             assert flags and flags <= command_flags(command), (key, command)
 
 
+def test_readme_settings_table_matches_the_code():
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \| ([^|]+) \|$", README.read_text(), re.MULTILINE)
+    assert [row[0] for row in rows] == list(cli._SETTINGS)
+    # A setting has help text and a flag exactly when some command takes it as a flag.
+    flagged = {key for key, row in cli._SETTINGS.items() if len(row) > 2}
+    assert flagged == {"out"}.union(*cli.COMMAND_SETTINGS.values())
+    names = {int: "integer", float: "number", str: "text"}
+    for key, value, default, flag in rows:
+        kind, expected_default, *help_and_flag = cli._SETTINGS[key]
+        expected_value = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else names[kind]
+        assert value == expected_value, key
+        assert default == ("—" if expected_default is None else str(expected_default)), key
+        assert flag == (f"`{cli._flag(key)}`" if help_and_flag else "—"), key
+
+
 def _numbers(typical):
     """The typical value half of the time, else an edge of the float range."""
     edges = ("0", "-1", "1e-320", "1e-12", "1e6", "1e300", "inf", "-inf", "nan")
@@ -691,8 +730,9 @@ FLAG_VALUES = {
 }
 
 
-#: Flags whose value must be one of a fixed set, and values outside every set.
-CHOICE_FLAGS = ("--design", "--id", "--format")
+#: Flags whose value must be one of a fixed set, with their keys, and values
+#: outside every set.
+CHOICE_FLAGS = {"--design": "design", "--id": "figure_id", "--format": "format"}
 BAD_CHOICES = ("Q", "c", "", "CSV", "4")
 
 #: What a request may get wrong in its flags, on top of its drawn values.
@@ -754,7 +794,8 @@ class TestWholeInputSpace:
         elif defect == "value outside choices" and choice_flags:
             flag = data.draw(st.sampled_from(choice_flags), label="choice flag")
             bad = data.draw(st.sampled_from(BAD_CHOICES), label="bad choice")
-            assert_usage_error(run_in_process([*argv, flag, bad]), f"{command}: {flag} takes one of")
+            assert_usage_error(run_in_process([*argv, flag, bad]),
+                               f"configuration key {CHOICE_FLAGS[flag]!r} expects one of")
 
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -790,6 +831,13 @@ class TestRunConfig:
             config.apply("m", "four")
         with pytest.raises(cli.ConfigError):
             config.apply("eta", "half")
+
+    def test_squeeze_db_is_parsed_once_as_a_number(self):
+        config = RunConfig()
+        config.apply("squeeze_db", "inf")
+        assert config.squeeze_db == math.inf
+        with pytest.raises(cli.ConfigError, match="'squeeze_db' expects a number"):
+            config.apply("squeeze_db", "ten")
 
     def test_fig6_lengths_parsing(self):
         config = RunConfig()
