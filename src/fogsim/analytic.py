@@ -243,7 +243,15 @@ def variance_vs_length(
     DOMAIN.check("b_optimum", b)
     DOMAIN.check("length_optimum", length_km)
     quantum = _quantum_term(variant, n_squeezed, m)
-    inverse_eta = math.exp(b * LN10 / 10.0 * length_km / m)
+    try:
+        inverse_eta = math.exp(b * LN10 / 10.0 * length_km / m)
+    except OverflowError:
+        # M is left out of the message: inside the count optimizers it is a
+        # trial value the caller never gave.
+        raise ValueError(
+            f"loss coefficient {b} dB/km and fiber length {length_km} km put the "
+            "variance out of floating-point range"
+        ) from None
     return m * (quantum - 1.0 + inverse_eta) / length_km**2
 
 
@@ -308,11 +316,18 @@ def optimal_length(
     DOMAIN.check_design(variant, m, n_squeezed)
     if variant in ("C", "D"):
         length = 20.0 / (LN10 * b)
-        variance = math.e**2 * LN10**2 * b**2 / 400.0
+        factor, divisor = math.e**2 * LN10**2, 400.0
     else:
         lam = length_exponent(n_squeezed, m if variant == "P" else 1)
         length = 10.0 * (2.0 + lam) / (LN10 * b)
-        variance = math.exp(2.0 + lam) * LN10**2 * b**2 / (200.0 * (2.0 + lam))
+        factor, divisor = math.exp(2.0 + lam) * LN10**2, 200.0 * (2.0 + lam)
+    try:
+        variance = factor * b**2 / divisor
+    except OverflowError:
+        raise ValueError(
+            f"loss coefficient {b} dB/km puts the variance out of floating-point "
+            f"range (optimal fiber length {length} km per interferometer)"
+        ) from None
     if variant in ("D", "P", "E"):
         length *= m
         variance /= m

@@ -25,6 +25,8 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Sequence
+from itertools import zip_longest
 
 from . import analytic, designs, optimize
 from .sagnac import DOMAIN, VARIANTS, db_to_photons, time_factor, transmissivity
@@ -99,6 +101,16 @@ class RunConfig:
             raise ConfigError(f"fig6_lengths_km expects comma-separated numbers, got {self.fig6_lengths_km!r}") from None
         if not lengths:
             raise ConfigError("fig6_lengths_km must list at least one length")
+        # Figure 6 names its columns by each length to 6 significant digits.
+        named: dict[str, float] = {}
+        for length in lengths:
+            tag = f"{length:g}km"
+            if tag in named:
+                raise ConfigError(
+                    f"fig6_lengths_km gives {named[tag]!r} and {length!r} the same "
+                    f"column name design_d_{tag}"
+                )
+            named[tag] = length
         return lengths
 
 
@@ -151,8 +163,18 @@ def resolve_config(flags: dict[str, str]) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# CSV assembly
+# Document layout
 # ---------------------------------------------------------------------------
+
+#: A table or figure: column name -> values, in header order.  Columns may
+#: differ in length; a shorter one ends in blank cells.
+Columns = dict[str, Sequence[object]]
+
+
+def _rows(columns: Columns) -> zip_longest:
+    """The rows of ``columns``, with None where a shorter column has ended."""
+    return zip_longest(*columns.values())
+
 
 def _cell(value: object) -> str:
     if value is None:
@@ -162,10 +184,10 @@ def _cell(value: object) -> str:
     return format_number(float(value))
 
 
-def render_csv(comment: str, header: list[str], rows: list[list[object]]) -> str:
+def render_csv(comment: str, columns: Columns) -> str:
     """Deterministic CSV: comment line, header, then 12-significant-digit rows."""
-    lines = [f"# {comment}", ",".join(header)]
-    lines.extend(",".join(_cell(value) for value in row) for row in rows)
+    lines = [f"# {comment}", ",".join(columns)]
+    lines.extend(",".join(_cell(value) for value in row) for row in _rows(columns))
     return "\n".join(lines) + "\n"
 
 
@@ -192,100 +214,84 @@ def _config_comment(config: RunConfig, **extra: object) -> str:
 # Improvement table
 # ---------------------------------------------------------------------------
 
-def table1_rows(config: RunConfig) -> list[list[object]]:
+def table1_columns(config: RunConfig) -> Columns:
     """Analytic and numeric inverse sensitivity ratios at the table squeezings."""
     fixed_length = config.fix_length_km if config.fix_length_km is not None else 15.0
-    rows: list[list[object]] = []
-    for sigma in TABLE_SIGMAS_DB:
+
+    def improvements(sigma: float) -> tuple[float, float, float, float]:
         n_s = db_to_photons(sigma)
-        length_analytic = 1.0 / analytic.ratio_optimal_length(n_s)
-        length_numeric = 1.0 / optimize.numeric_ratio_optimal_length(n_s, b=config.b)
-        count_analytic = 1.0 / analytic.ratio_optimal_m(n_s)
-        count_numeric = 1.0 / optimize.numeric_ratio_optimal_m(
-            n_s, b=config.b, length_km=fixed_length
+        return (
+            1.0 / analytic.ratio_optimal_length(n_s),
+            1.0 / optimize.numeric_ratio_optimal_length(n_s, b=config.b),
+            1.0 / analytic.ratio_optimal_m(n_s),
+            1.0 / optimize.numeric_ratio_optimal_m(n_s, b=config.b, length_km=fixed_length),
         )
-        rows.append(
-            [
-                "inf" if math.isinf(sigma) else format_number(sigma),
-                length_analytic,
-                length_numeric,
-                abs(length_analytic - length_numeric),
-                count_analytic,
-                count_numeric,
-                abs(count_analytic - count_numeric),
-            ]
-        )
-    return rows
+
+    length_analytic, length_numeric, count_analytic, count_numeric = zip(
+        *map(improvements, TABLE_SIGMAS_DB)
+    )
+    return {
+        # Text, so that JSON records "inf" rather than a non-finite number.
+        "sigma_db": [format_number(sigma) for sigma in TABLE_SIGMAS_DB],
+        "improvement_length_opt_analytic": length_analytic,
+        "improvement_length_opt_numeric": length_numeric,
+        "improvement_length_opt_absdiff": [
+            abs(a - n) for a, n in zip(length_analytic, length_numeric)
+        ],
+        "improvement_m_opt_analytic": count_analytic,
+        "improvement_m_opt_numeric": count_numeric,
+        "improvement_m_opt_absdiff": [abs(a - n) for a, n in zip(count_analytic, count_numeric)],
+    }
 
 
 def cmd_table1(config: RunConfig) -> None:
     """Constant-factor improvement table."""
-    header = [
-        "sigma_db",
-        "improvement_length_opt_analytic",
-        "improvement_length_opt_numeric",
-        "improvement_length_opt_absdiff",
-        "improvement_m_opt_analytic",
-        "improvement_m_opt_numeric",
-        "improvement_m_opt_absdiff",
-    ]
-    rows = table1_rows(config)
+    columns = table1_columns(config)
     if config.format == "json":
-        records = [dict(zip(header, [row[0]] + [float(v) for v in row[1:]])) for row in rows]
-        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        _emit_json([dict(zip(columns, row)) for row in _rows(columns)], config.out)
     else:
-        text = render_csv(_config_comment(config, command="table1"), header, rows)
-    _write_output(text, config.out)
+        _write_output(render_csv(_config_comment(config, command="table1"), columns), config.out)
 
 
 # ---------------------------------------------------------------------------
 # Figure data sets
 # ---------------------------------------------------------------------------
 
-def figure_3a(config: RunConfig) -> tuple[list[str], list[list[object]]]:
+def figure_3a(config: RunConfig) -> Columns:
     """Energy-split-optimized variance against total photons, per transmissivity."""
-    etas = (1.0, 0.9, 0.99, 0.999)
-    header = ["n_photons"]
-    for eta in etas:
-        header.extend([f"classical_eta_{eta}", f"squeezed_eta_{eta}"])
-    rows = []
-    for n in _sweep("n_photons", 1.0, config.fig3a_max_photons, config.fig3a_points, log=True):
-        row: list[object] = [n]
-        for eta in etas:
-            row.append(analytic.classical_variance(1.0, eta, n))
-            row.append(analytic.optimal_energy_split(n, eta).variance)
-        rows.append(row)
-    return header, rows
+    photons = _sweep("n_photons", 1.0, config.fig3a_max_photons, config.fig3a_points, log=True)
+    columns: Columns = {"n_photons": photons}
+    for eta in (1.0, 0.9, 0.99, 0.999):
+        columns[f"classical_eta_{eta}"] = [
+            analytic.classical_variance(1.0, eta, n) for n in photons
+        ]
+        columns[f"squeezed_eta_{eta}"] = [
+            analytic.optimal_energy_split(n, eta).variance for n in photons
+        ]
+    return columns
 
 
-def figure_3b(config: RunConfig) -> tuple[list[str], list[list[object]]]:
+def figure_3b(config: RunConfig) -> Columns:
     """Normalized variance against fiber length, plus the optimized parametric curve."""
-    sigmas = (5.0, 10.0, 15.0, math.inf)
-    header = ["length_km", "classical"]
-    header.extend(
-        "squeezed_infdb" if math.isinf(s) else f"squeezed_{s:g}db" for s in sigmas
-    )
-    header.extend(["param_sigma_db", "param_length_km", "param_variance"])
     lengths = _sweep("length_km", 0.5, config.fig3b_max_length_km, config.fig3b_points)
+    columns: Columns = {
+        "length_km": lengths,
+        "classical": [analytic.variance_vs_length("C", config.b, length) for length in lengths],
+    }
+    for sigma in (5.0, 10.0, 15.0, math.inf):
+        columns[f"squeezed_{sigma:g}db"] = [
+            analytic.variance_vs_length("S", config.b, length, 1, db_to_photons(sigma))
+            for length in lengths
+        ]
     parametric = _sweep("sigma_db", 0.0, 40.0, 81)
-    rows = []
-    for i, length in enumerate(lengths):
-        row: list[object] = [length, analytic.variance_vs_length("C", config.b, length)]
-        for sigma in sigmas:
-            row.append(
-                analytic.variance_vs_length("S", config.b, length, 1, db_to_photons(sigma))
-            )
-        if i < len(parametric):
-            sigma = parametric[i]
-            optimum = analytic.optimal_length("S", config.b, db_to_photons(sigma))
-            row.extend([sigma, optimum.length_km, optimum.variance_normalized])
-        else:
-            row.extend([None, None, None])
-        rows.append(row)
-    return header, rows
+    optima = [analytic.optimal_length("S", config.b, db_to_photons(sigma)) for sigma in parametric]
+    columns["param_sigma_db"] = parametric
+    columns["param_length_km"] = [optimum.length_km for optimum in optima]
+    columns["param_variance"] = [optimum.variance_normalized for optimum in optima]
+    return columns
 
 
-def figure_5(config: RunConfig) -> tuple[list[str], list[list[object]]]:
+def figure_5(config: RunConfig) -> Columns:
     """Length-optimized normalized variance of the distributed designs.
 
     The product design appears twice: with the total squeezed energy fixed
@@ -293,107 +299,85 @@ def figure_5(config: RunConfig) -> tuple[list[str], list[list[object]]]:
     per interferometer (which reproduces the entangled design exactly).
     """
     n_s = db_to_photons(10.0)
-    header = ["m", "design_d", "design_p_shared_source", "design_p_per_mode", "design_e"]
-    rows: list[list[object]] = []
-    for m in (1, 2, 4, 8, 16):
-        rows.append(
-            [
-                m,
-                analytic.optimal_length("D", config.b, 0.0, m).variance_normalized,
-                analytic.optimal_length("P", config.b, n_s, m).variance_normalized,
-                analytic.optimal_length("P", config.b, m * n_s, m).variance_normalized,
-                analytic.optimal_length("E", config.b, n_s, m).variance_normalized,
-            ]
-        )
-    return header, rows
+    counts = (1, 2, 4, 8, 16)
+
+    def variance(variant: str, n_squeezed: float, m: int) -> float:
+        return analytic.optimal_length(variant, config.b, n_squeezed, m).variance_normalized
+
+    return {
+        "m": counts,
+        "design_d": [variance("D", 0.0, m) for m in counts],
+        "design_p_shared_source": [variance("P", n_s, m) for m in counts],
+        "design_p_per_mode": [variance("P", m * n_s, m) for m in counts],
+        "design_e": [variance("E", n_s, m) for m in counts],
+    }
 
 
-def figure_6(config: RunConfig) -> tuple[list[str], list[list[object]]]:
+def figure_6(config: RunConfig) -> Columns:
     """Fixed-length variance profiles against the interferometer count."""
     n_s = db_to_photons(10.0)
     lengths = config.fig6_lengths()
-    header = ["m"]
-    for length in lengths:
-        tag = f"{length:g}km"
-        header.extend([f"design_d_{tag}", f"design_p_{tag}", f"design_e_{tag}"])
-    header.extend(
-        [
-            "param_length_km",
-            "param_m_d",
-            "param_var_d",
-            "param_m_p",
-            "param_var_p",
-            "param_m_e",
-            "param_var_e",
-        ]
-    )
     parametric_lengths = _sweep("length_km", 2.0, 40.0, 77)
     if config.fig6_max_m < 1:
         raise ConfigError(f"fig6_max_m must be at least 1, got {config.fig6_max_m}")
-    count = max(config.fig6_max_m, len(parametric_lengths))
-    rows = []
-    for i in range(count):
-        m = i + 1
-        if m <= config.fig6_max_m:
-            row: list[object] = [m]
-            for length in lengths:
-                row.append(analytic.variance_vs_length("D", config.b, length, m))
-                row.append(analytic.variance_vs_length("P", config.b, length, m, n_s))
-                row.append(analytic.variance_vs_length("E", config.b, length, m, n_s))
-        else:
-            row = [None] * (1 + 3 * len(lengths))
-        if i < len(parametric_lengths):
-            length = parametric_lengths[i]
-            d_opt = analytic.optimal_m("D", config.b, length)
-            e_opt = analytic.optimal_m("E", config.b, length, n_s)
-            p_opt = optimize.optimize_m_continuous("P", config.b, length, n_s, m_hi=1e4)
-            row.extend(
-                [
-                    length,
-                    d_opt.continuous,
-                    d_opt.variance_continuous,
-                    p_opt.x,
-                    p_opt.value,
-                    e_opt.continuous,
-                    e_opt.variance_continuous,
-                ]
-            )
-        else:
-            row.extend([None] * 7)
-        rows.append(row)
-    return header, rows
+    counts = range(1, config.fig6_max_m + 1)
+    columns: Columns = {"m": counts}
+    for length in lengths:
+        for variant, n_squeezed in (("D", 0.0), ("P", n_s), ("E", n_s)):
+            columns[f"design_{variant.lower()}_{length:g}km"] = [
+                analytic.variance_vs_length(variant, config.b, length, m, n_squeezed)
+                for m in counts
+            ]
+    d_opt = [analytic.optimal_m("D", config.b, length) for length in parametric_lengths]
+    e_opt = [analytic.optimal_m("E", config.b, length, n_s) for length in parametric_lengths]
+    p_opt = [
+        optimize.optimize_m_continuous("P", config.b, length, n_s, m_hi=1e4)
+        for length in parametric_lengths
+    ]
+    columns.update(
+        {
+            "param_length_km": parametric_lengths,
+            "param_m_d": [optimum.continuous for optimum in d_opt],
+            "param_var_d": [optimum.variance_continuous for optimum in d_opt],
+            "param_m_p": [optimum.x for optimum in p_opt],
+            "param_var_p": [optimum.value for optimum in p_opt],
+            "param_m_e": [optimum.continuous for optimum in e_opt],
+            "param_var_e": [optimum.variance_continuous for optimum in e_opt],
+        }
+    )
+    return columns
 
 
-def figure_7(config: RunConfig) -> tuple[list[str], list[list[object]]]:
+def figure_7(config: RunConfig) -> Columns:
     """Sensitivity-ratio surfaces over squeezing and interferometer count.
 
     Fixed total length (default 15 km): the per-coil transmissivity improves
-    with the count, and every ratio is floored by 1 - eta.
+    with the count, and every ratio is floored by 1 - eta.  One row per
+    (squeezing, count) pair, the count varying fastest.
     """
     length = config.fix_length_km if config.fix_length_km is not None else 15.0
-    sigma_grid = _sweep("sigma_db", 0.0, config.fig7_max_sigma_db, 61)
+    sigmas = _sweep("sigma_db", 0.0, config.fig7_max_sigma_db, 61)
     if config.fig7_max_m < 1:
         raise ConfigError(f"fig7_max_m must be at least 1, got {config.fig7_max_m}")
-    header = ["sigma_db", "m", "eta", "ratio_s_single", "ratio_p", "ratio_e", "one_minus_eta"]
+    counts = range(1, config.fig7_max_m + 1)
     eta_single = transmissivity(config.b, length)
-    rows = []
-    for sigma in sigma_grid:
-        n_s = db_to_photons(sigma)
-        ratio_single = analytic.ratio_fixed_eta(n_s, eta_single)
-        for m in range(1, config.fig7_max_m + 1):
-            eta = transmissivity(config.b, length / m)
-            rows.append(
-                [
-                    sigma,
-                    m,
-                    eta,
-                    ratio_single,
-                    analytic.ratio_product_fixed_eta(n_s, eta, m),
-                    analytic.ratio_fixed_eta(n_s, eta),
-                    1.0 - eta,
-                ]
-            )
-    return header, rows
+    etas = [transmissivity(config.b, length / m) for m in counts]
+    photons = [db_to_photons(sigma) for sigma in sigmas]
+    ratio_single = [analytic.ratio_fixed_eta(n_s, eta_single) for n_s in photons]
+    grid = [
+        (sigma, n_s, single, m, eta)
+        for sigma, n_s, single in zip(sigmas, photons, ratio_single)
+        for m, eta in zip(counts, etas)
+    ]
+    return {
+        "sigma_db": [sigma for sigma, _, _, _, _ in grid],
+        "m": [m for _, _, _, m, _ in grid],
+        "eta": [eta for _, _, _, _, eta in grid],
+        "ratio_s_single": [single for _, _, single, _, _ in grid],
+        "ratio_p": [analytic.ratio_product_fixed_eta(n_s, eta, m) for _, n_s, _, m, eta in grid],
+        "ratio_e": [analytic.ratio_fixed_eta(n_s, eta) for _, n_s, _, _, eta in grid],
+        "one_minus_eta": [1.0 - eta for _, _, _, _, eta in grid],
+    }
 
 
 _FIGURE_BUILDERS = {
@@ -409,22 +393,24 @@ def cmd_figure(config: RunConfig) -> None:
     """Figure data set as CSV."""
     if config.figure_id is None:
         raise ConfigError("figure: flag --id is required")
-    header, rows = _FIGURE_BUILDERS[config.figure_id](config)
+    columns = _FIGURE_BUILDERS[config.figure_id](config)
     comment = _config_comment(config, command="figure", id=config.figure_id)
-    _write_output(render_csv(comment, header, rows), config.out)
+    _write_output(render_csv(comment, columns), config.out)
 
 
 # ---------------------------------------------------------------------------
 # Single-point JSON commands
 # ---------------------------------------------------------------------------
 
-def _emit_json(record: dict, out: str | None) -> None:
-    """Strict JSON: a non-finite number is an error, never NaN or Infinity."""
+def _emit_json(record: dict | list[dict], out: str | None) -> None:
+    """Strict JSON of one record or a list of them: a non-finite number is an
+    error naming its key, never NaN or Infinity."""
     try:
         text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
-        bad = sorted(key for key, value in record.items()
-                     if isinstance(value, float) and not math.isfinite(value))
+        records = record if isinstance(record, list) else [record]
+        bad = sorted({key for entry in records for key, value in entry.items()
+                      if isinstance(value, float) and not math.isfinite(value)})
         raise ValueError(f"non-finite result: {', '.join(bad)}") from None
     _write_output(text + "\n", out)
 

@@ -88,6 +88,11 @@ class TestTable:
         assert len(records) == 5
         assert records[1]["improvement_m_opt_analytic"] == pytest.approx(1.837, abs=1e-3)
 
+    def test_json_names_a_non_finite_column(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.optimize, "numeric_ratio_optimal_m", lambda *args, **kwargs: math.nan)
+        assert_usage_error(run(capsys, "table1", "--format", "json"),
+                           "non-finite result", "improvement_m_opt_numeric")
+
 
 class TestVariance:
     def test_classical_example(self, capsys):
@@ -326,6 +331,52 @@ class TestFigures:
         from_file = run(capsys, "figure", "--config", str(config))
         assert from_file[0] == 0 and from_file == run(capsys, "figure", "--id", "5")
 
+    @staticmethod
+    def figure_from_file(capsys, tmp_path, figure_id, text):
+        config = tmp_path / "figure.cfg"
+        config.write_text(text)
+        return run(capsys, "figure", "--id", figure_id, "--config", str(config))
+
+    def test_short_grid_keeps_the_whole_parametric_curve(self, capsys, tmp_path):
+        code, out, _ = self.figure_from_file(capsys, tmp_path, "3b", "fig3b_points = 10\n")
+        assert code == 0
+        header, rows = parse_csv(out)
+        split = header.index("param_sigma_db")
+        assert len(rows) == 81
+        assert all(cell for row in rows[:10] for cell in row[:split])
+        assert all(cell == "" for row in rows[10:] for cell in row[:split])
+        assert all(cell for row in rows for cell in row[split:])
+
+    def test_long_profiles_pad_the_parametric_optimum(self, capsys, tmp_path):
+        code, out, _ = self.figure_from_file(capsys, tmp_path, "6", "fig6_max_m = 100\n")
+        assert code == 0
+        header, rows = parse_csv(out)
+        split = header.index("param_length_km")
+        assert [row[0] for row in rows] == [str(m) for m in range(1, 101)]
+        assert all(cell for row in rows for cell in row[:split])
+        assert all(cell for row in rows[:77] for cell in row[split:])
+        assert all(cell == "" for row in rows[77:] for cell in row[split:])
+
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            ("5,15,5.0", "gives 5.0 and 5.0 the same column name design_d_5km"),
+            ("1,1.0000001", "gives 1.0 and 1.0000001 the same column name design_d_1km"),
+        ],
+    )
+    def test_lengths_sharing_a_column_name_are_named(self, capsys, tmp_path, lengths, message):
+        text = f"fig6_lengths_km = {lengths}\n"
+        assert self.figure_from_file(capsys, tmp_path, "6", text) == (
+            2, "", f"fogsim: error: fig6_lengths_km {message}\n")
+
+    def test_format_key_leaves_figure_as_csv(self, capsys, tmp_path):
+        # Config files are shared across commands, and a command ignores
+        # the keys it does not read; the comment line still records them.
+        code, out, err = self.figure_from_file(capsys, tmp_path, "5", "format = json\n")
+        comment, body = out.split("\n", 1)
+        assert (code, err) == (0, "") and "format=json" in comment
+        assert body == run(capsys, "figure", "--id", "5")[1].split("\n", 1)[1]
+
     def test_determinism_and_number_format(self, capsys, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
@@ -455,6 +506,30 @@ class TestExitCodes:
         ],
     )
     def test_bad_fiber_input_is_named(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"fogsim: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("optimize", "--design", "S", "--b", "1e300", "--squeeze-db", "10"),
+             "loss coefficient 1e+300 dB/km puts the variance out of floating-point range "
+             "(optimal fiber length 7.194417910018017e-300 km per interferometer)"),
+            (("optimize", "--design", "D", "--m", "4", "--b", "1e300"),
+             "loss coefficient 1e+300 dB/km puts the variance out of floating-point range "
+             "(optimal fiber length 8.685889638065034e-300 km per interferometer)"),
+            (("figure", "--id", "6", "--b", "1e300"),
+             "loss coefficient 1e+300 dB/km and fiber length 5.0 km put the variance "
+             "out of floating-point range"),
+            (("optimize", "--design", "D", "--fix-length", "1e-12", "--b", "1e300"),
+             "loss coefficient 1e+300 dB/km and fiber length 1e-12 km put the variance "
+             "out of floating-point range"),
+            (("optimize", "--design", "E", "--fix-length", "1e6", "--squeeze-db", "10"),
+             "loss coefficient 0.5 dB/km and fiber length 1000000.0 km put the variance "
+             "out of floating-point range"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_loss_is_named(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"fogsim: error: {message}\n")
 
     @pytest.mark.parametrize(

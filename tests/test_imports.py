@@ -8,6 +8,7 @@ private names."""
 import ast
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -74,6 +75,27 @@ def test_cli_import_loads_every_layer_and_no_argument_parser():
     assert json.loads(result.stdout) == [
         f"fogsim.{layer}" for layer in ("analytic", "cli", "designs", "gaussian", "optimize", "sagnac")
     ]
+
+
+def test_benchmark_tracer_wraps_the_names_it_expects():
+    """The benchmark's tracer wraps ``cli.render_csv``, ``designs._run_circuit``
+    and every layer's public functions by name, and rebuilds a ScalarProblem
+    with ``dataclasses.replace``; a rename fails here, not only there."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["figure", "--id", "5"]) == 0
+            assert cli.main(["optimize", "--design", "S", "--squeeze-db", "10"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["cli.render_csv.bytes"] > 0
+    assert tracer.counters["optimize.minimize_scalar.evals"] > 0
+    assert dataclasses.is_dataclass(optimize.ScalarProblem)
 
 
 def test_scalar_problem_is_the_only_dataclass():
