@@ -256,21 +256,24 @@ def variance_vs_length(
 
 
 # ---------------------------------------------------------------------------
-# Optimal energy split between laser and squeezer
+# Optima
 # ---------------------------------------------------------------------------
 
-#: Optimal allocation of a fixed photon budget between laser and squeezer.
-EnergySplit = namedtuple("EnergySplit", ("n_squeezed", "variance"))
+#: A minimum ``value`` at ``x``, from a closed form (``iterations`` 0) or from
+#: the golden-section search of :mod:`fogsim.optimize`, which counts its
+#: contractions.
+Optimum = namedtuple("Optimum", ("x", "value", "iterations"), defaults=(0,))
 
 
 def optimal_energy_split(
     n_total: float, eta: float, time_factor_s: float = 1.0
-) -> EnergySplit:
+) -> Optimum:
     """Minimize the squeezed-design variance over the laser/squeezer split.
 
-    With z = sqrt(1 + 4 eta (1 - eta) N) the optimal squeezed photon number
-    is 2 eta^2 N^2 / (1 + z + 2 eta N (2 - eta + z)).  The minimum variance
-    is evaluated in the cancellation-free equivalent form
+    ``x`` is the optimal squeezed photon number
+    2 eta^2 N^2 / (1 + z + 2 eta N (2 - eta + z)), with
+    z = sqrt(1 + 4 eta (1 - eta) N).  The minimum variance is evaluated in
+    the cancellation-free equivalent form
     (1 + 2 (1 - eta) N + z) / (2 T^2 eta N (N + 1)), which continues
     analytically to 1 / (T^2 N (N + 1)) at eta = 1.
     """
@@ -286,31 +289,23 @@ def optimal_energy_split(
     variance = (1.0 + 2.0 * loss * n_total + z) / (
         2.0 * time_factor_s**2 * eta * n_total * (n_total + 1.0)
     )
-    return EnergySplit(n_squeezed=n_s, variance=variance)
-
-
-# ---------------------------------------------------------------------------
-# Optimal fiber length (unconstrained total length)
-# ---------------------------------------------------------------------------
-
-#: Optimal total fiber length and the normalized variance it achieves.
-#: ``variance_normalized`` is in units of V^-2 n_v (1/km^2 for unit
-#: geometry), i.e. per-fiber photon budget; for the distributed designs it
-#: therefore equals the single-interferometer value divided by M.
-LengthOptimum = namedtuple("LengthOptimum", ("length_km", "variance_normalized"))
+    return Optimum(n_s, variance)
 
 
 def optimal_length(
     variant: str, b: float, n_squeezed: float = 0.0, m: int = 1
-) -> LengthOptimum:
-    """Fiber length minimizing the normalized estimator variance.
+) -> Optimum:
+    """Total fiber length ``x`` minimizing the normalized estimator variance.
 
     Classical designs: L = 20 / (ln(10) b) (times M for the array), with
     variance e^2 ln(10)^2 b^2 / 400 per fiber budget.  Squeezed designs
     shorten the fiber through the length exponent lam:
     L = 10 (2 + lam) / (ln(10) b) and variance
     e^(2 + lam) ln(10)^2 b^2 / (200 (2 + lam)), again scaled by M for the
-    arrays (with the per-port exponent for design P).
+    arrays (with the per-port exponent for design P).  The variance is in
+    units of V^-2 n_v (1/km^2 for unit geometry), per fiber photon budget,
+    so for the distributed designs it is the single-interferometer value
+    divided by M.
     """
     DOMAIN.check("b_optimum", b)
     DOMAIN.check_design(variant, m, n_squeezed)
@@ -331,75 +326,36 @@ def optimal_length(
     if variant in ("D", "P", "E"):
         length *= m
         variance /= m
-    return LengthOptimum(length_km=length, variance_normalized=variance)
-
-
-# ---------------------------------------------------------------------------
-# Optimal interferometer count (fixed total length)
-# ---------------------------------------------------------------------------
-
-#: Continuous optimum of the interferometer count and its integer choice.
-#: The integer is picked by evaluating the variance at the floor and the
-#: ceiling of the continuous optimum and keeping the smaller;
-#: ``below_threshold`` flags a continuous optimum under 1, in which case a
-#: single interferometer is reported.
-IntegerOptimum = namedtuple(
-    "IntegerOptimum",
-    ("continuous", "variance_continuous", "floor_candidate", "ceil_candidate",
-     "variance_floor", "variance_ceil", "chosen", "variance_chosen", "below_threshold"),
-    defaults=(False,),
-)
+    return Optimum(length, variance)
 
 
 def optimal_m(
     variant: str, b: float, length_km: float, n_squeezed: float = 0.0
-) -> IntegerOptimum:
-    """Interferometer count minimizing the variance at fixed total length.
+) -> Optimum:
+    """Real interferometer count ``x`` minimizing the variance at fixed total length.
 
     Laser-only array: M = b L ln(10) / 10 with normalized variance
     b e ln(10) / (10 L).  Entangled array: the denominator gains
     (1 + array_size_exponent(N_s)) and the variance the factor
     e^(array_size_exponent); at zero squeezing both reduce to the laser-only
-    values.
+    values.  The integer count is left to
+    :func:`fogsim.optimize.optimize_m_integer`.
     """
     DOMAIN.check("b_optimum", b)
     DOMAIN.check("length_optimum", length_km)
     if variant not in ("D", "E"):
         raise ValueError("closed-form count optimization covers designs D and E")
+    DOMAIN.check_design(variant, 1, n_squeezed)
     c = b * LN10 / 10.0
     if variant == "D":
-        continuous = c * length_km
-        variance_continuous = c * math.e / length_km
-    else:
-        if math.isinf(n_squeezed):
-            raise ValueError(
-                "the continuous optimum diverges at infinite squeezing; "
-                "evaluate the ratio limit instead"
-            )
-        exponent = array_size_exponent(n_squeezed)
-        continuous = c * length_km / (1.0 + exponent)
-        variance_continuous = c * math.exp(1.0 + exponent) / length_km
-
-    below = continuous < 1.0
-    floor_candidate = max(1, math.floor(continuous))
-    ceil_candidate = max(1, math.ceil(continuous))
-    variance_floor = variance_vs_length(variant, b, length_km, floor_candidate, n_squeezed)
-    variance_ceil = variance_vs_length(variant, b, length_km, ceil_candidate, n_squeezed)
-    if variance_floor <= variance_ceil:
-        chosen, variance_chosen = floor_candidate, variance_floor
-    else:
-        chosen, variance_chosen = ceil_candidate, variance_ceil
-    return IntegerOptimum(
-        continuous=continuous,
-        variance_continuous=variance_continuous,
-        floor_candidate=floor_candidate,
-        ceil_candidate=ceil_candidate,
-        variance_floor=variance_floor,
-        variance_ceil=variance_ceil,
-        chosen=chosen,
-        variance_chosen=variance_chosen,
-        below_threshold=below,
-    )
+        return Optimum(c * length_km, c * math.e / length_km)
+    if math.isinf(n_squeezed):
+        raise ValueError(
+            "the continuous optimum diverges at infinite squeezing; "
+            "evaluate the ratio limit instead"
+        )
+    exponent = array_size_exponent(n_squeezed)
+    return Optimum(c * length_km / (1.0 + exponent), c * math.exp(1.0 + exponent) / length_km)
 
 
 # ---------------------------------------------------------------------------

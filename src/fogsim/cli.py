@@ -217,14 +217,20 @@ def _config_comment(config: RunConfig, **extra: object) -> str:
 def table1_columns(config: RunConfig) -> Columns:
     """Analytic and numeric inverse sensitivity ratios at the table squeezings."""
     fixed_length = config.fix_length_km if config.fix_length_km is not None else 15.0
+    classical_length = optimize.optimize_length("C", config.b)
+    classical_count = optimize.optimize_m_continuous("D", config.b, fixed_length)
 
     def improvements(sigma: float) -> tuple[float, float, float, float]:
         n_s = db_to_photons(sigma)
+        quantum_length = optimize.optimize_length("S", config.b, n_s)
+        quantum_count = optimize.optimize_m_continuous("E", config.b, fixed_length, n_s)
+        # The inverse of the quantum/classical ratio, not classical/quantum:
+        # the two differ in the last bit.
         return (
             1.0 / analytic.ratio_optimal_length(n_s),
-            1.0 / optimize.numeric_ratio_optimal_length(n_s, b=config.b),
+            1.0 / (quantum_length.value / classical_length.value),
             1.0 / analytic.ratio_optimal_m(n_s),
-            1.0 / optimize.numeric_ratio_optimal_m(n_s, b=config.b, length_km=fixed_length),
+            1.0 / (quantum_count.value / classical_count.value),
         )
 
     length_analytic, length_numeric, count_analytic, count_numeric = zip(
@@ -266,7 +272,7 @@ def figure_3a(config: RunConfig) -> Columns:
             analytic.classical_variance(1.0, eta, n) for n in photons
         ]
         columns[f"squeezed_eta_{eta}"] = [
-            analytic.optimal_energy_split(n, eta).variance for n in photons
+            analytic.optimal_energy_split(n, eta).value for n in photons
         ]
     return columns
 
@@ -286,8 +292,8 @@ def figure_3b(config: RunConfig) -> Columns:
     parametric = _sweep("sigma_db", 0.0, 40.0, 81)
     optima = [analytic.optimal_length("S", config.b, db_to_photons(sigma)) for sigma in parametric]
     columns["param_sigma_db"] = parametric
-    columns["param_length_km"] = [optimum.length_km for optimum in optima]
-    columns["param_variance"] = [optimum.variance_normalized for optimum in optima]
+    columns["param_length_km"] = [optimum.x for optimum in optima]
+    columns["param_variance"] = [optimum.value for optimum in optima]
     return columns
 
 
@@ -302,7 +308,7 @@ def figure_5(config: RunConfig) -> Columns:
     counts = (1, 2, 4, 8, 16)
 
     def variance(variant: str, n_squeezed: float, m: int) -> float:
-        return analytic.optimal_length(variant, config.b, n_squeezed, m).variance_normalized
+        return analytic.optimal_length(variant, config.b, n_squeezed, m).value
 
     return {
         "m": counts,
@@ -337,12 +343,12 @@ def figure_6(config: RunConfig) -> Columns:
     columns.update(
         {
             "param_length_km": parametric_lengths,
-            "param_m_d": [optimum.continuous for optimum in d_opt],
-            "param_var_d": [optimum.variance_continuous for optimum in d_opt],
+            "param_m_d": [optimum.x for optimum in d_opt],
+            "param_var_d": [optimum.value for optimum in d_opt],
             "param_m_p": [optimum.x for optimum in p_opt],
             "param_var_p": [optimum.value for optimum in p_opt],
-            "param_m_e": [optimum.continuous for optimum in e_opt],
-            "param_var_e": [optimum.variance_continuous for optimum in e_opt],
+            "param_m_e": [optimum.x for optimum in e_opt],
+            "param_var_e": [optimum.value for optimum in e_opt],
         }
     )
     return columns
@@ -476,14 +482,14 @@ def cmd_optimize(config: RunConfig) -> None:
             "provenance": "numeric-optimum",
         }
         if variant in ("D", "E"):
-            reference = analytic.optimal_m(variant, config.b, length, n_s)
+            continuous = analytic.optimal_m(variant, config.b, length, n_s)
             record.update(
                 {
-                    "m_continuous": reference.continuous,
-                    "variance_continuous": reference.variance_continuous,
-                    "m_floor": reference.floor_candidate,
-                    "m_ceil": reference.ceil_candidate,
-                    "below_threshold": reference.below_threshold,
+                    "m_continuous": continuous.x,
+                    "variance_continuous": continuous.value,
+                    "m_floor": max(1, math.floor(continuous.x)),
+                    "m_ceil": max(1, math.ceil(continuous.x)),
+                    "below_threshold": continuous.x < 1.0,
                 }
             )
         if variant == "E":
@@ -499,12 +505,11 @@ def cmd_optimize(config: RunConfig) -> None:
                 "design": variant,
                 "b": config.b,
                 "m": config.m,
-                "length_opt_km": optimum.length_km,
-                "variance_normalized": optimum.variance_normalized,
+                "length_opt_km": optimum.x,
+                "variance_normalized": optimum.value,
                 "numeric_length_km": numeric.x,
                 "numeric_variance": numeric.value,
-                "relative_length_difference": abs(numeric.x - optimum.length_km)
-                / optimum.length_km,
+                "relative_length_difference": abs(numeric.x - optimum.x) / optimum.x,
                 "provenance": "analytic",
             },
             config.out,

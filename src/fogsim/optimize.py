@@ -43,9 +43,6 @@ class ScalarProblem:
     bracket: tuple[float, float]
 
 
-ScalarMinimum = namedtuple("ScalarMinimum", ("x", "value", "iterations"))
-
-
 def _evaluate(objective: Callable[[float], float], x: float) -> float:
     try:
         value = float(objective(x))
@@ -56,7 +53,7 @@ def _evaluate(objective: Callable[[float], float], x: float) -> float:
     return value
 
 
-def minimize_scalar(problem: ScalarProblem) -> ScalarMinimum:
+def minimize_scalar(problem: ScalarProblem) -> analytic.Optimum:
     """Golden-section minimum of a unimodal objective on a bracket.
 
     A 64-sample pre-scan locates the coarse minimum and refines the bracket
@@ -101,7 +98,7 @@ def minimize_scalar(problem: ScalarProblem) -> ScalarMinimum:
     x = 0.5 * (lo + hi)
     value = _evaluate(problem.objective, x)
     x, value = _quadratic_polish(problem.objective, x, value, outer_lo, outer_hi)
-    return ScalarMinimum(x=x, value=value, iterations=iterations)
+    return analytic.Optimum(x, value, iterations)
 
 
 def _quadratic_polish(
@@ -155,7 +152,7 @@ def optimize_length(
     b: float,
     n_squeezed: float = 0.0,
     m: int = 1,
-) -> ScalarMinimum:
+) -> analytic.Optimum:
     """Numerically minimize the normalized variance over the total fiber length."""
     DOMAIN.check("b_optimum", b)
     bracket = (0.1 * m / b, 40.0 * m / b)
@@ -207,7 +204,7 @@ def optimize_m_continuous(
     length_km: float,
     n_squeezed: float = 0.0,
     m_hi: float = 1e5,
-) -> ScalarMinimum:
+) -> analytic.Optimum:
     """Golden-section minimum over a continuous (real-valued) count."""
     return minimize_scalar(
         ScalarProblem(
@@ -225,7 +222,7 @@ def optimize_m_continuous(
 
 def optimize_energy_split_numeric(
     n_total: float, eta: float, time_factor_s: float = 1.0
-) -> analytic.EnergySplit:
+) -> analytic.Optimum:
     """Golden-section split of a fixed photon budget between laser and squeezer."""
     DOMAIN.check("n_total", n_total)
 
@@ -234,30 +231,10 @@ def optimize_energy_split_numeric(
             "S", time_factor_s, eta, 1, n_total - n_s, n_s
         )
 
-    result = minimize_scalar(
+    return minimize_scalar(
         ScalarProblem(
             objective=objective,
             bracket=(0.0, n_total * (1.0 - 1e-9)),
         )
     )
-    return analytic.EnergySplit(n_squeezed=result.x, variance=result.value)
 
-
-# ---------------------------------------------------------------------------
-# Numeric sensitivity ratios (independent route for the benchmark table)
-# ---------------------------------------------------------------------------
-
-def numeric_ratio_optimal_length(n_squeezed: float, b: float = 0.5) -> float:
-    """Length-optimized quantum/classical ratio via golden-section, not W."""
-    quantum = optimize_length("S", b, n_squeezed)
-    classical = optimize_length("C", b)
-    return quantum.value / classical.value
-
-
-def numeric_ratio_optimal_m(
-    n_squeezed: float, b: float = 0.5, length_km: float = 15.0
-) -> float:
-    """Count-optimized (continuous) quantum/classical ratio at fixed length."""
-    quantum = optimize_m_continuous("E", b, length_km, n_squeezed)
-    classical = optimize_m_continuous("D", b, length_km, 0.0)
-    return quantum.value / classical.value

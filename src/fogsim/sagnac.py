@@ -79,11 +79,11 @@ DOMAIN = _Domain({
     "n_v": ("per-fiber laser photon number", "photons", 0.0, _INF, "()"),
     "n_total": ("total photon number", "photons", 0.0, _INF, "()"),
     "time_factor_s": ("time factor", "s", 0.0, _INF, "()"),
-    # A transmissivity takes no loss or no fiber; an optimum needs both.
+    # A transmissivity takes no loss or no fiber; an optimum needs both, finite.
     "b": ("loss coefficient", "dB/km", 0.0, _INF, "[)"),
     "length_km": ("fiber length", "km", 0.0, _INF, "[)"),
-    "b_optimum": ("loss coefficient", "dB/km", 0.0, _INF, "(]"),
-    "length_optimum": ("fiber length", "km", 0.0, _INF, "(]"),
+    "b_optimum": ("loss coefficient", "dB/km", 0.0, _INF, "()"),
+    "length_optimum": ("fiber length", "km", 0.0, _INF, "()"),
     "coil_length_km": ("coil fiber length", "km", 0.0, _INF, "()"),
     "wavelength_nm": ("wavelength", "nm", 0.0, _INF, "()"),
     "radius_m": ("coil radius", "m", 0.0, _INF, "()"),
@@ -126,11 +126,18 @@ def _rejection(key: str, value: float) -> str:
 def transmissivity(b: float, length_km: float) -> float:
     """Fiber transmissivity 10^(-b L / 10) for loss ``b`` dB/km over L km.
 
-    Zero loss or zero length transmits everything.
+    Zero loss or zero length transmits everything; a loss that leaves no
+    light in floating point is rejected by its loss and length.
     """
     DOMAIN.check("b", b)
     DOMAIN.check("length_km", length_km)
-    return 10.0 ** (-b * length_km / 10.0)
+    eta = 10.0 ** (-b * length_km / 10.0)
+    if eta == 0.0:
+        raise ValueError(
+            f"loss coefficient {b} dB/km and fiber length {length_km} km put the "
+            "transmissivity out of floating-point range"
+        )
+    return eta
 
 
 def time_factor(length_km: float, wavelength_nm: float, radius_m: float) -> float:

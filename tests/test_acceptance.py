@@ -48,9 +48,14 @@ def test_criterion_01_table_reproduction_two_routes():
     ):
         n_s = db_to_photons(sigma)
         analytic_1 = 1.0 / analytic.ratio_optimal_length(n_s)
-        numeric_1 = 1.0 / optimize.numeric_ratio_optimal_length(n_s, b=0.5)
+        numeric_1 = 1.0 / (
+            optimize.optimize_length("S", 0.5, n_s).value / optimize.optimize_length("C", 0.5).value
+        )
         analytic_2 = 1.0 / analytic.ratio_optimal_m(n_s)
-        numeric_2 = 1.0 / optimize.numeric_ratio_optimal_m(n_s, b=0.5, length_km=15.0)
+        numeric_2 = 1.0 / (
+            optimize.optimize_m_continuous("E", 0.5, 15.0, n_s).value
+            / optimize.optimize_m_continuous("D", 0.5, 15.0).value
+        )
         assert abs(analytic_1 - expected_1) <= 1e-3, (sigma, analytic_1)
         assert abs(numeric_1 - expected_1) <= 1e-3, (sigma, numeric_1)
         assert abs(analytic_2 - expected_2) <= 1e-3, (sigma, analytic_2)
@@ -79,11 +84,11 @@ def test_criterion_02_limit_constants_at_sixty_db():
 
 def test_criterion_03_classical_optimal_length_two_routes():
     for b in (0.25, 0.5, 1.0):
-        closed = analytic.optimal_length("C", b).length_km
+        closed = analytic.optimal_length("C", b).x
         numeric = optimize.optimize_length("C", b).x
         assert closed == pytest.approx(8.686 / b, rel=1e-4)
         assert abs(numeric - closed) / closed <= 1e-6
-    assert analytic.optimal_length("C", 0.5).length_km == pytest.approx(
+    assert analytic.optimal_length("C", 0.5).x == pytest.approx(
         17.372, abs=5e-4
     )
     _passed(3, "closed form and golden-section agree to 1e-6 at b in {0.25, 0.5, 1}")
@@ -92,11 +97,11 @@ def test_criterion_03_classical_optimal_length_two_routes():
 def test_criterion_04_heisenberg_scaling_and_sql_restoration():
     for n in (1.0, 10.0, 100.0):
         split = analytic.optimal_energy_split(n, 1.0)
-        assert split.variance == pytest.approx(1.0 / (n * (n + 1.0)), rel=1e-12)
+        assert split.value == pytest.approx(1.0 / (n * (n + 1.0)), rel=1e-12)
 
     def loglog_slope(eta, n_lo, n_hi):
-        v_lo = analytic.optimal_energy_split(n_lo, eta).variance
-        v_hi = analytic.optimal_energy_split(n_hi, eta).variance
+        v_lo = analytic.optimal_energy_split(n_lo, eta).value
+        v_hi = analytic.optimal_energy_split(n_hi, eta).value
         return (math.log(v_hi) - math.log(v_lo)) / (math.log(n_hi) - math.log(n_lo))
 
     lossless = loglog_slope(1.0, 1e2, 1e4)
@@ -150,12 +155,8 @@ def test_criterion_06_distributed_design_identities():
             n_s = db_to_photons(sigma)
             single = analytic.optimal_length("S", 0.5, n_s, 1)
             array = analytic.optimal_length("E", 0.5, n_s, m)
-            assert array.length_km == pytest.approx(
-                m * single.length_km, rel=1e-10
-            )
-            assert array.variance_normalized == pytest.approx(
-                single.variance_normalized / m, rel=1e-10
-            )
+            assert array.x == pytest.approx(m * single.x, rel=1e-10)
+            assert array.value == pytest.approx(single.value / m, rel=1e-10)
     _passed(6, "entangled optima scale as M times the single-squeezer optima")
 
 
@@ -179,7 +180,8 @@ def test_criterion_07_entanglement_equals_product_per_mode():
 def test_criterion_08_fixed_length_ratio_independence():
     n_s = db_to_photons(10.0)
     ratios = [
-        optimize.numeric_ratio_optimal_m(n_s, b=b, length_km=length)
+        optimize.optimize_m_continuous("E", b, length, n_s).value
+        / optimize.optimize_m_continuous("D", b, length).value
         for b, length in ((0.5, 15.0), (0.25, 40.0), (1.0, 8.0))
     ]
     for other in ratios[1:]:
@@ -197,7 +199,7 @@ def test_criterion_09_count_optimum_spot_check():
     expectation and is expected to fail; see the decisions ledger.
     """
     search = optimize.optimize_m_integer("E", 0.5, 15.0, db_to_photons(10.0))
-    continuous = analytic.optimal_m("E", 0.5, 15.0, db_to_photons(10.0)).continuous
+    continuous = analytic.optimal_m("E", 0.5, 15.0, db_to_photons(10.0)).x
     profile = dict(search.profile)
     assert search.m_best == 5, (
         "stated expectation M_opt = 5, measured argmin "

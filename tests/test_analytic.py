@@ -1,6 +1,7 @@
 """Closed-form layer: Lambert W, exponents, optima, ratios, identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fogsim.analytic import (
     ratio_product_fixed_eta,
     variance_vs_length,
 )
+from fogsim.optimize import optimize_m_integer
 from fogsim.sagnac import db_to_photons, transmissivity
 
 from _oracles import grid_minimum, lambert_bisect
@@ -158,7 +160,7 @@ class TestVarianceFormulas:
         length = 20.0 / (math.log(10.0) * b)
         direct = 1.0 / (length**2 * transmissivity(b, length))
         assert direct == pytest.approx(
-            optimal_length("C", b).variance_normalized, rel=1e-12
+            optimal_length("C", b).value, rel=1e-12
         )
         assert direct == pytest.approx(variance_vs_length("C", b, length), rel=1e-12)
 
@@ -167,7 +169,7 @@ class TestEnergySplit:
     def test_lossless_heisenberg(self):
         for n in (1.0, 10.0, 100.0):
             split = optimal_energy_split(n, 1.0)
-            assert split.variance == pytest.approx(1.0 / (n * (n + 1.0)), rel=1e-12)
+            assert split.value == pytest.approx(1.0 / (n * (n + 1.0)), rel=1e-12)
 
     def test_stable_form_equals_textbook_form(self):
         # The implementation rationalizes the small denominator; check it
@@ -179,7 +181,7 @@ class TestEnergySplit:
                 literal = (
                     2.0 * (1.0 - eta) ** 2 / (eta * (1.0 + 2.0 * (1.0 - eta) * n - z))
                 )
-                assert split.variance == pytest.approx(literal, rel=1e-9)
+                assert split.value == pytest.approx(literal, rel=1e-9)
 
     def test_against_grid_oracle(self):
         n, eta = 100.0, 0.5
@@ -187,14 +189,14 @@ class TestEnergySplit:
         x, value = grid_minimum(
             lambda n_s: design_variance("S", 1.0, eta, 1, n - n_s, n_s), 0.0, n * 0.999
         )
-        assert split.n_squeezed == pytest.approx(x, rel=1e-6)
-        assert split.variance == pytest.approx(value, rel=1e-10)
+        assert split.x == pytest.approx(x, rel=1e-6)
+        assert split.value == pytest.approx(value, rel=1e-10)
 
     def test_optimal_squeezing_expression(self):
         n, eta = 100.0, 0.5
         z = math.sqrt(1.0 + 4.0 * eta * (1.0 - eta) * n)
         expected = 2.0 * eta**2 * n**2 / (1.0 + z + 2.0 * eta * n * (2.0 - eta + z))
-        assert optimal_energy_split(n, eta).n_squeezed == pytest.approx(
+        assert optimal_energy_split(n, eta).x == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -202,15 +204,15 @@ class TestEnergySplit:
         eta = 0.5
         n = 1e9
         split = optimal_energy_split(n, eta)
-        assert split.variance * eta * n == pytest.approx(1.0 - eta, rel=1e-4)
+        assert split.value * eta * n == pytest.approx(1.0 - eta, rel=1e-4)
 
 
 class TestOptimalLength:
     def test_classical_seventeen_km(self):
         optimum = optimal_length("C", 0.5)
-        assert optimum.length_km == pytest.approx(17.372, abs=5e-4)
-        assert optimum.length_km == pytest.approx(8.686 / 0.5, abs=1e-3)
-        assert optimum.variance_normalized == pytest.approx(
+        assert optimum.x == pytest.approx(17.372, abs=5e-4)
+        assert optimum.x == pytest.approx(8.686 / 0.5, abs=1e-3)
+        assert optimum.value == pytest.approx(
             math.e**2 * math.log(10.0) ** 2 * 0.25 / 400.0, rel=1e-12
         )
 
@@ -218,17 +220,17 @@ class TestOptimalLength:
         for n_s in (0.0, 1.0, db_to_photons(10.0)):
             e = optimal_length("E", 0.5, n_s, 1)
             s = optimal_length("S", 0.5, n_s, 1)
-            assert e.length_km == s.length_km
-            assert e.variance_normalized == s.variance_normalized
+            assert e.x == s.x
+            assert e.value == s.value
 
     def test_squeezed_ten_db_shortens_fiber(self):
         n_s = db_to_photons(10.0)
         optimum = optimal_length("S", 0.5, n_s)
         lam = lambert_bisect(4.0 * (n_s - math.sqrt(n_s * (1 + n_s))) / math.e**2)
         expected = 10.0 * (2.0 + lam) / (math.log(10.0) * 0.5)
-        assert optimum.length_km == pytest.approx(expected, rel=1e-10)
-        assert optimum.length_km == pytest.approx(14.39, abs=5e-3)
-        assert optimum.length_km < optimal_length("C", 0.5).length_km
+        assert optimum.x == pytest.approx(expected, rel=1e-10)
+        assert optimum.x == pytest.approx(14.39, abs=5e-3)
+        assert optimum.x < optimal_length("C", 0.5).x
 
     @pytest.mark.parametrize("variant,m,n_s", [
         ("C", 1, 0.0),
@@ -240,7 +242,7 @@ class TestOptimalLength:
     @pytest.mark.parametrize("b", [0.2, 0.5, 1.0])
     def test_stationary_minimum(self, variant, m, n_s, b):
         optimum = optimal_length(variant, b, n_s, m)
-        length = optimum.length_km
+        length = optimum.x
         step = length * 1e-5
         center = variance_vs_length(variant, b, length, m, n_s)
         upper = variance_vs_length(variant, b, length + step, m, n_s)
@@ -248,7 +250,7 @@ class TestOptimalLength:
         derivative = (upper - lower) / (2 * step)
         assert abs(derivative) * length / center < 1e-6
         assert upper - 2 * center + lower > 0
-        assert center == pytest.approx(optimum.variance_normalized, rel=1e-12)
+        assert center == pytest.approx(optimum.value, rel=1e-12)
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     @pytest.mark.parametrize("sigma", [5.0, 10.0, 15.0])
@@ -256,54 +258,65 @@ class TestOptimalLength:
         n_s = db_to_photons(sigma)
         single = optimal_length("S", 0.5, n_s, 1)
         array = optimal_length("E", 0.5, n_s, m)
-        assert array.length_km == pytest.approx(m * single.length_km, rel=1e-10)
-        assert array.variance_normalized == pytest.approx(
-            single.variance_normalized / m, rel=1e-10
+        assert array.x == pytest.approx(m * single.x, rel=1e-10)
+        assert array.value == pytest.approx(
+            single.value / m, rel=1e-10
         )
         classical_single = optimal_length("C", 0.5)
         classical_array = optimal_length("D", 0.5, 0.0, m)
-        assert classical_array.length_km == pytest.approx(
-            m * classical_single.length_km, rel=1e-12
+        assert classical_array.x == pytest.approx(
+            m * classical_single.x, rel=1e-12
         )
 
 
 class TestOptimalCount:
     def test_distributed_example(self):
         optimum = optimal_m("D", 0.5, 20.0)
-        assert optimum.continuous == pytest.approx(2.3026, abs=1e-4)
+        assert optimum.x == pytest.approx(2.3026, abs=1e-4)
         # Direct evaluation picks between the floor and ceiling candidates.
-        assert optimum.floor_candidate == 2
-        assert optimum.ceil_candidate == 3
-        assert optimum.variance_floor < optimum.variance_ceil
-        assert optimum.chosen == 2
+        assert (math.floor(optimum.x), math.ceil(optimum.x)) == (2, 3)
+        assert variance_vs_length("D", 0.5, 20.0, 2) < variance_vs_length("D", 0.5, 20.0, 3)
+        assert optimize_m_integer("D", 0.5, 20.0).m_best == 2
 
     def test_entangled_reduces_to_distributed_without_squeezing(self):
         d = optimal_m("D", 0.5, 20.0)
         e = optimal_m("E", 0.5, 20.0, 0.0)
-        assert e.continuous == pytest.approx(d.continuous, rel=1e-14)
-        assert e.chosen == d.chosen
+        assert e.x == pytest.approx(d.x, rel=1e-14)
+        assert optimize_m_integer("E", 0.5, 20.0, 0.0).m_best == optimize_m_integer("D", 0.5, 20.0).m_best
 
     def test_entangled_ten_db_spot_values(self):
         # At b = 0.5, L = 15, 10 dB, the continuous optimum sits at 4.41
         # interferometers and the floor wins the integer comparison by a
         # 0.12 percent margin (normalized 2.5597 vs 2.5627 in units of L^2).
-        optimum = optimal_m("E", 0.5, 15.0, db_to_photons(10.0))
-        assert optimum.continuous == pytest.approx(4.4093, abs=2e-4)
-        assert optimum.floor_candidate == 4
-        assert optimum.ceil_candidate == 5
-        assert optimum.variance_floor * 15.0**2 == pytest.approx(2.559706, abs=1e-5)
-        assert optimum.variance_ceil * 15.0**2 == pytest.approx(2.562689, abs=1e-5)
-        assert optimum.chosen == 4
+        n_s = db_to_photons(10.0)
+        optimum = optimal_m("E", 0.5, 15.0, n_s)
+        assert optimum.x == pytest.approx(4.4093, abs=2e-4)
+        assert (math.floor(optimum.x), math.ceil(optimum.x)) == (4, 5)
+        variance_floor = variance_vs_length("E", 0.5, 15.0, 4, n_s)
+        variance_ceil = variance_vs_length("E", 0.5, 15.0, 5, n_s)
+        assert variance_floor * 15.0**2 == pytest.approx(2.559706, abs=1e-5)
+        assert variance_ceil * 15.0**2 == pytest.approx(2.562689, abs=1e-5)
+        assert optimize_m_integer("E", 0.5, 15.0, n_s).m_best == 4
 
     def test_below_threshold_flag(self):
         optimum = optimal_m("D", 0.5, 1.0)
-        assert optimum.continuous == pytest.approx(0.11513, abs=1e-4)
-        assert optimum.below_threshold
-        assert optimum.chosen == 1
+        assert optimum.x == pytest.approx(0.11513, abs=1e-4)
+        assert optimum.x < 1.0
+        assert optimize_m_integer("D", 0.5, 1.0).m_best == 1
 
     def test_product_design_needs_numeric_route(self):
         with pytest.raises(ValueError):
             optimal_m("P", 0.5, 15.0, 1.0)
+
+    @pytest.mark.parametrize("variant, n_s, message", [
+        ("D", 10.0, "design D takes no squeezed light"),
+        ("D", math.nan, "squeezed photon number must be nonnegative, got nan"),
+        ("E", math.nan, "squeezed photon number must be nonnegative, got nan"),
+        ("E", math.inf, "the continuous optimum diverges at infinite squeezing"),
+    ])
+    def test_squeezing_is_checked(self, variant, n_s, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            optimal_m(variant, 0.5, 15.0, n_s)
 
 
 class TestRatios:
@@ -360,8 +373,8 @@ class TestRatios:
         n_s = db_to_photons(10.0)
         reference = ratio_optimal_m(n_s)
         for b, length in ((0.5, 15.0), (0.25, 40.0), (1.0, 8.0)):
-            quantum = optimal_m("E", b, length, n_s).variance_continuous
-            classical = optimal_m("D", b, length).variance_continuous
+            quantum = optimal_m("E", b, length, n_s).value
+            classical = optimal_m("D", b, length).value
             assert quantum / classical == pytest.approx(reference, rel=1e-12)
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fogsim import cli, sagnac
+from fogsim import analytic, cli, sagnac
 from fogsim.cli import RunConfig, format_number, main
 from fogsim.sagnac import db_to_photons
 
@@ -89,7 +89,8 @@ class TestTable:
         assert records[1]["improvement_m_opt_analytic"] == pytest.approx(1.837, abs=1e-3)
 
     def test_json_names_a_non_finite_column(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.optimize, "numeric_ratio_optimal_m", lambda *args, **kwargs: math.nan)
+        monkeypatch.setattr(cli.optimize, "optimize_m_continuous",
+                            lambda *args, **kwargs: analytic.Optimum(math.nan, math.nan))
         assert_usage_error(run(capsys, "table1", "--format", "json"),
                            "non-finite result", "improvement_m_opt_numeric")
 
@@ -146,6 +147,23 @@ class TestOptimize:
         assert record["m_best"] == search.m_best
         assert record["m_continuous"] == pytest.approx(4.4093, abs=2e-4)
         assert record["improvement_fixed_length"] == pytest.approx(1.837, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "argv, m_floor, m_ceil, below_threshold",
+        [
+            (("--design", "E", "--fix-length", "15", "--squeeze-db", "10"), 4, 5, False),
+            (("--design", "D", "--fix-length", "20"), 2, 3, False),
+            (("--design", "D", "--fix-length", "1"), 1, 1, True),
+        ],
+    )
+    def test_floor_and_ceiling_of_the_continuous_count(self, capsys, argv, m_floor, m_ceil,
+                                                       below_threshold):
+        code, out, _ = run(capsys, "optimize", *argv)
+        assert code == 0
+        record = json.loads(out)
+        assert (record["m_floor"], record["m_ceil"]) == (m_floor, m_ceil)
+        assert record["below_threshold"] is below_threshold
+        assert record["m_best"] in (m_floor, m_ceil)
 
     def test_length_mode(self, capsys):
         code, out, _ = run(capsys, "optimize", "--design", "C", "--b", "0.5")
@@ -369,6 +387,10 @@ class TestFigures:
         assert self.figure_from_file(capsys, tmp_path, "6", text) == (
             2, "", f"fogsim: error: fig6_lengths_km {message}\n")
 
+    def test_infinite_length_is_named(self, capsys, tmp_path):
+        assert self.figure_from_file(capsys, tmp_path, "6", "fig6_lengths_km = 5,inf\n") == (
+            2, "", "fogsim: error: fiber length must be positive and finite, got inf\n")
+
     def test_format_key_leaves_figure_as_csv(self, capsys, tmp_path):
         # Config files are shared across commands, and a command ignores
         # the keys it does not read; the comment line still records them.
@@ -503,8 +525,40 @@ class TestExitCodes:
              "fiber length must be nonnegative and finite, got -1.0"),
             (("simulate", "--design", "C", "--length-km", "10", "--b", "inf"),
              "loss coefficient must be nonnegative and finite, got inf"),
+            # An optimum needs a finite loss and length.
+            (("figure", "--id", "5", "--b", "inf"),
+             "loss coefficient must be positive and finite, got inf"),
+            (("figure", "--id", "3b", "--b", "inf"),
+             "loss coefficient must be positive and finite, got inf"),
+            (("table1", "--b", "inf"), "loss coefficient must be positive and finite, got inf"),
+            (("table1", "--fix-length", "inf"), "fiber length must be positive and finite, got inf"),
+            (("optimize", "--design", "D", "--fix-length", "1", "--b", "inf"),
+             "loss coefficient must be positive and finite, got inf"),
+            (("optimize", "--design", "P", "--fix-length", "1e-320", "--b", "inf",
+              "--squeeze-db", "10"),
+             "loss coefficient must be positive and finite, got inf"),
+            (("optimize", "--design", "E", "--fix-length", "inf", "--squeeze-db", "10"),
+             "fiber length must be positive and finite, got inf"),
+            (("optimize", "--design", "D", "--fix-length", "-3"),
+             "fiber length must be positive and finite, got -3.0"),
+            (("optimize", "--design", "S", "--b", "0", "--squeeze-db", "10"),
+             "loss coefficient must be positive and finite, got 0.0"),
+            # A transmissivity that underflows to 0 names the loss and length.
+            *(
+                ((*request, "--b", b),
+                 f"loss coefficient {float(b)} dB/km and fiber length {length} km put the "
+                 "transmissivity out of floating-point range")
+                for request, b, length in (
+                    (("figure", "--id", "7"), "300", 15.0),
+                    (("figure", "--id", "7"), "1e300", 15.0),
+                    (("variance", "--length-km", "1000"), "1000", 1000.0),
+                    (("ratio", "--length-km", "1000"), "1000", 1000.0),
+                    (("simulate", "--length-km", "1000"), "1000", 1000.0),
+                )
+            ),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_bad_fiber_input_is_named(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"fogsim: error: {message}\n")
 
@@ -740,6 +794,15 @@ class TestFlags:
         assert set(listed) == set(cli.COMMAND_SETTINGS)
         for command, flags in listed.items():
             assert flags | {"--config", "--out"} == command_flags(command), command
+
+
+def test_readme_library_example_runs():
+    block = re.search(r"^```python\n(.*?)^```$", README.read_text(), re.DOTALL | re.MULTILINE)
+    namespace = {}
+    exec(compile(block.group(1), str(README), "exec"), namespace)
+    assert namespace["length_km"] == pytest.approx(57.56, abs=5e-3)
+    assert namespace["variance"] == pytest.approx(0.005242, abs=5e-7)
+    assert namespace["improvement"] == pytest.approx(1.837, abs=1e-3)
 
 
 def domain_bounds(key):

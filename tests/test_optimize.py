@@ -13,8 +13,6 @@ from fogsim.optimize import (
     EvaluationError,
     ScalarProblem,
     minimize_scalar,
-    numeric_ratio_optimal_length,
-    numeric_ratio_optimal_m,
     optimize_energy_split_numeric,
     optimize_length,
     optimize_m_continuous,
@@ -42,8 +40,8 @@ class TestMinimizeScalar:
         n_s = db_to_photons(10.0)
         result = optimize_length("S", 0.5, n_s)
         reference = analytic.optimal_length("S", 0.5, n_s)
-        assert result.x == pytest.approx(reference.length_km, rel=1e-6)
-        assert result.value == pytest.approx(reference.variance_normalized, rel=1e-9)
+        assert result.x == pytest.approx(reference.x, rel=1e-6)
+        assert result.value == pytest.approx(reference.value, rel=1e-9)
 
     def test_invalid_bracket(self):
         with pytest.raises(ValueError):
@@ -95,8 +93,8 @@ class TestLengthCrossValidation:
         variant = "C" if n_s == 0 else "S"
         numeric = optimize_length(variant, b, n_s)
         reference = analytic.optimal_length(variant, b, n_s)
-        assert numeric.x == pytest.approx(reference.length_km, rel=1e-6)
-        assert numeric.value == pytest.approx(reference.variance_normalized, rel=1e-6)
+        assert numeric.x == pytest.approx(reference.x, rel=1e-6)
+        assert numeric.value == pytest.approx(reference.value, rel=1e-6)
 
     @pytest.mark.parametrize("b", CROSS_CHECK_B)
     @pytest.mark.parametrize("m", CROSS_CHECK_M)
@@ -105,8 +103,8 @@ class TestLengthCrossValidation:
         n_s = 0.0 if variant == "D" else db_to_photons(10.0)
         numeric = optimize_length(variant, b, n_s, m)
         reference = analytic.optimal_length(variant, b, n_s, m)
-        assert numeric.x == pytest.approx(reference.length_km, rel=1e-6)
-        assert numeric.value == pytest.approx(reference.variance_normalized, rel=1e-6)
+        assert numeric.x == pytest.approx(reference.x, rel=1e-6)
+        assert numeric.value == pytest.approx(reference.value, rel=1e-6)
 
 
 class TestCountOptimization:
@@ -114,8 +112,8 @@ class TestCountOptimization:
         result = optimize_m_integer("D", 0.5, 1.0)
         reference = analytic.optimal_m("D", 0.5, 1.0)
         assert result.m_best == 1
-        assert reference.below_threshold
-        assert reference.continuous == pytest.approx(0.1151, abs=1e-4)
+        assert reference.x < 1.0
+        assert reference.x == pytest.approx(0.1151, abs=1e-4)
 
     def test_integer_profile_matches_analytic_choice(self):
         for b, length in ((0.5, 15.0), (0.5, 20.0), (0.25, 40.0)):
@@ -123,11 +121,15 @@ class TestCountOptimization:
                 n_s = db_to_photons(sigma)
                 variant = "D" if n_s == 0 else "E"
                 search = optimize_m_integer(variant, b, length, n_s)
-                reference = analytic.optimal_m(variant, b, length, n_s)
-                assert search.m_best == reference.chosen
-                assert search.variance_best == pytest.approx(
-                    reference.variance_chosen, rel=1e-12
-                )
+                continuous = analytic.optimal_m(variant, b, length, n_s).x
+                # The floor wins a tie, as min keeps the first of equal keys.
+                candidates = {
+                    m: analytic.variance_vs_length(variant, b, length, m, n_s)
+                    for m in (max(1, math.floor(continuous)), max(1, math.ceil(continuous)))
+                }
+                chosen = min(candidates, key=candidates.get)
+                assert search.m_best == chosen
+                assert search.variance_best == pytest.approx(candidates[chosen], rel=1e-12)
 
     def test_entangled_spot_profile(self):
         # b = 0.5, L = 15, 10 dB: exhaustive evaluation confirms the integer
@@ -162,11 +164,9 @@ class TestCountOptimization:
         variant = "D" if n_s == 0 else "E"
         numeric = optimize_m_continuous(variant, b, length, n_s, m_hi=1e3)
         reference = analytic.optimal_m(variant, b, length, n_s)
-        if reference.continuous >= 1.0:
-            assert numeric.x == pytest.approx(reference.continuous, rel=1e-6)
-            assert numeric.value == pytest.approx(
-                reference.variance_continuous, rel=1e-6
-            )
+        if reference.x >= 1.0:
+            assert numeric.x == pytest.approx(reference.x, rel=1e-6)
+            assert numeric.value == pytest.approx(reference.value, rel=1e-6)
 
     def test_rejects_non_distributed(self):
         with pytest.raises(ValueError):
@@ -180,21 +180,21 @@ class TestCountOptimization:
 class TestEnergySplitNumeric:
     def test_lossless_heisenberg(self):
         result = optimize_energy_split_numeric(10.0, 1.0)
-        assert result.variance == pytest.approx(1.0 / 110.0, rel=1e-9)
+        assert result.value == pytest.approx(1.0 / 110.0, rel=1e-9)
 
     @pytest.mark.parametrize("eta", (0.5, 0.9, 0.99))
     @pytest.mark.parametrize("n", (10.0, 1000.0))
     def test_matches_analytic(self, eta, n):
         numeric = optimize_energy_split_numeric(n, eta)
         reference = analytic.optimal_energy_split(n, eta)
-        assert numeric.n_squeezed == pytest.approx(reference.n_squeezed, rel=1e-8)
-        assert numeric.variance == pytest.approx(reference.variance, rel=1e-8)
+        assert numeric.x == pytest.approx(reference.x, rel=1e-8)
+        assert numeric.value == pytest.approx(reference.value, rel=1e-8)
 
     def test_squeezing_never_exceeds_half_budget(self):
         for eta in (0.1, 0.5, 0.9, 0.999, 1.0):
             for n in (1.0, 10.0, 100.0, 1e4):
                 result = optimize_energy_split_numeric(n, eta)
-                assert result.n_squeezed <= n / 2.0 + 1e-9 * n
+                assert result.x <= n / 2.0 + 1e-9 * n
 
     def test_rejects_empty_budget(self):
         with pytest.raises(ValueError):
@@ -210,7 +210,10 @@ class TestExponentArbitration:
     @pytest.mark.parametrize("sigma", (5.0, 10.0, 15.0, 20.0))
     def test_numeric_ratio_selects_array_exponent(self, sigma):
         n_s = db_to_photons(sigma)
-        numeric = numeric_ratio_optimal_m(n_s, b=0.5, length_km=15.0)
+        numeric = (
+            optimize_m_continuous("E", 0.5, 15.0, n_s).value
+            / optimize_m_continuous("D", 0.5, 15.0).value
+        )
         array_based = analytic.ratio_optimal_m(n_s)
         length_lam = analytic.length_exponent(n_s)
         length_based = math.exp(length_lam)
@@ -234,12 +237,44 @@ class TestNumericRatios:
     @pytest.mark.parametrize("sigma", (5.0, 10.0, 20.0))
     def test_length_ratio_matches_analytic(self, sigma):
         n_s = db_to_photons(sigma)
-        assert numeric_ratio_optimal_length(n_s) == pytest.approx(
-            analytic.ratio_optimal_length(n_s), rel=1e-8
-        )
+        numeric = optimize_length("S", 0.5, n_s).value / optimize_length("C", 0.5).value
+        assert numeric == pytest.approx(analytic.ratio_optimal_length(n_s), rel=1e-8)
 
     def test_ratio_independent_of_loss_coefficient(self):
         n_s = db_to_photons(10.0)
-        values = [numeric_ratio_optimal_length(n_s, b=b) for b in CROSS_CHECK_B]
+        values = [
+            optimize_length("S", b, n_s).value / optimize_length("C", b).value
+            for b in CROSS_CHECK_B
+        ]
         assert values[0] == pytest.approx(values[1], rel=1e-8)
         assert values[1] == pytest.approx(values[2], rel=1e-8)
+
+
+N_S_10DB = db_to_photons(10.0)
+
+#: Each closed-form optimum, its numeric counterpart, their shared
+#: arguments, and the relative tolerance the cross-validation tests above
+#: hold ``x`` and ``value`` to.
+ROUTE_PAIRS = [
+    *(
+        pytest.param(analytic.optimal_length, optimize_length, (variant, 0.5, n_s, m), 1e-6,
+                     id=f"length {variant}")
+        for variant, n_s, m in (
+            ("C", 0.0, 1), ("S", N_S_10DB, 1), ("D", 0.0, 4), ("P", N_S_10DB, 4), ("E", N_S_10DB, 4),
+        )
+    ),
+    pytest.param(analytic.optimal_m, optimize_m_continuous, ("D", 0.5, 15.0), 1e-6, id="count D"),
+    pytest.param(analytic.optimal_m, optimize_m_continuous, ("E", 0.5, 15.0, N_S_10DB), 1e-6,
+                 id="count E"),
+    pytest.param(analytic.optimal_energy_split, optimize_energy_split_numeric, (100.0, 0.9), 1e-8,
+                 id="energy split"),
+]
+
+
+@pytest.mark.parametrize("closed, numeric, args, rel", ROUTE_PAIRS)
+def test_both_routes_return_one_agreeing_optimum(closed, numeric, args, rel):
+    a, n = closed(*args), numeric(*args)
+    assert type(a) is type(n) is analytic.Optimum
+    assert a.iterations == 0 < n.iterations
+    assert n.x == pytest.approx(a.x, rel=rel)
+    assert n.value == pytest.approx(a.value, rel=rel)

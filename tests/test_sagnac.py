@@ -1,6 +1,7 @@
 """Tests of the coil model: fiber loss, time factor, dB units."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -25,6 +26,17 @@ class TestTransmissivity:
             transmissivity(bad, 10.0)
         with pytest.raises(ValueError, match="fiber length must be nonnegative and finite"):
             transmissivity(0.5, bad)
+
+    @pytest.mark.parametrize("b, length_km", [(300.0, 15.0), (1e300, 15.0), (0.5, 1e300)])
+    def test_underflow_names_loss_and_length(self, b, length_km):
+        message = (f"loss coefficient {b} dB/km and fiber length {length_km} km put the "
+                   "transmissivity out of floating-point range")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            transmissivity(b, length_km)
+
+    @pytest.mark.parametrize("b, length_km", [(0.0, 1e300), (1e300, 0.0), (0.0, 0.0)])
+    def test_no_loss_or_no_length_transmits_everything(self, b, length_km):
+        assert transmissivity(b, length_km) == 1.0
 
     def test_ten_db_total_loss(self):
         assert transmissivity(0.5, 20.0) == pytest.approx(0.1, rel=1e-14)
