@@ -351,8 +351,8 @@ def optimal_m(
         return Optimum(c * length_km, c * math.e / length_km)
     if math.isinf(n_squeezed):
         raise ValueError(
-            "the continuous optimum diverges at infinite squeezing; "
-            "evaluate the ratio limit instead"
+            f"squeezed photon number {n_squeezed} has no finite continuous count "
+            "optimum; evaluate the ratio limit instead"
         )
     exponent = array_size_exponent(n_squeezed)
     return Optimum(c * length_km / (1.0 + exponent), c * math.exp(1.0 + exponent) / length_km)

@@ -672,9 +672,6 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(_help(command))
             return 0
         _COMMANDS[command](resolve_config(flags))
-    except optimize.ConvergenceError as exc:
-        print(f"fogsim: convergence error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"fogsim: error: {exc}", file=sys.stderr)
         return 2
@@ -682,6 +679,11 @@ def main(argv: list[str] | None = None) -> int:
         # Overflow or division by zero that no library guard names.
         print(f"fogsim: error: {command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    # Last, so that a usage error does not run the lazily loaded optimize
+    # layer just to evaluate this clause; ConvergenceError is a RuntimeError.
+    except optimize.ConvergenceError as exc:
+        print(f"fogsim: convergence error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -312,7 +312,7 @@ class TestOptimalCount:
         ("D", 10.0, "design D takes no squeezed light"),
         ("D", math.nan, "squeezed photon number must be nonnegative, got nan"),
         ("E", math.nan, "squeezed photon number must be nonnegative, got nan"),
-        ("E", math.inf, "the continuous optimum diverges at infinite squeezing"),
+        ("E", math.inf, "squeezed photon number inf has no finite continuous count optimum"),
     ])
     def test_squeezing_is_checked(self, variant, n_s, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

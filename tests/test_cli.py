@@ -165,6 +165,12 @@ class TestOptimize:
         assert record["below_threshold"] is below_threshold
         assert record["m_best"] in (m_floor, m_ceil)
 
+    def test_count_optimum_at_infinite_squeezing_names_the_squeezing(self, capsys):
+        assert_usage_error(
+            run(capsys, "optimize", "--design", "E", "--fix-length", "15", "--squeeze-db", "inf"),
+            "squeezed photon number inf",
+        )
+
     def test_length_mode(self, capsys):
         code, out, _ = run(capsys, "optimize", "--design", "C", "--b", "0.5")
         assert code == 0

@@ -1,9 +1,9 @@
 """Import-time guards.  The package, the CLI and every command run without
-numpy, which only the test suite's oracles use; importing the CLI loads
-every layer but no argument-parsing library; the layers' records are
-immutable tuples, built without generated dataclass code, and a checked
-record cannot be rebuilt unchecked; and no module reads another module's
-private names."""
+numpy, which only the test suite's oracles use; importing the CLI registers
+every layer in ``sys.modules`` but runs only the layers each command uses,
+and loads no argument-parsing library; the layers' records are immutable
+tuples, built without generated dataclass code, and a checked record cannot
+be rebuilt unchecked; and no module reads another module's private names."""
 
 import ast
 import contextlib
@@ -65,16 +65,105 @@ def test_import_leaves_numpy_unloaded(module):
     assert result.stdout.strip() == "False"
 
 
-def test_cli_import_loads_every_layer_and_no_argument_parser():
+LAYERS = ("analytic", "designs", "gaussian", "optimize", "sagnac")
+
+#: What a fresh interpreter has after ``import fogsim.cli`` and one request:
+#: the layers registered and executed, and the modules only ``optimize`` needs.
+#: A layer still unexecuted is a lazy module; reading any attribute of it,
+#: ``__dict__`` included, would execute it, so only its type is looked at.
+_LAYERS_RUN = """
+import contextlib, io, json, sys, types
+import fogsim.cli
+layers = [name for name in sys.modules if name.startswith("fogsim.") and name != "fogsim.cli"]
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = fogsim.cli.main(sys.argv[1:])
+print(json.dumps({
+    "code": code,
+    "registered": sorted(name.removeprefix("fogsim.") for name in layers),
+    "executed": sorted(name.removeprefix("fogsim.") for name in layers
+                       if type(sys.modules[name]) is types.ModuleType),
+    "loaded": sorted(name for name in ("argparse", "gettext", "dataclasses", "inspect")
+                     if name in sys.modules),
+}))
+"""
+
+
+@pytest.mark.parametrize("argv, code, executed, loaded", [
+    # The CLI takes its input table and coil functions from sagnac by name.
+    ((), None, ["sagnac"], []),
+    (("variance", "--design", "E", "--m", "4", "--squeeze-db", "10", "--eta", "0.8"), 0,
+     ["analytic", "sagnac"], []),
+    (("ratio", "--squeeze-db", "10", "--eta", "0.8", "--m", "4"), 0, ["analytic", "sagnac"], []),
+    (("figure", "--id", "5"), 0, ["analytic", "sagnac"], []),
+    (("variance", "--design", "E", "--m", "4", "--squeeze-db", "10", "--eta", "1.5"), 2,
+     ["analytic", "sagnac"], []),
+    (("simulate", "--design", "E", "--m", "4", "--squeeze-db", "10", "--eta", "0.8"), 0,
+     ["analytic", "designs", "gaussian", "sagnac"], []),
+    (("optimize", "--design", "S", "--squeeze-db", "10"), 0,
+     ["analytic", "optimize", "sagnac"], ["dataclasses", "inspect"]),
+], ids=["import", "variance", "ratio", "figure", "usage-error", "simulate", "optimize"])
+def test_each_command_runs_only_the_layers_it_uses(argv, code, executed, loaded):
+    result = _python(_LAYERS_RUN, *argv)
+    assert result.returncode == 0, result.stderr
+    # Every layer is registered on import, as the benchmark's tracer requires.
+    assert json.loads(result.stdout) == {
+        "code": code, "registered": list(LAYERS), "executed": executed, "loaded": loaded,
+    }
+
+
+def test_module_run_of_the_cli_writes_nothing_to_stderr():
+    """``python -m fogsim.cli`` warns through runpy if the CLI module is
+    already in ``sys.modules`` when it starts; the package registers only
+    the layers."""
+    result = subprocess.run(
+        [sys.executable, "-m", "fogsim.cli", "simulate", "--design", "E", "--m", "4",
+         "--squeeze-db", "10", "--eta", "0.8"],
+        env=dict(os.environ, PYTHONPATH=SOURCE_ROOT),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["design"] == "E"
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_import_spelling_gives_one_layer_module(layer):
+    """The spellings that leave a lazy layer unexecuted come first; the
+    module object stays the same once its body has run."""
     result = _python(
-        "import json, sys, fogsim.cli\n"
-        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('fogsim.')\n"
-        "                        or name in ('argparse', 'gettext'))))"
+        "import importlib, sys, types\n"
+        f"from fogsim import {layer}\n"
+        f"spellings = [{layer}, sys.modules['fogsim.{layer}']]\n"
+        f"pending = type({layer}) is not types.ModuleType\n"
+        f"import fogsim.{layer}\n"
+        f"spellings += [fogsim.{layer}, importlib.import_module('fogsim.{layer}')]\n"
+        f"print(pending, type({layer}) is types.ModuleType,\n"
+        f"      all(spelling is {layer} for spelling in spellings))",
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [
-        f"fogsim.{layer}" for layer in ("analytic", "cli", "designs", "gaussian", "optimize", "sagnac")
-    ]
+    assert result.stdout.split() == ["True", "True", "True"]
+
+
+@pytest.mark.parametrize("raise_line", [
+    "raise fogsim.optimize.ConvergenceError('forced')",
+    "from fogsim.optimize import ConvergenceError; raise ConvergenceError('forced')",
+])
+def test_convergence_error_from_an_unexecuted_optimize_layer_maps_to_three(raise_line):
+    """The error class is first read inside the command, after ``main``'s
+    handlers are set up, by either import spelling."""
+    result = _python(
+        "import sys, types, fogsim.cli\n"
+        "def explode(config):\n"
+        f"    {raise_line}\n"
+        "fogsim.cli._COMMANDS['table1'] = explode\n"
+        "assert type(sys.modules['fogsim.optimize']) is not types.ModuleType\n"
+        "sys.exit(fogsim.cli.main(['table1']))"
+    )
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == "fogsim: convergence error: forced\n"
 
 
 def test_benchmark_tracer_wraps_the_names_it_expects():
