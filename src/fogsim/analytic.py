@@ -177,7 +177,7 @@ def _quantum_term(
     q is 1 for designs C and D, inverse_squeeze_factor(N_s) for S and E (the
     entangled probe keeps the full N_s whatever M), and
     M / (sqrt(M + N_s) + sqrt(N_s))^2 for the M squeezers of P sharing N_s.
-    Every variance is the laser-only one times eta * q + 1 - eta.  ``m`` may
+    Every variance is the laser-only one times :func:`ratio_fixed_eta`.  ``m`` may
     be real.  The design, count and squeezing are checked here.
     """
     DOMAIN.check_design(variant, m, n_squeezed)
@@ -189,11 +189,6 @@ def _quantum_term(
         return 0.0
     # Keep this evaluation order: eta * (m / ...) moves the last bit.
     return eta * m / (math.sqrt(m + n_squeezed) + math.sqrt(n_squeezed)) ** 2
-
-
-def _with_loss(quantum: float, eta: float) -> float:
-    """eta * q + 1 - eta, in the grouping the pinned outputs hold; q + (1 - eta) cancels less."""
-    return quantum + 1.0 - eta
 
 
 def design_variance(
@@ -209,11 +204,11 @@ def design_variance(
     ``time_factor_s`` is the per-interferometer time factor and ``n_v`` the
     per-fiber laser photon budget (equal to the total for C and S).
     """
-    quantum = _quantum_term(variant, n_squeezed, m, eta)
+    DOMAIN.check_design(variant, m, n_squeezed)
     DOMAIN.check("n_v", n_v)
-    classical = classical_variance(time_factor_s, eta, m * n_v)
-    # For C and D, eta + 1 - eta is not exactly 1.0 in floating point.
-    variance = classical if variant in ("C", "D") else classical * _with_loss(quantum, eta)
+    variance = classical_variance(time_factor_s, eta, m * n_v) * ratio_fixed_eta(
+        variant, eta, m, n_squeezed
+    )
     # Worded as the circuit's CircuitResult words the same rejection.
     if not 0.0 < variance < math.inf:
         raise ValueError(f"estimator variance must be positive and finite, got {variance}")
@@ -245,14 +240,15 @@ def variance_vs_length(
     quantum = _quantum_term(variant, n_squeezed, m)
     try:
         inverse_eta = math.exp(b * LN10 / 10.0 * length_km / m)
-    except OverflowError:
-        # M is left out of the message: inside the count optimizers it is a
-        # trial value the caller never gave.
+        return m * (quantum - 1.0 + inverse_eta) / length_km**2
+    except (OverflowError, ZeroDivisionError):
+        # The attenuation overflows, or the squared length leaves range.  M is
+        # left out of the message: inside the count optimizers it is a trial
+        # value the caller never gave.
         raise ValueError(
             f"loss coefficient {b} dB/km and fiber length {length_km} km put the "
             "variance out of floating-point range"
         ) from None
-    return m * (quantum - 1.0 + inverse_eta) / length_km**2
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +330,10 @@ def optimal_m(
 ) -> Optimum:
     """Real interferometer count ``x`` minimizing the variance at fixed total length.
 
-    Laser-only array: M = b L ln(10) / 10 with normalized variance
-    b e ln(10) / (10 L).  Entangled array: the denominator gains
-    (1 + array_size_exponent(N_s)) and the variance the factor
-    e^(array_size_exponent); at zero squeezing both reduce to the laser-only
-    values.  The integer count is left to
+    M = c L / (1 + w) with normalized variance c e^(1 + w) / L, where
+    c = b ln(10) / 10 and w = array_size_exponent(N_s).  The laser-only
+    array D is the entangled one without squeezing: w = 0, so M = c L and
+    the variance is c e / L.  The integer count is left to
     :func:`fogsim.optimize.optimize_m_integer`.
     """
     DOMAIN.check("b_optimum", b)
@@ -346,14 +341,12 @@ def optimal_m(
     if variant not in ("D", "E"):
         raise ValueError("closed-form count optimization covers designs D and E")
     DOMAIN.check_design(variant, 1, n_squeezed)
-    c = b * LN10 / 10.0
-    if variant == "D":
-        return Optimum(c * length_km, c * math.e / length_km)
     if math.isinf(n_squeezed):
         raise ValueError(
             f"squeezed photon number {n_squeezed} has no finite continuous count "
             "optimum; evaluate the ratio limit instead"
         )
+    c = b * LN10 / 10.0
     exponent = array_size_exponent(n_squeezed)
     return Optimum(c * length_km / (1.0 + exponent), c * math.exp(1.0 + exponent) / length_km)
 
@@ -362,16 +355,17 @@ def optimal_m(
 # Sensitivity ratios against the matched classical baseline
 # ---------------------------------------------------------------------------
 
-def ratio_fixed_eta(n_squeezed: float, eta: float) -> float:
-    """eta / g + 1 - eta; tends to 1 - eta with infinite squeezing."""
-    DOMAIN.check("eta", eta)
-    return _with_loss(_quantum_term("S", n_squeezed, 1, eta), eta)
+def ratio_fixed_eta(variant: str, eta: float, m: int = 1, n_squeezed: float = 0.0) -> float:
+    """Any design's variance over the laser-only one at fixed transmissivity, eta q + 1 - eta.
 
-
-def ratio_product_fixed_eta(n_squeezed: float, eta: float, m: int) -> float:
-    """Fixed-transmissivity ratio for the product design with a shared budget."""
+    Exactly 1 for C and D, with q as in :func:`_quantum_term`; tends to
+    1 - eta with infinite squeezing.
+    """
     DOMAIN.check("eta", eta)
-    return _with_loss(_quantum_term("P", n_squeezed, m, eta), eta)
+    quantum = _quantum_term(variant, n_squeezed, m, eta)
+    # eta + 1 - eta is not exactly 1.0 in floating point.  (quantum + 1) - eta
+    # is the grouping the pinned outputs hold; quantum + (1 - eta) cancels less.
+    return 1.0 if variant in ("C", "D") else quantum + 1.0 - eta
 
 
 def ratio_optimal_length(n_squeezed: float) -> float:

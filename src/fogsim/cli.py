@@ -369,7 +369,7 @@ def figure_7(config: RunConfig) -> Columns:
     eta_single = transmissivity(config.b, length)
     etas = [transmissivity(config.b, length / m) for m in counts]
     photons = [db_to_photons(sigma) for sigma in sigmas]
-    ratio_single = [analytic.ratio_fixed_eta(n_s, eta_single) for n_s in photons]
+    ratio_single = [analytic.ratio_fixed_eta("S", eta_single, 1, n_s) for n_s in photons]
     grid = [
         (sigma, n_s, single, m, eta)
         for sigma, n_s, single in zip(sigmas, photons, ratio_single)
@@ -380,8 +380,8 @@ def figure_7(config: RunConfig) -> Columns:
         "m": [m for _, _, _, m, _ in grid],
         "eta": [eta for _, _, _, _, eta in grid],
         "ratio_s_single": [single for _, _, single, _, _ in grid],
-        "ratio_p": [analytic.ratio_product_fixed_eta(n_s, eta, m) for _, n_s, _, m, eta in grid],
-        "ratio_e": [analytic.ratio_fixed_eta(n_s, eta) for _, n_s, _, _, eta in grid],
+        "ratio_p": [analytic.ratio_fixed_eta("P", eta, m, n_s) for _, n_s, _, m, eta in grid],
+        "ratio_e": [analytic.ratio_fixed_eta("E", eta, m, n_s) for _, n_s, _, m, eta in grid],
         "one_minus_eta": [1.0 - eta for _, _, _, _, eta in grid],
     }
 
@@ -447,7 +447,7 @@ def cmd_ratio(config: RunConfig) -> None:
     """Quantum/classical sensitivity ratios."""
     n_s = config.resolved_squeezed_photons()
     eta = config.resolved_eta() if config.eta is not None or config.length_km is not None else None
-    fixed_eta = None if eta is None else analytic.ratio_fixed_eta(n_s, eta)
+    fixed_eta = None if eta is None else analytic.ratio_fixed_eta("S", eta, 1, n_s)
     optimal_length = analytic.ratio_optimal_length(n_s)
     optimal_m = analytic.ratio_optimal_m(n_s)
     record = {
@@ -460,9 +460,7 @@ def cmd_ratio(config: RunConfig) -> None:
         "provenance": "analytic",
     }
     if eta is not None and config.m > 1:
-        record["ratio_product_fixed_eta"] = analytic.ratio_product_fixed_eta(
-            n_s, eta, config.m
-        )
+        record["ratio_product_fixed_eta"] = analytic.ratio_fixed_eta("P", eta, config.m, n_s)
     _emit_json(record, config.out)
 
 
@@ -477,8 +475,8 @@ def cmd_optimize(config: RunConfig) -> None:
             "design": variant,
             "b": config.b,
             "length_km": length,
-            "m_best": search.m_best,
-            "variance_best": search.variance_best,
+            "m_best": search.x,
+            "variance_best": search.value,
             "provenance": "numeric-optimum",
         }
         if variant in ("D", "E"):

@@ -10,7 +10,6 @@ in :mod:`fogsim.analytic`.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -156,6 +155,10 @@ def optimize_length(
     """Numerically minimize the normalized variance over the total fiber length."""
     DOMAIN.check("b_optimum", b)
     bracket = (0.1 * m / b, 40.0 * m / b)
+    if bracket[1] == math.inf:
+        raise ValueError(
+            f"loss coefficient {b} dB/km puts the optimal fiber length out of floating-point range"
+        )
     return minimize_scalar(
         ScalarProblem(
             objective=lambda length: analytic.variance_vs_length(
@@ -170,32 +173,28 @@ def optimize_length(
 # Interferometer-count optimization at fixed total length
 # ---------------------------------------------------------------------------
 
-#: Exhaustive integer search over the interferometer count.
-#: ``profile`` holds (count, normalized variance) for every candidate.
-CountSearchResult = namedtuple("CountSearchResult", ("m_best", "variance_best", "profile"))
-
-
 def optimize_m_integer(
     variant: str,
     b: float,
     length_km: float,
     n_squeezed: float = 0.0,
     m_max: int = 64,
-) -> CountSearchResult:
-    """Evaluate the fixed-length variance for every count 1..m_max.
+) -> analytic.Optimum:
+    """Integer count ``x`` minimizing the fixed-length variance over 1..m_max.
 
     Exhaustive rather than rounding-based because the product design's
-    profile has no closed form.
+    profile has no closed form; the smallest count wins a tie.
     """
     if variant not in ("D", "P", "E"):
         raise ValueError("count optimization applies to the distributed designs")
     DOMAIN.check("m_max", m_max)
-    profile = [
-        (m, analytic.variance_vs_length(variant, b, length_km, m, n_squeezed))
-        for m in range(1, m_max + 1)
-    ]
-    m_best, variance_best = min(profile, key=lambda item: item[1])
-    return CountSearchResult(m_best=m_best, variance_best=variance_best, profile=profile)
+    return min(
+        (
+            analytic.Optimum(m, analytic.variance_vs_length(variant, b, length_km, m, n_squeezed))
+            for m in range(1, m_max + 1)
+        ),
+        key=lambda optimum: optimum.value,
+    )
 
 
 def optimize_m_continuous(

@@ -95,9 +95,22 @@ class GaussianState:
         return self.mean.size // 2
 
     def symplectic_eigenvalues(self) -> np.ndarray:
-        """Symplectic spectrum of the covariance matrix (one value per mode)."""
+        """Symplectic spectrum of the covariance matrix (one value per mode).
+
+        Each mode is first balanced by the local squeeze diag(s, 1/s) with
+        s^4 = Var(Im) / Var(Re).  A symplectic map leaves the spectrum
+        unchanged, and the balance keeps ``eigvals`` from losing the product
+        of a strongly squeezed pair of variances (1e250 and 1e-252 at 2500 dB).
+        """
+        # Fourth roots first: the quotient of the variances itself underflows.
+        roots = np.sqrt(np.sqrt(np.abs(np.diag(self.cov)))).reshape(-1, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = roots[:, 1] / roots[:, 0]
+        s = np.where(np.isfinite(s) & (s > 0.0), s, 1.0)
+        scale = np.column_stack((s, 1.0 / s)).ravel()
+        balanced = scale[:, None] * self.cov * scale[None, :]
         omega = symplectic_form(self.n_modes)
-        eigenvalues = np.linalg.eigvals(1j * omega @ self.cov)
+        eigenvalues = np.linalg.eigvals(1j * omega @ balanced)
         # Eigenvalues come in +/- pairs; keep one representative of each.
         return np.sort(np.abs(eigenvalues))[::2]
 

@@ -198,12 +198,13 @@ def test_criterion_09_count_optimum_spot_check():
     4 by a 0.12 percent margin.  The assertion below encodes the stated
     expectation and is expected to fail; see the decisions ledger.
     """
-    search = optimize.optimize_m_integer("E", 0.5, 15.0, db_to_photons(10.0))
-    continuous = analytic.optimal_m("E", 0.5, 15.0, db_to_photons(10.0)).x
-    profile = dict(search.profile)
-    assert search.m_best == 5, (
+    n_s = db_to_photons(10.0)
+    search = optimize.optimize_m_integer("E", 0.5, 15.0, n_s)
+    continuous = analytic.optimal_m("E", 0.5, 15.0, n_s).x
+    profile = {m: analytic.variance_vs_length("E", 0.5, 15.0, m, n_s) for m in (4, 5)}
+    assert search.x == 5, (
         "stated expectation M_opt = 5, measured argmin "
-        f"M = {search.m_best} (normalized variance * L^2: "
+        f"M = {search.x} (normalized variance * L^2: "
         f"M=4 -> {profile[4] * 15.0 ** 2:.6f}, M=5 -> {profile[5] * 15.0 ** 2:.6f}; "
         f"continuous optimum {continuous:.4f})"
     )

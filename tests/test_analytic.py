@@ -21,7 +21,6 @@ from fogsim.analytic import (
     ratio_fixed_eta,
     ratio_optimal_length,
     ratio_optimal_m,
-    ratio_product_fixed_eta,
     variance_vs_length,
 )
 from fogsim.optimize import optimize_m_integer
@@ -276,13 +275,20 @@ class TestOptimalCount:
         # Direct evaluation picks between the floor and ceiling candidates.
         assert (math.floor(optimum.x), math.ceil(optimum.x)) == (2, 3)
         assert variance_vs_length("D", 0.5, 20.0, 2) < variance_vs_length("D", 0.5, 20.0, 3)
-        assert optimize_m_integer("D", 0.5, 20.0).m_best == 2
+        assert optimize_m_integer("D", 0.5, 20.0).x == 2
 
     def test_entangled_reduces_to_distributed_without_squeezing(self):
         d = optimal_m("D", 0.5, 20.0)
         e = optimal_m("E", 0.5, 20.0, 0.0)
         assert e.x == pytest.approx(d.x, rel=1e-14)
-        assert optimize_m_integer("E", 0.5, 20.0, 0.0).m_best == optimize_m_integer("D", 0.5, 20.0).m_best
+        assert optimize_m_integer("E", 0.5, 20.0, 0.0).x == optimize_m_integer("D", 0.5, 20.0).x
+
+    @pytest.mark.parametrize("b, length", [(0.5, 20.0), (0.2, 2.0), (2.0, 40.0), (0.37, 13.1)])
+    def test_distributed_is_the_laser_only_closed_form(self, b, length):
+        # Without squeezing w = 0, and c L / (1 + w), c e^(1 + w) / L are
+        # c L and c e / L to the last bit.
+        c = b * math.log(10.0) / 10.0
+        assert optimal_m("D", b, length) == (c * length, c * math.e / length, 0)
 
     def test_entangled_ten_db_spot_values(self):
         # At b = 0.5, L = 15, 10 dB, the continuous optimum sits at 4.41
@@ -296,13 +302,13 @@ class TestOptimalCount:
         variance_ceil = variance_vs_length("E", 0.5, 15.0, 5, n_s)
         assert variance_floor * 15.0**2 == pytest.approx(2.559706, abs=1e-5)
         assert variance_ceil * 15.0**2 == pytest.approx(2.562689, abs=1e-5)
-        assert optimize_m_integer("E", 0.5, 15.0, n_s).m_best == 4
+        assert optimize_m_integer("E", 0.5, 15.0, n_s).x == 4
 
     def test_below_threshold_flag(self):
         optimum = optimal_m("D", 0.5, 1.0)
         assert optimum.x == pytest.approx(0.11513, abs=1e-4)
         assert optimum.x < 1.0
-        assert optimize_m_integer("D", 0.5, 1.0).m_best == 1
+        assert optimize_m_integer("D", 0.5, 1.0).x == 1
 
     def test_product_design_needs_numeric_route(self):
         with pytest.raises(ValueError):
@@ -321,14 +327,14 @@ class TestOptimalCount:
 
 class TestRatios:
     def test_no_squeezing_means_no_improvement(self):
-        assert ratio_fixed_eta(0.0, 0.6) == 1.0
+        assert ratio_fixed_eta("S", 0.6, 1, 0.0) == 1.0
         assert ratio_optimal_length(0.0) == pytest.approx(1.0, rel=1e-14)
         assert ratio_optimal_m(0.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_fixed_eta_formula(self):
         n_s = db_to_photons(10.0)
         for eta in (0.2, 0.7, 1.0):
-            assert ratio_fixed_eta(n_s, eta) == pytest.approx(
+            assert ratio_fixed_eta("S", eta, 1, n_s) == pytest.approx(
                 eta / 10.0 + 1.0 - eta, rel=1e-12
             )
 
@@ -336,12 +342,10 @@ class TestRatios:
         n_s = db_to_photons(10.0)
         for m in (2, 4, 8):
             for eta in (0.3, 0.9):
-                assert ratio_product_fixed_eta(n_s, eta, m) >= ratio_fixed_eta(
-                    n_s, eta
-                )
+                assert ratio_fixed_eta("P", eta, m, n_s) >= ratio_fixed_eta("E", eta, m, n_s)
 
     def test_infinite_squeezing_limits(self):
-        assert ratio_fixed_eta(math.inf, 0.7) == pytest.approx(0.3, rel=1e-12)
+        assert ratio_fixed_eta("S", 0.7, 1, math.inf) == pytest.approx(0.3, rel=1e-12)
         w = lambert_bisect(-2.0 / math.e**2)
         assert ratio_optimal_length(math.inf) == pytest.approx(
             2.0 * math.exp(w) / (2.0 + w), rel=1e-12
@@ -399,7 +403,7 @@ class TestDesignVarianceDispatch:
         with pytest.raises(ValueError, match=r"interferometer count must lie in \[1, inf\)"):
             variance_vs_length("P", 0.5, 15.0, 0.5, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
-            ratio_product_fixed_eta(-1.0, 0.5, 4)
+            ratio_fixed_eta("P", 0.5, 4, -1.0)
 
     @pytest.mark.parametrize(
         "call",
@@ -407,7 +411,7 @@ class TestDesignVarianceDispatch:
             analytic.inverse_squeeze_factor,
             length_exponent,
             array_size_exponent,
-            lambda n: ratio_product_fixed_eta(n, 0.5, 4),
+            lambda n: ratio_fixed_eta("P", 0.5, 4, n),
         ],
         ids=["inverse_squeeze_factor", "length_exponent", "array_size_exponent", "design_P"],
     )
@@ -422,10 +426,6 @@ class TestDesignVarianceDispatch:
         n_s = 0.0 if variant in ("C", "D") else db_to_photons(10.0)
         eta = 0.8
         laser_only = classical_variance(1.0, eta, m * 10.0)
-        ratio = (
-            ratio_product_fixed_eta(n_s, eta, m) if variant == "P"
-            else ratio_fixed_eta(n_s, eta)
-        )
         assert design_variance(variant, 1.0, eta, m, 10.0, n_s) == pytest.approx(
-            laser_only * ratio, rel=1e-15
+            laser_only * ratio_fixed_eta(variant, eta, m, n_s), rel=1e-15
         )

@@ -144,7 +144,7 @@ class TestOptimize:
         from fogsim.optimize import optimize_m_integer
 
         search = optimize_m_integer("E", 0.5, 15.0, n_s)
-        assert record["m_best"] == search.m_best
+        assert record["m_best"] == search.x
         assert record["m_continuous"] == pytest.approx(4.4093, abs=2e-4)
         assert record["improvement_fixed_length"] == pytest.approx(1.837, abs=1e-3)
 
@@ -560,6 +560,29 @@ class TestExitCodes:
                     (("variance", "--length-km", "1000"), "1000", 1000.0),
                     (("ratio", "--length-km", "1000"), "1000", 1000.0),
                     (("simulate", "--length-km", "1000"), "1000", 1000.0),
+                )
+            ),
+            # The numeric length optimum's bracket, 40 M / b km, overflows.
+            *(
+                (request, f"loss coefficient {b} dB/km puts the optimal fiber length out of "
+                          "floating-point range")
+                for request, b in (
+                    (("optimize", "--design", "C", "--b", "1e-310"), 1e-310),
+                    (("optimize", "--design", "S", "--b", "1e-320", "--squeeze-db", "10"), 1e-320),
+                    (("table1", "--b", "1e-310"), 1e-310),
+                )
+            ),
+            # The squared length leaves floating-point range.
+            *(
+                (request, f"loss coefficient {b} dB/km and fiber length {length} km put the "
+                          "variance out of floating-point range")
+                for request, b, length in (
+                    (("table1", "--fix-length", "1e-300"), 0.5, 1e-300),
+                    # 0.1 / b km, the lower end of the length optimizer's bracket.
+                    (("table1", "--b", "1e300"), 1e300, 1e-301),
+                    (("optimize", "--design", "D", "--fix-length", "1e-200"), 0.5, 1e-200),
+                    (("optimize", "--design", "D", "--fix-length", "1e200", "--b", "1e-200"),
+                     1e-200, 1e200),
                 )
             ),
         ],

@@ -95,13 +95,6 @@ class TestCoherent:
         assert np.array_equal(_cov(state), 0.25 * np.eye(2))
 
 
-#: The dense engine's eigen-check multiplies the two variances inside
-#: ``np.linalg.eigvals`` and loses their product from about 2500 dB.
-_DENSE_EIGVALS_LOSS = pytest.mark.xfail(
-    raises=ValueError, strict=True, reason="np.linalg.eigvals loses the variance product"
-)
-
-
 class TestSqueezedVacuum:
     def test_zero_photons_is_vacuum(self, engine):
         state = engine.module.squeezed_vacuum(0.0)
@@ -125,13 +118,11 @@ class TestSqueezedVacuum:
     @pytest.mark.parametrize(
         "sigma_db", [0.0, 10.0, 28.0, 40.0, 80.0, 120.0, 200.0, 1000.0, 3000.0]
     )
-    def test_variances_match_high_precision(self, request, engine, sigma_db):
+    def test_variances_match_high_precision(self, engine, sigma_db):
         # mpmath to 50 digits on the same photon number; (mu - nu)^2 / 4
         # evaluated in floating point is 1e-12 off at 40 dB, 1e-5 at 120 dB.
         # mu - nu cancels sigma_db / 10 digits, so the working precision
         # grows by as many.
-        if engine.module is _dense and sigma_db > 2000.0:
-            request.applymarker(_DENSE_EIGVALS_LOSS)
         n_s = db_to_photons(sigma_db)
         state = engine.module.squeezed_vacuum(n_s)
         cov = _cov(state)

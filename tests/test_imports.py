@@ -44,7 +44,7 @@ def test_pure_routes_run_without_numpy():
         "from fogsim import analytic, optimize, sagnac\n"
         "n_s = sagnac.db_to_photons(10)\n"
         "print(optimize.optimize_length('S', 0.5, n_s).value)\n"
-        "print(optimize.optimize_m_integer('P', 0.5, 15, n_s).m_best)\n"
+        "print(optimize.optimize_m_integer('P', 0.5, 15, n_s).x)\n"
         "print(analytic.optimal_m('E', 0.5, 15, n_s).x)\n"
     )
     assert result.returncode == 0, result.stderr
@@ -52,7 +52,7 @@ def test_pure_routes_run_without_numpy():
     n_s = sagnac.db_to_photons(10)
     expected = [
         optimize.optimize_length("S", 0.5, n_s).value,
-        optimize.optimize_m_integer("P", 0.5, 15, n_s).m_best,
+        optimize.optimize_m_integer("P", 0.5, 15, n_s).x,
         analytic.optimal_m("E", 0.5, 15, n_s).x,
     ]
     assert result.stdout.split() == [str(value) for value in expected]
@@ -215,7 +215,6 @@ def test_scalar_problem_is_the_only_dataclass():
 #: One instance of each result and configuration record of the layers.
 RECORDS = [
     analytic.optimal_length("S", 0.5, 10.0),
-    optimize.optimize_m_integer("P", 0.5, 15.0, 10.0),
     gaussian.vacuum_state(),
     gaussian.SymplecticTransform(((1.0, 0.0), (0.0, 1.0))),
     gaussian.HomodyneResult(0.0, 0.25),
@@ -257,8 +256,8 @@ def test_checked_records_cannot_be_rebuilt_unchecked(record, fields):
 
 def test_every_record_class_is_covered():
     assert {type(record).__name__ for record in RECORDS} == {
-        "Optimum", "CountSearchResult",
-        "GaussianState", "SymplecticTransform", "HomodyneResult", "DesignConfig", "CircuitResult",
+        "Optimum", "GaussianState", "SymplecticTransform", "HomodyneResult", "DesignConfig",
+        "CircuitResult",
     }
 
 

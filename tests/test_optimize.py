@@ -111,7 +111,7 @@ class TestCountOptimization:
     def test_short_fiber_prefers_single_interferometer(self):
         result = optimize_m_integer("D", 0.5, 1.0)
         reference = analytic.optimal_m("D", 0.5, 1.0)
-        assert result.m_best == 1
+        assert result.x == 1
         assert reference.x < 1.0
         assert reference.x == pytest.approx(0.1151, abs=1e-4)
 
@@ -128,15 +128,15 @@ class TestCountOptimization:
                     for m in (max(1, math.floor(continuous)), max(1, math.ceil(continuous)))
                 }
                 chosen = min(candidates, key=candidates.get)
-                assert search.m_best == chosen
-                assert search.variance_best == pytest.approx(candidates[chosen], rel=1e-12)
+                assert search.x == chosen
+                assert search.value == pytest.approx(candidates[chosen], rel=1e-12)
 
     def test_entangled_spot_profile(self):
         # b = 0.5, L = 15, 10 dB: exhaustive evaluation confirms the integer
         # optimum at 4 interferometers, in a near-tie with 5.
-        search = optimize_m_integer("E", 0.5, 15.0, db_to_photons(10.0))
-        assert search.m_best == 4
-        profile = dict(search.profile)
+        n_s = db_to_photons(10.0)
+        assert optimize_m_integer("E", 0.5, 15.0, n_s).x == 4
+        profile = {m: analytic.variance_vs_length("E", 0.5, 15.0, m, n_s) for m in (3, 4, 5, 6)}
         assert profile[4] < profile[5] < profile[6]
         assert profile[4] < profile[3]
         assert (profile[5] - profile[4]) / profile[4] < 0.002
@@ -144,18 +144,26 @@ class TestCountOptimization:
     @pytest.mark.parametrize("m_cap", [1, 2])
     def test_m_max_respected(self, m_cap):
         search = optimize_m_integer("E", 0.5, 15.0, 1.0, m_max=m_cap)
-        assert len(search.profile) == m_cap
-        assert search.m_best <= m_cap
+        assert search.x <= m_cap
+        assert search.value == min(
+            analytic.variance_vs_length("E", 0.5, 15.0, m, 1.0) for m in range(1, m_cap + 1)
+        )
+
+    def test_integer_search_returns_an_optimum(self):
+        search = optimize_m_integer("P", 0.5, 15.0, db_to_photons(10.0))
+        assert type(search) is analytic.Optimum
+        assert (type(search.x), search.iterations) == (int, 0)
 
     def test_product_profile_sits_between(self):
         # A shared squeezed budget: the product design loses per-port
         # squeezing as the array grows, staying between the other two.
         n_s = db_to_photons(10.0)
-        d = optimize_m_integer("D", 0.5, 15.0).profile
-        p = optimize_m_integer("P", 0.5, 15.0, n_s).profile
-        e = optimize_m_integer("E", 0.5, 15.0, n_s).profile
         for m in range(2, 65):
-            assert e[m - 1][1] < p[m - 1][1] < d[m - 1][1]
+            d, p, e = (
+                analytic.variance_vs_length(variant, 0.5, 15.0, m, n_squeezed)
+                for variant, n_squeezed in (("D", 0.0), ("P", n_s), ("E", n_s))
+            )
+            assert e < p < d
 
     @pytest.mark.parametrize("b,length", [(0.5, 15.0), (0.25, 40.0), (1.0, 8.0)])
     @pytest.mark.parametrize("sigma", (0.0, 10.0, 20.0))
@@ -226,8 +234,8 @@ class TestExponentArbitration:
         # Integer rounding breaks exact equality; the profile minimum must
         # still land within a few percent of the continuous ratio.
         n_s = db_to_photons(10.0)
-        quantum = optimize_m_integer("E", 0.5, 15.0, n_s).variance_best
-        classical = optimize_m_integer("D", 0.5, 15.0).variance_best
+        quantum = optimize_m_integer("E", 0.5, 15.0, n_s).value
+        classical = optimize_m_integer("D", 0.5, 15.0).value
         assert quantum / classical == pytest.approx(
             analytic.ratio_optimal_m(n_s), rel=0.05
         )
