@@ -16,9 +16,10 @@ length-to-time ratio of the coil geometry.  Normalized variances have units
 1/km^2 and depend only on the fiber loss coefficient, lengths, the
 interferometer count, and the squeezed photon number.
 
-Infinite squeezing is supported as ``math.inf`` photons; the Lambert-W
-exponents and ratios take their analytic limits rather than evaluating
-hyperbolic functions at infinity.
+Infinite squeezing is supported as ``math.inf`` photons.  Only the
+Lambert-W exponents take explicit limits, since their arguments would form
+inf - inf; everywhere else IEEE arithmetic gives the limit, as
+1 / inf = 0 in the squeezing factors.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ LN10 = math.log(10.0)
 #: Branch point of the principal Lambert-W branch.
 _W_BRANCH = -math.exp(-1.0)
 
-#: Residual tolerance of :func:`lambert_w0` relative to max(1, |x|).
+#: Absolute residual tolerance of :func:`lambert_w0` on [-1/e, 0].
 W_RESIDUAL_TOL = 1e-13
 
 
@@ -47,66 +48,36 @@ def _w_branch_series(p: float) -> float:
 
 
 def lambert_w0(x: float) -> float:
-    """Principal branch of w * exp(w) = x, defined for x >= -1/e.
+    """Principal branch of w * exp(w) = x on [-1/e, 0], where every exponent's argument lies.
 
-    Guarded Halley iteration from a regime-appropriate initial guess
-    (branch-point series near -1/e, log asymptotics for large x), with a
-    bisection fallback whenever a step leaves the current sign-change
-    bracket.  The residual |w e^w - x| is at most 1e-13 * max(1, |x|).
+    Halley iteration from the branch-point series, which approaches the root
+    from below and so needs no bracket.  The residual |w e^w - x| is at most
+    1e-13.  An argument outside [-1/e, 0] is rejected.
     """
     if math.isnan(x):
         raise ValueError("lambert_w0 argument must be a number")
+    if x > 0.0:
+        raise ValueError(f"lambert_w0 argument {x} above 0, outside the solved range [-1/e, 0]")
     if x < _W_BRANCH - 1e-12:
         raise ValueError(f"lambert_w0 argument {x} below the branch point -1/e")
     x = max(x, _W_BRANCH)
     if x == 0.0:
         return 0.0
 
-    p_sq = 2.0 * (1.0 + math.e * x)
-    p = math.sqrt(max(p_sq, 0.0))
+    p = math.sqrt(max(2.0 * (1.0 + math.e * x), 0.0))
+    w = _w_branch_series(p)
     if p < 1e-4:
         # So close to the branch point that the series is already exact to
         # double precision and Halley would divide by a vanishing slope.
-        return _w_branch_series(p)
-
-    if x > math.e:
-        log_x = math.log(x)
-        w = log_x - math.log(log_x)
-    else:
-        w = _w_branch_series(p)
-
-    # w e^w is increasing on [-1, inf); keep a sign-change bracket for safety.
-    lo, hi = -1.0, max(1.0, w + 1.0)
-    while hi * math.exp(hi) < x:
-        hi *= 2.0
-    w = min(max(w, lo), hi)
-
-    tol = W_RESIDUAL_TOL * max(1.0, abs(x))
+        return w
     for _ in range(100):
         ew = math.exp(w)
         f = w * ew - x
-        if abs(f) <= 0.1 * tol:
+        if abs(f) <= 0.1 * W_RESIDUAL_TOL:
             return w
-        if f > 0.0:
-            hi = w
-        else:
-            lo = w
         fp = ew * (1.0 + w)
-        fpp = ew * (2.0 + w)
-        denominator = fp - 0.5 * f * fpp / fp if fp != 0.0 else 0.0
-        if denominator != 0.0:
-            step = f / denominator
-            candidate = w - step
-        else:
-            candidate = math.nan
-        if not (lo < candidate < hi) or not math.isfinite(candidate):
-            candidate = 0.5 * (lo + hi)
-        if candidate == w:
-            return w
-        w = candidate
-    if abs(w * math.exp(w) - x) > tol:
-        raise ArithmeticError(f"lambert_w0 failed to converge for x = {x}")
-    return w
+        w -= f / (fp - 0.5 * f * (ew * (2.0 + w)) / fp)
+    raise ArithmeticError(f"lambert_w0 failed to converge for x = {x}")
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +86,7 @@ def lambert_w0(x: float) -> float:
 
 def inverse_squeeze_factor(n_squeezed: float) -> float:
     """1 / (sqrt(1 + N_s) + sqrt(N_s))^2 = 10^(-sigma/10); 0 at infinite squeezing."""
-    if DOMAIN.check("n_squeezed", n_squeezed) == math.inf:
-        return 0.0
+    DOMAIN.check("n_squeezed", n_squeezed)
     return 1.0 / (math.sqrt(1.0 + n_squeezed) + math.sqrt(n_squeezed)) ** 2
 
 
@@ -185,8 +155,6 @@ def _quantum_term(
         return eta
     if variant != "P":
         return eta * inverse_squeeze_factor(n_squeezed)
-    if n_squeezed == math.inf:
-        return 0.0
     # Keep this evaluation order: eta * (m / ...) moves the last bit.
     return eta * m / (math.sqrt(m + n_squeezed) + math.sqrt(n_squeezed)) ** 2
 
@@ -261,30 +229,23 @@ def variance_vs_length(
 Optimum = namedtuple("Optimum", ("x", "value", "iterations"), defaults=(0,))
 
 
-def optimal_energy_split(
-    n_total: float, eta: float, time_factor_s: float = 1.0
-) -> Optimum:
+def optimal_energy_split(n_total: float, eta: float) -> Optimum:
     """Minimize the squeezed-design variance over the laser/squeezer split.
 
     ``x`` is the optimal squeezed photon number
     2 eta^2 N^2 / (1 + z + 2 eta N (2 - eta + z)), with
     z = sqrt(1 + 4 eta (1 - eta) N).  The minimum variance is evaluated in
     the cancellation-free equivalent form
-    (1 + 2 (1 - eta) N + z) / (2 T^2 eta N (N + 1)), which continues
-    analytically to 1 / (T^2 N (N + 1)) at eta = 1.
+    (1 + 2 (1 - eta) N + z) / (2 eta N (N + 1)), which continues
+    analytically to 1 / (N (N + 1)) at eta = 1.  The variance is at unit
+    time factor; it scales as 1 / T^2.
     """
     DOMAIN.check("n_total", n_total)
     DOMAIN.check("eta", eta)
-    DOMAIN.check("time_factor_s", time_factor_s)
     loss = 1.0 - eta
     z = math.sqrt(1.0 + 4.0 * eta * loss * n_total)
-    n_s = (
-        2.0 * eta**2 * n_total**2
-        / (1.0 + z + 2.0 * eta * n_total * (2.0 - eta + z))
-    )
-    variance = (1.0 + 2.0 * loss * n_total + z) / (
-        2.0 * time_factor_s**2 * eta * n_total * (n_total + 1.0)
-    )
+    n_s = 2.0 * eta**2 * n_total**2 / (1.0 + z + 2.0 * eta * n_total * (2.0 - eta + z))
+    variance = (1.0 + 2.0 * loss * n_total + z) / (2.0 * eta * n_total * (n_total + 1.0))
     return Optimum(n_s, variance)
 
 
@@ -313,16 +274,20 @@ def optimal_length(
         length = 10.0 * (2.0 + lam) / (LN10 * b)
         factor, divisor = math.exp(2.0 + lam) * LN10**2, 200.0 * (2.0 + lam)
     try:
-        variance = factor * b**2 / divisor
+        variance = factor * b**2 / divisor / m
     except OverflowError:
+        variance = math.inf
+    # A tiny loss overflows the length or underflows the variance; a huge one overflows it.
+    if not 0.0 < length * m < math.inf:
+        raise ValueError(
+            f"loss coefficient {b} dB/km puts the optimal fiber length out of floating-point range"
+        )
+    if not 0.0 < variance < math.inf:
         raise ValueError(
             f"loss coefficient {b} dB/km puts the variance out of floating-point "
             f"range (optimal fiber length {length} km per interferometer)"
-        ) from None
-    if variant in ("D", "P", "E"):
-        length *= m
-        variance /= m
-    return Optimum(length, variance)
+        )
+    return Optimum(length * m, variance)
 
 
 def optimal_m(

@@ -159,14 +159,20 @@ def optimize_length(
         raise ValueError(
             f"loss coefficient {b} dB/km puts the optimal fiber length out of floating-point range"
         )
-    return minimize_scalar(
-        ScalarProblem(
-            objective=lambda length: analytic.variance_vs_length(
-                variant, b, length, m, n_squeezed
-            ),
-            bracket=bracket,
-        )
+    problem = ScalarProblem(
+        objective=lambda length: analytic.variance_vs_length(variant, b, length, m, n_squeezed),
+        bracket=bracket,
     )
+    # The variance is unimodal in the length, so it peaks at the bracket's ends;
+    # with the design checked first, a rejection there is the loss coefficient's.
+    DOMAIN.check_design(variant, m, n_squeezed)
+    try:
+        in_range = all(math.isfinite(problem.objective(length)) for length in bracket)
+    except ValueError:
+        in_range = False
+    if not in_range:
+        raise ValueError(f"loss coefficient {b} dB/km puts the variance out of floating-point range")
+    return minimize_scalar(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +225,12 @@ def optimize_m_continuous(
 # Energy split optimization
 # ---------------------------------------------------------------------------
 
-def optimize_energy_split_numeric(
-    n_total: float, eta: float, time_factor_s: float = 1.0
-) -> analytic.Optimum:
-    """Golden-section split of a fixed photon budget between laser and squeezer."""
+def optimize_energy_split_numeric(n_total: float, eta: float) -> analytic.Optimum:
+    """Golden-section split of a fixed photon budget between laser and squeezer, at T = 1 s."""
     DOMAIN.check("n_total", n_total)
 
     def objective(n_s: float) -> float:
-        return analytic.design_variance(
-            "S", time_factor_s, eta, 1, n_total - n_s, n_s
-        )
+        return analytic.design_variance("S", 1.0, eta, 1, n_total - n_s, n_s)
 
     return minimize_scalar(
         ScalarProblem(

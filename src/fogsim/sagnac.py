@@ -170,8 +170,7 @@ def db_to_photons(sigma_db: float) -> float:
     """Mean photon number of squeezed vacuum with ``sigma_db`` dB of noise reduction.
 
     N_s = sinh^2(sigma * ln(10) / 20).  Infinity maps to infinity, which the
-    analytic layer treats as the explicit infinite-squeezing limit.
+    analytic layer treats as the infinite-squeezing limit.
     """
-    if DOMAIN.check("squeeze_db", sigma_db) == _INF:
-        return _INF
+    DOMAIN.check("squeeze_db", sigma_db)
     return math.sinh(sigma_db * math.log(10.0) / 20.0) ** 2

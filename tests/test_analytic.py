@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,12 +34,25 @@ TABLE_LENGTH_OPT = (1.116, 1.168, 1.187, 1.193, 1.196)
 TABLE_COUNT_OPT = (1.435, 1.837, 2.154, 2.375, 2.718)
 
 
+def _lambert_w_mp(x: float) -> mpmath.mpf:
+    """50-digit principal-branch Lambert W of the float ``x``."""
+    with mpmath.workdps(50):
+        return mpmath.lambertw(mpmath.mpf(x)).real
+
+
+#: Every exponent argument lies in [-1/e, 0]: an even grid across it, and a
+#: grid that approaches the branch point.
+W_GRID = [-math.exp(-1.0) * (1.0 - k / 400.0) for k in range(1, 401)]
+W_NEAR_BRANCH = [-math.exp(-1.0) * (1.0 - delta) for delta in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)]
+
+
 class TestLambertW:
     def test_zero(self):
         assert lambert_w0(0.0) == 0.0
 
     def test_unit(self):
-        assert lambert_w0(math.e) == pytest.approx(1.0, rel=1e-14)
+        # -ln(2) e^(-ln 2) = -ln(2) / 2.
+        assert lambert_w0(-math.log(2.0) / 2.0) == pytest.approx(-math.log(2.0), rel=1e-14)
 
     def test_branch_point(self):
         assert lambert_w0(-1.0 / math.e) == pytest.approx(-1.0, abs=1e-7)
@@ -48,30 +62,51 @@ class TestLambertW:
         assert lambert_w0(x) == pytest.approx(lambert_bisect(x), abs=1e-12)
         assert lambert_w0(x) == pytest.approx(-0.4064, abs=1e-4)
 
-    @given(st.floats(min_value=-math.exp(-1.0) + 1e-12, max_value=1e6))
+    @given(st.floats(min_value=-math.exp(-1.0) + 1e-12, max_value=0.0))
     @settings(max_examples=200, deadline=None)
     def test_residual_bound(self, x):
         w = lambert_w0(x)
-        assert abs(w * math.exp(w) - x) <= 1e-13 * max(1.0, abs(x))
+        assert abs(w * math.exp(w) - x) <= 1e-13
 
     @given(
-        st.floats(min_value=-math.exp(-1.0), max_value=100.0),
-        st.floats(min_value=1e-12, max_value=10.0),
+        st.floats(min_value=-math.exp(-1.0), max_value=0.0),
+        st.floats(min_value=1e-12, max_value=0.4),
     )
     @settings(max_examples=100, deadline=None)
     def test_monotone_increasing(self, x, delta):
-        assert lambert_w0(x + delta) >= lambert_w0(x)
+        assert lambert_w0(min(x + delta, 0.0)) >= lambert_w0(x)
+
+    def test_residual_against_mpmath(self):
+        for x in W_GRID + W_NEAR_BRANCH:
+            w = lambert_w0(x)
+            with mpmath.workdps(50):
+                assert abs(mpmath.mpf(w) * mpmath.exp(w) - x) <= 1e-13, x
+
+    def test_against_mpmath(self):
+        # W' = 1 / (e^W (1 + W)) grows without bound at the branch point, so
+        # the grid keeps 1e-3 away from it here.
+        for x in W_GRID:
+            if x > -math.exp(-1.0) + 1e-3:
+                assert abs(lambert_w0(x) - _lambert_w_mp(x)) <= 1e-12, x
 
     def test_near_branch_accuracy(self):
         # The fixed-length limit drives the argument toward the branch
         # point, so accuracy there matters.
-        for delta in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
-            x = -math.exp(-1.0) * (1.0 - delta)
-            assert lambert_w0(x) == pytest.approx(lambert_bisect(x), abs=1e-10)
+        for x in W_NEAR_BRANCH:
+            assert abs(lambert_w0(x) - _lambert_w_mp(x)) <= 1e-10, x
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="below the branch point"):
             lambert_w0(-1.0 / math.e - 1e-9)
+
+    @pytest.mark.parametrize("x", [5e-324, 1.0, math.e, math.inf])
+    def test_positive_argument_rejected(self, x):
+        with pytest.raises(ValueError, match=r"above 0, outside the solved range \[-1/e, 0\]"):
+            lambert_w0(x)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="must be a number"):
+            lambert_w0(math.nan)
 
 
 class TestExponents:
@@ -267,6 +302,18 @@ class TestOptimalLength:
             m * classical_single.x, rel=1e-12
         )
 
+    @pytest.mark.parametrize("variant,b,m,quantity", [
+        ("C", 1e-310, 1, "optimal fiber length"),
+        ("D", 1e-300, 1e10, "optimal fiber length"),
+        ("C", 1e-200, 1, "variance"),
+        ("S", 1e154, 1, "variance"),
+        ("D", 1e300, 4, "variance"),
+    ])
+    def test_out_of_range_optimum_names_the_loss(self, variant, b, m, quantity):
+        # Never a length of inf or a variance of 0 or inf.
+        with pytest.raises(ValueError, match=re.escape(f"loss coefficient {b} dB/km puts the {quantity} out")):
+            optimal_length(variant, b, 0.0, m)
+
 
 class TestOptimalCount:
     def test_distributed_example(self):
@@ -418,6 +465,25 @@ class TestDesignVarianceDispatch:
     def test_nan_squeezing_rejected(self, call):
         with pytest.raises(ValueError, match="squeezed photon number must be nonnegative"):
             call(math.nan)
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (lambda: analytic.inverse_squeeze_factor(math.inf), 0.0),
+            *(
+                (lambda variant=variant, m=m: ratio_fixed_eta(variant, 0.7, m, math.inf),
+                 (0.0 + 1.0) - 0.7)
+                for variant, m in (("S", 1), ("P", 4), ("E", 4))
+            ),
+            (lambda: variance_vs_length("P", 0.5, 15.0, 4, math.inf),
+             4 * (0.0 - 1.0 + math.exp(0.5 * analytic.LN10 / 10.0 * 15.0 / 4)) / 15.0**2),
+            (lambda: db_to_photons(math.inf), math.inf),
+        ],
+        ids=["inverse_squeeze_factor", "ratio_S", "ratio_P", "ratio_E", "variance_P", "db_to_photons"],
+    )
+    def test_infinite_squeezing_limit_is_exact(self, call, expected):
+        # IEEE arithmetic reaches each limit: 1 / inf = 0 and sinh(inf)^2 = inf.
+        assert call() == expected
 
     @pytest.mark.parametrize("variant,m", [("C", 1), ("S", 1), ("D", 4), ("P", 4), ("E", 4)])
     def test_variance_is_laser_only_times_ratio(self, variant, m):

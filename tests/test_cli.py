@@ -578,8 +578,6 @@ class TestExitCodes:
                           "variance out of floating-point range")
                 for request, b, length in (
                     (("table1", "--fix-length", "1e-300"), 0.5, 1e-300),
-                    # 0.1 / b km, the lower end of the length optimizer's bracket.
-                    (("table1", "--b", "1e300"), 1e300, 1e-301),
                     (("optimize", "--design", "D", "--fix-length", "1e-200"), 0.5, 1e-200),
                     (("optimize", "--design", "D", "--fix-length", "1e200", "--b", "1e-200"),
                      1e-200, 1e200),
@@ -609,6 +607,29 @@ class TestExitCodes:
             (("optimize", "--design", "E", "--fix-length", "1e6", "--squeeze-db", "10"),
              "loss coefficient 0.5 dB/km and fiber length 1000000.0 km put the variance "
              "out of floating-point range"),
+            # The closed-form optimum: b^2 underflows, overflows, or the
+            # length overflows; no cell is printed as 0 or inf.
+            *(
+                (("figure", "--id", figure_id, "--b", b),
+                 f"loss coefficient {float(b)} dB/km puts the variance out of floating-point "
+                 f"range (optimal fiber length {length} km per interferometer)")
+                for figure_id, b, length in (
+                    ("5", "1e-200", 8.685889638065036e200),
+                    ("3b", "1e-200", 8.685889638065036e200),
+                    ("5", "1e154", 8.685889638065036e-154),
+                )
+            ),
+            (("figure", "--id", "5", "--b", "1e-310"),
+             "loss coefficient 1e-310 dB/km puts the optimal fiber length out of "
+             "floating-point range"),
+            # The length optimizer's objective leaves range at its bracket's
+            # ends; only the loss coefficient is named, not a trial length.
+            *(
+                (("table1", "--b", b),
+                 f"loss coefficient {float(b)} dB/km puts the variance out of floating-point range")
+                for b in ("1e154", "1.2e154", "2e154", "1e155", "1e200", "1e300", "1e-160",
+                          "1e-300")
+            ),
         ],
     )
     @pytest.mark.filterwarnings("error")
