@@ -25,6 +25,7 @@ inf - inf; everywhere else IEEE arithmetic gives the limit, as
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .sagnac import DOMAIN
@@ -277,12 +278,12 @@ def optimal_length(
         variance = factor * b**2 / divisor / m
     except OverflowError:
         variance = math.inf
-    # A tiny loss overflows the length or underflows the variance; a huge one overflows it.
+    # A tiny loss overflows the length or leaves the variance subnormal; a huge one overflows it.
     if not 0.0 < length * m < math.inf:
         raise ValueError(
             f"loss coefficient {b} dB/km puts the optimal fiber length out of floating-point range"
         )
-    if not 0.0 < variance < math.inf:
+    if not sys.float_info.min <= variance < math.inf:
         raise ValueError(
             f"loss coefficient {b} dB/km puts the variance out of floating-point "
             f"range (optimal fiber length {length} km per interferometer)"

@@ -31,7 +31,7 @@ from itertools import zip_longest
 from . import analytic, designs, optimize
 from .sagnac import DOMAIN, VARIANTS, db_to_photons, time_factor, transmissivity
 
-#: Squeezing grid of the improvement table, in dB ("inf" allowed in configs).
+#: Squeezing grid of the improvement table, in dB; inf is the infinite-squeezing limit.
 TABLE_SIGMAS_DB = (5.0, 10.0, 15.0, 20.0, math.inf)
 
 class ConfigError(ValueError):

@@ -23,8 +23,7 @@ loss, the 4x4 phase block of each interferometer and the input splitters
 the product input state by ``math.fsum``.  Each distinct single-mode input
 is built once by the :mod:`fogsim.gaussian` constructors, which check its
 physicality.  The tests compare this route against a dense numpy engine
-that propagates the full 4M x 4M covariance.  ``homodyne_closed_form``
-gives the direct single-interferometer, separable and entangled formulas.
+that propagates the full 4M x 4M covariance.
 """
 
 from __future__ import annotations
@@ -70,18 +69,6 @@ class DesignConfig(
         # A circuit has a whole number of interferometers: an int, not a float.
         return super().__new__(cls, variant, operator.index(m_interferometers), n_v, n_squeezed)
 
-    @property
-    def amplitude(self) -> float:
-        """Coherent amplitude alpha of the laser input, sqrt(M n_v) (real, by convention)."""
-        return math.sqrt(self.m_interferometers * self.n_v)
-
-    @property
-    def per_port_squeezed(self) -> float:
-        """Squeezed photons entering each interferometer port (design P)."""
-        if self.variant == "P":
-            return self.n_squeezed / self.m_interferometers
-        return self.n_squeezed
-
 
 class CircuitResult(
     CheckedRecord,
@@ -109,16 +96,17 @@ class CircuitResult(
 def _input_modes(config: DesignConfig) -> list[GaussianState]:
     """One single-mode state per input mode, the M laser-side modes first.
 
-    Each distinct state is constructed (and so checked) once.
+    Each distinct state is constructed (and so checked) once; the laser
+    amplitude sqrt(M n_v) is real by convention.
     """
     m = config.m_interferometers
     vacuum = vacuum_state()
-    laser = [coherent_state(config.amplitude, 0.0)] + [vacuum] * (m - 1)
+    laser = [coherent_state(math.sqrt(m * config.n_v), 0.0)] + [vacuum] * (m - 1)
     dark = [vacuum] * m
     if config.variant in ("S", "E"):
         dark[0] = squeezed_vacuum(config.n_squeezed)
     elif config.variant == "P":
-        dark = [squeezed_vacuum(config.per_port_squeezed)] * m
+        dark = [squeezed_vacuum(config.n_squeezed / m)] * m
     return laser + dark
 
 
@@ -183,8 +171,6 @@ def _run_circuit(config: DesignConfig, phi: float, eta: float) -> tuple[Homodyne
         v[p] * state.cov[p][q] * v[q]
         for v, state in _per_mode(row, modes) for p in (0, 1) for q in (0, 1)
     ) + loss_variance
-    if not math.isfinite(variance):
-        raise ValueError(f"homodyne variance must be finite, got {variance}")
     mean, slope = (
         math.fsum(v[p] * state.mean[p] for v, state in _per_mode(r, modes) for p in (0, 1))
         for r in (row, slope_row)
@@ -227,26 +213,3 @@ def estimator_variance_sim(
         estimator_variance=variance,
         variance_normalized=variance * time_factor_s * time_factor_s * config.n_v,
     )
-
-
-def homodyne_closed_form(config: DesignConfig, phi: float, eta: float) -> HomodyneResult:
-    """Closed-form homodyne statistics of the symmetric output port, any design.
-
-    The read port mixes the dark-side Im-quadrature variance with weight
-    cos^2(phi).  For separable inputs (D, P) that is the mean of the equal
-    per-port variances; for E the splitting and recombination arrays
-    cancel, leaving the single-squeezer form of S with the full squeezed
-    photon number.  Exact at arbitrary phase.
-    """
-    DOMAIN.check("eta_homodyne", eta)
-    # Im-quadrature variance of the dark-side squeezed vacuum (vacuum for C
-    # and D): (mu - nu)^2 / 4 written in cancellation-free form.
-    n_s = config.per_port_squeezed
-    dark_variance = VACUUM_VARIANCE / (math.sqrt(1.0 + n_s) + math.sqrt(n_s)) ** 2
-    sin, cos = math.sin(phi), math.cos(phi)
-    mean = math.sqrt(eta) * sin * config.amplitude
-    variance = (
-        eta * (sin**2 * VACUUM_VARIANCE + cos**2 * dark_variance)
-        + (1.0 - eta) * VACUUM_VARIANCE
-    )
-    return HomodyneResult(mean=mean, variance=variance)

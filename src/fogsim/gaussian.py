@@ -114,8 +114,8 @@ class HomodyneResult(CheckedRecord, namedtuple("HomodyneResult", ("mean", "varia
     __slots__ = ()
 
     def __new__(cls, mean: float, variance: float) -> HomodyneResult:
-        if not variance > 0.0:
-            raise ValueError(f"homodyne variance must be positive, got {variance}")
+        if not 0.0 < variance < math.inf:
+            raise ValueError(f"homodyne variance must be positive and finite, got {variance}")
         return super().__new__(cls, mean, variance)
 
 

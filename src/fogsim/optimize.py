@@ -1,10 +1,10 @@
-"""Numeric optimization of fiber length, interferometer count, and energy split.
+"""Numeric optimization of fiber length and interferometer count.
 
 Golden-section search over a bracketed scalar objective, with a coarse
-pre-scan that guards the unimodality contract.  Used both as a product
-feature (the product design's fixed-length count optimization has no closed
-form) and as the independent validation route for every closed-form optimum
-in :mod:`fogsim.analytic`.
+pre-scan that guards the unimodality contract.  The product design's
+fixed-length count optimization has no closed form, so its integer search
+is the only route to that optimum; the length and continuous-count searches
+check the closed-form optima of :mod:`fogsim.analytic` independently.
 """
 
 from __future__ import annotations
@@ -219,23 +219,3 @@ def optimize_m_continuous(
             bracket=(1.0, m_hi),
         )
     )
-
-
-# ---------------------------------------------------------------------------
-# Energy split optimization
-# ---------------------------------------------------------------------------
-
-def optimize_energy_split_numeric(n_total: float, eta: float) -> analytic.Optimum:
-    """Golden-section split of a fixed photon budget between laser and squeezer, at T = 1 s."""
-    DOMAIN.check("n_total", n_total)
-
-    def objective(n_s: float) -> float:
-        return analytic.design_variance("S", 1.0, eta, 1, n_total - n_s, n_s)
-
-    return minimize_scalar(
-        ScalarProblem(
-            objective=objective,
-            bracket=(0.0, n_total * (1.0 - 1e-9)),
-        )
-    )
-

@@ -3,8 +3,10 @@
 These are deliberately written without reusing the library's internals:
 bisection for the Lambert-W defining equation, an explicit entrywise
 quadrature lifting, dense-grid minimization, a Haar-random passive
-unitary generator, and the dense 4M x 4M design circuit built from the
-primitives of the dense engine in ``_dense``.
+unitary generator, the dense 4M x 4M design circuit built from the
+primitives of the dense engine in ``_dense``, the closed-form homodyne
+statistics of every design, and the numeric laser/squeezer energy split
+built on the package's public optimizer and variance.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ import math
 
 import numpy as np
 
+from fogsim import analytic
+from fogsim.optimize import ScalarProblem, minimize_scalar
+from fogsim.sagnac import DOMAIN
+
 from _dense import (
+    VACUUM_VARIANCE,
     HomodyneResult,
     SymplecticTransform,
     balanced_splitter_array,
@@ -91,9 +98,61 @@ def random_passive_unitary(n: int, seed: int) -> np.ndarray:
     return q * phases
 
 
+def laser_amplitude(config) -> float:
+    """Coherent amplitude sqrt(M n_v) of a design's laser input, real by convention."""
+    return math.sqrt(config.m_interferometers * config.n_v)
+
+
+def per_port_squeezed(config) -> float:
+    """Squeezed photons entering each interferometer port: the M squeezers of P share N_s."""
+    if config.variant == "P":
+        return config.n_squeezed / config.m_interferometers
+    return config.n_squeezed
+
+
+def homodyne_closed_form(config, phi: float, eta: float) -> HomodyneResult:
+    """Closed-form homodyne statistics of the symmetric output port, any design.
+
+    The read port mixes the dark-side Im-quadrature variance with weight
+    cos^2(phi).  For separable inputs (D, P) that is the mean of the equal
+    per-port variances; for E the splitting and recombination arrays
+    cancel, leaving the single-squeezer form of S with the full squeezed
+    photon number.  Exact at arbitrary phase.
+    """
+    # Im-quadrature variance of the dark-side squeezed vacuum (vacuum for C
+    # and D): (mu - nu)^2 / 4 written in cancellation-free form.
+    n_s = per_port_squeezed(config)
+    dark_variance = VACUUM_VARIANCE / (math.sqrt(1.0 + n_s) + math.sqrt(n_s)) ** 2
+    sin, cos = math.sin(phi), math.cos(phi)
+    mean = math.sqrt(eta) * sin * laser_amplitude(config)
+    variance = (
+        eta * (sin**2 * VACUUM_VARIANCE + cos**2 * dark_variance)
+        + (1.0 - eta) * VACUUM_VARIANCE
+    )
+    return HomodyneResult(mean=mean, variance=variance)
+
+
+def optimize_energy_split_numeric(n_total: float, eta: float) -> analytic.Optimum:
+    """Golden-section split of a fixed photon budget between laser and squeezer, at T = 1 s.
+
+    The numeric twin of :func:`fogsim.analytic.optimal_energy_split`.
+    """
+    DOMAIN.check("n_total", n_total)
+
+    def objective(n_s: float) -> float:
+        return analytic.design_variance("S", 1.0, eta, 1, n_total - n_s, n_s)
+
+    return minimize_scalar(
+        ScalarProblem(
+            objective=objective,
+            bracket=(0.0, n_total * (1.0 - 1e-9)),
+        )
+    )
+
+
 def _design_input(config):
     m = config.m_interferometers
-    parts = [coherent_state(config.amplitude, 0.0)]
+    parts = [coherent_state(laser_amplitude(config), 0.0)]
     parts.extend(vacuum_state(1) for _ in range(m - 1))
     if config.variant in ("C", "D"):
         parts.extend(vacuum_state(1) for _ in range(m))
@@ -101,7 +160,7 @@ def _design_input(config):
         parts.append(squeezed_vacuum(config.n_squeezed, "im"))
     elif config.variant == "P":
         parts.extend(
-            squeezed_vacuum(config.per_port_squeezed, "im") for _ in range(m)
+            squeezed_vacuum(per_port_squeezed(config), "im") for _ in range(m)
         )
     else:  # E: one squeezer, distributed by the array below
         parts.append(squeezed_vacuum(config.n_squeezed, "im"))

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -306,13 +307,18 @@ class TestOptimalLength:
         ("C", 1e-310, 1, "optimal fiber length"),
         ("D", 1e-300, 1e10, "optimal fiber length"),
         ("C", 1e-200, 1, "variance"),
+        ("C", 1e-160, 1, "variance"),
+        ("E", 1e-160, 4, "variance"),
         ("S", 1e154, 1, "variance"),
         ("D", 1e300, 4, "variance"),
     ])
     def test_out_of_range_optimum_names_the_loss(self, variant, b, m, quantity):
-        # Never a length of inf or a variance of 0 or inf.
+        # Never a length of inf or a variance of 0, subnormal or inf.
         with pytest.raises(ValueError, match=re.escape(f"loss coefficient {b} dB/km puts the {quantity} out")):
             optimal_length(variant, b, 0.0, m)
+
+    def test_smallest_loss_with_a_normal_variance_is_kept(self):
+        assert optimal_length("C", 1e-150).value >= sys.float_info.min
 
 
 class TestOptimalCount:

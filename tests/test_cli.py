@@ -617,8 +617,14 @@ class TestExitCodes:
                     ("5", "1e-200", 8.685889638065036e200),
                     ("3b", "1e-200", 8.685889638065036e200),
                     ("5", "1e154", 8.685889638065036e-154),
+                    # b^2 is subnormal: positive, but with too few digits to print.
+                    ("5", "1e-160", 8.685889638065035e160),
+                    ("3b", "1e-160", 8.685889638065035e160),
                 )
             ),
+            (("optimize", "--design", "C", "--b", "1e-160"),
+             "loss coefficient 1e-160 dB/km puts the variance out of floating-point range "
+             "(optimal fiber length 8.685889638065035e+160 km per interferometer)"),
             (("figure", "--id", "5", "--b", "1e-310"),
              "loss coefficient 1e-310 dB/km puts the optimal fiber length out of "
              "floating-point range"),

@@ -14,12 +14,11 @@ from fogsim.designs import (
     _splitter_mix,
     build_and_run,
     estimator_variance_sim,
-    homodyne_closed_form,
 )
 from fogsim.sagnac import db_to_photons, transmissivity
 
 from _dense import balanced_splitter_array
-from _oracles import dense_design_circuit
+from _oracles import dense_design_circuit, homodyne_closed_form
 
 ETAS = (0.1, 0.5, 0.9, 1.0)
 PHIS = (0.0, 0.01, 0.3)

@@ -3,7 +3,8 @@ numpy, which only the test suite's oracles use; importing the CLI registers
 every layer in ``sys.modules`` but runs only the layers each command uses,
 and loads no argument-parsing library; the layers' records are immutable
 tuples, built without generated dataclass code, and a checked record cannot
-be rebuilt unchecked; and no module reads another module's private names."""
+be rebuilt unchecked; no module reads another module's private names; and
+every public layer function is entered by some command."""
 
 import ast
 import contextlib
@@ -15,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -237,6 +239,7 @@ BAD_REBUILDS = [
     (gaussian.vacuum_state(), {"cov": ((-1.0, 0.0), (0.0, -1.0))}),
     (gaussian.SymplecticTransform(((1.0, 0.0), (0.0, 1.0))), {"matrix": ((2.0, 0.0), (0.0, 2.0))}),
     (gaussian.HomodyneResult(0.0, 1.0), {"variance": -1.0}),
+    (gaussian.HomodyneResult(0.0, 1.0), {"variance": math.inf}),
     (designs.DesignConfig("C"), {"variant": "Q", "m_interferometers": 0, "n_v": -1.0,
                                  "n_squeezed": math.nan}),
     (designs.estimator_variance_sim(designs.DesignConfig("C"), 0.9, 1.0),
@@ -261,12 +264,15 @@ def test_every_record_class_is_covered():
     }
 
 
-#: One request of every command; simulate for each multi-port design.
+#: One request of every command, variance also from a coil length and loss;
+#: simulate for each multi-port design.
 CLI_REQUESTS = [
     ["table1"],
     ["table1", "--format", "json"],
     *(["figure", "--id", figure_id] for figure_id in ("3a", "3b", "5", "6", "7")),
     ["variance", "--design", "E", "--m", "4", "--squeeze-db", "10", "--eta", "0.8"],
+    ["variance", "--design", "P", "--m", "4", "--squeeze-db", "10", "--length-km", "15",
+     "--b", "0.5"],
     ["optimize", "--design", "S", "--squeeze-db", "10"],
     ["optimize", "--design", "E", "--fix-length", "15", "--squeeze-db", "10"],
     ["ratio", "--squeeze-db", "10", "--eta", "0.8", "--m", "4"],
@@ -290,6 +296,33 @@ for argv in json.loads(sys.argv[1]):
     outputs.append([code, out.getvalue()])
 print(json.dumps(outputs))
 """
+
+
+def test_every_public_layer_function_is_run_by_a_command():
+    """A public layer function that no command enters is reached only by the
+    tests, and belongs with them, in ``tests/_oracles.py``."""
+    public = {
+        value.__code__: f"{name}.{key}"
+        for name in LAYERS
+        for key, value in vars(getattr(fogsim, name)).items()
+        if isinstance(value, types.FunctionType) and not key.startswith("_")
+        and value.__module__ == f"fogsim.{name}"
+    }
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in CLI_REQUESTS]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(CLI_REQUESTS)
+    missing = sorted(public[code] for code in public.keys() - entered)
+    assert not missing, f"no command enters {', '.join(missing)}"
 
 
 def test_every_command_runs_without_numpy():

@@ -13,12 +13,13 @@ from fogsim.optimize import (
     EvaluationError,
     ScalarProblem,
     minimize_scalar,
-    optimize_energy_split_numeric,
     optimize_length,
     optimize_m_continuous,
     optimize_m_integer,
 )
 from fogsim.sagnac import db_to_photons
+
+from _oracles import optimize_energy_split_numeric
 
 CROSS_CHECK_B = (0.2, 0.5, 1.0)
 CROSS_CHECK_SIGMA = (0.0, 5.0, 10.0, 15.0, 20.0)
