@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Callable
 
 from .sagnac import DOMAIN
 
@@ -85,12 +86,6 @@ def lambert_w0(x: float) -> float:
 # Squeezing helpers and Lambert-W exponents
 # ---------------------------------------------------------------------------
 
-def inverse_squeeze_factor(n_squeezed: float) -> float:
-    """1 / (sqrt(1 + N_s) + sqrt(N_s))^2 = 10^(-sigma/10); 0 at infinite squeezing."""
-    DOMAIN.check("n_squeezed", n_squeezed)
-    return 1.0 / (math.sqrt(1.0 + n_squeezed) + math.sqrt(n_squeezed)) ** 2
-
-
 def length_exponent(n_squeezed: float, m: int = 1) -> float:
     """Lambert-W exponent governing the optimal fiber length.
 
@@ -109,8 +104,8 @@ def length_exponent(n_squeezed: float, m: int = 1) -> float:
 def array_size_exponent(n_squeezed: float) -> float:
     """Lambert-W exponent governing the optimal interferometer count.
 
-    W(2 (x - sqrt(x (1 + x))) / e) = W((1/g - 1) / e) with 1/g =
-    inverse_squeeze_factor(x).  This is the exponent that actually solves the
+    W(2 (x - sqrt(x (1 + x))) / e) = W((1/g - 1) / e) with 1/g = q of
+    :func:`_quantum_term` for design S.  This is the exponent that actually solves the
     fixed-total-length stationarity condition d(variance)/dM = 0 for the
     entangled design: substituting u = c L / M gives
     (u - 1) e^(u - 1) = (1/g - 1)/e.  It runs from 0 (no squeezing) to -1
@@ -145,17 +140,16 @@ def _quantum_term(
 ) -> float:
     """eta * q, with q the squeezed fraction of the vacuum noise at the read port.
 
-    q is 1 for designs C and D, inverse_squeeze_factor(N_s) for S and E (the
-    entangled probe keeps the full N_s whatever M), and
+    q is 1 for designs C and D, 1 / (sqrt(1 + N_s) + sqrt(N_s))^2 = 10^(-sigma/10)
+    for S and E (the entangled probe keeps the full N_s whatever M), and
     M / (sqrt(M + N_s) + sqrt(N_s))^2 for the M squeezers of P sharing N_s.
     Every variance is the laser-only one times :func:`ratio_fixed_eta`.  ``m`` may
-    be real.  The design, count and squeezing are checked here.
+    be real.  Unchecked: its callers check the design, count and squeezing.
     """
-    DOMAIN.check_design(variant, m, n_squeezed)
     if variant in ("C", "D"):
         return eta
     if variant != "P":
-        return eta * inverse_squeeze_factor(n_squeezed)
+        return eta * (1.0 / (math.sqrt(1.0 + n_squeezed) + math.sqrt(n_squeezed)) ** 2)
     # Keep this evaluation order: eta * (m / ...) moves the last bit.
     return eta * m / (math.sqrt(m + n_squeezed) + math.sqrt(n_squeezed)) ** 2
 
@@ -188,12 +182,18 @@ def design_variance(
 # Length-resolved (normalized) variances
 # ---------------------------------------------------------------------------
 
+def variance_profile(
+    variant: str, b: float, length_km: float, m: float = 1, n_squeezed: float = 0.0
+) -> Callable[[float, float], float]:
+    """:func:`variance_vs_length` of ``(length_km, m)``, with its inputs checked once, here."""
+    DOMAIN.check("b_optimum", b)
+    DOMAIN.check("length_optimum", length_km)
+    DOMAIN.check_design(variant, m, n_squeezed)
+    return lambda length, count: _variance(variant, b, length, count, n_squeezed)
+
+
 def variance_vs_length(
-    variant: str,
-    b: float,
-    length_km: float,
-    m: float = 1,
-    n_squeezed: float = 0.0,
+    variant: str, b: float, length_km: float, m: float = 1, n_squeezed: float = 0.0
 ) -> float:
     """Normalized estimator variance (units 1/km^2) of any design.
 
@@ -206,18 +206,23 @@ def variance_vs_length(
     """
     DOMAIN.check("b_optimum", b)
     DOMAIN.check("length_optimum", length_km)
+    DOMAIN.check_design(variant, m, n_squeezed)
+    return _variance(variant, b, length_km, m, n_squeezed)
+
+
+def _variance(variant: str, b: float, length_km: float, m: float, n_squeezed: float) -> float:
     quantum = _quantum_term(variant, n_squeezed, m)
     try:
-        inverse_eta = math.exp(b * LN10 / 10.0 * length_km / m)
-        return m * (quantum - 1.0 + inverse_eta) / length_km**2
+        variance = m * (quantum - 1.0 + math.exp(b * LN10 / 10.0 * length_km / m)) / length_km**2
     except (OverflowError, ZeroDivisionError):
-        # The attenuation overflows, or the squared length leaves range.  M is
-        # left out of the message: inside the count optimizers it is a trial
-        # value the caller never gave.
+        variance = math.inf
+    # M is left out of the message: in a count search it is a trial value the caller never gave.
+    if not math.isfinite(variance):
         raise ValueError(
             f"loss coefficient {b} dB/km and fiber length {length_km} km put the "
             "variance out of floating-point range"
-        ) from None
+        )
+    return variance
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +333,7 @@ def ratio_fixed_eta(variant: str, eta: float, m: int = 1, n_squeezed: float = 0.
     1 - eta with infinite squeezing.
     """
     DOMAIN.check("eta", eta)
+    DOMAIN.check_design(variant, m, n_squeezed)
     quantum = _quantum_term(variant, n_squeezed, m, eta)
     # eta + 1 - eta is not exactly 1.0 in floating point.  (quantum + 1) - eta
     # is the grouping the pinned outputs hold; quantum + (1 - eta) cancels less.

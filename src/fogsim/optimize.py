@@ -159,19 +159,17 @@ def optimize_length(
         raise ValueError(
             f"loss coefficient {b} dB/km puts the optimal fiber length out of floating-point range"
         )
-    problem = ScalarProblem(
-        objective=lambda length: analytic.variance_vs_length(variant, b, length, m, n_squeezed),
-        bracket=bracket,
-    )
+    profile = analytic.variance_profile(variant, b, bracket[0], m, n_squeezed)
+    problem = ScalarProblem(objective=lambda length: profile(length, m), bracket=bracket)
     # The variance is unimodal in the length, so it peaks at the bracket's ends;
-    # with the design checked first, a rejection there is the loss coefficient's.
-    DOMAIN.check_design(variant, m, n_squeezed)
+    # with the inputs checked, a rejection there is the loss coefficient's.
     try:
-        in_range = all(math.isfinite(problem.objective(length)) for length in bracket)
+        for length in bracket:
+            problem.objective(length)
     except ValueError:
-        in_range = False
-    if not in_range:
-        raise ValueError(f"loss coefficient {b} dB/km puts the variance out of floating-point range")
+        raise ValueError(
+            f"loss coefficient {b} dB/km puts the variance out of floating-point range"
+        ) from None
     return minimize_scalar(problem)
 
 
@@ -194,11 +192,9 @@ def optimize_m_integer(
     if variant not in ("D", "P", "E"):
         raise ValueError("count optimization applies to the distributed designs")
     DOMAIN.check("m_max", m_max)
+    profile = analytic.variance_profile(variant, b, length_km, 1, n_squeezed)
     return min(
-        (
-            analytic.Optimum(m, analytic.variance_vs_length(variant, b, length_km, m, n_squeezed))
-            for m in range(1, m_max + 1)
-        ),
+        (analytic.Optimum(m, profile(length_km, m)) for m in range(1, m_max + 1)),
         key=lambda optimum: optimum.value,
     )
 
@@ -211,11 +207,7 @@ def optimize_m_continuous(
     m_hi: float = 1e5,
 ) -> analytic.Optimum:
     """Golden-section minimum over a continuous (real-valued) count."""
+    profile = analytic.variance_profile(variant, b, length_km, m_hi, n_squeezed)
     return minimize_scalar(
-        ScalarProblem(
-            objective=lambda m: analytic.variance_vs_length(
-                variant, b, length_km, m, n_squeezed
-            ),
-            bracket=(1.0, m_hi),
-        )
+        ScalarProblem(objective=lambda m: profile(length_km, m), bracket=(1.0, m_hi))
     )

@@ -461,12 +461,11 @@ class TestDesignVarianceDispatch:
     @pytest.mark.parametrize(
         "call",
         [
-            analytic.inverse_squeeze_factor,
             length_exponent,
             array_size_exponent,
             lambda n: ratio_fixed_eta("P", 0.5, 4, n),
         ],
-        ids=["inverse_squeeze_factor", "length_exponent", "array_size_exponent", "design_P"],
+        ids=["length_exponent", "array_size_exponent", "design_P"],
     )
     def test_nan_squeezing_rejected(self, call):
         with pytest.raises(ValueError, match="squeezed photon number must be nonnegative"):
@@ -475,7 +474,6 @@ class TestDesignVarianceDispatch:
     @pytest.mark.parametrize(
         "call, expected",
         [
-            (lambda: analytic.inverse_squeeze_factor(math.inf), 0.0),
             *(
                 (lambda variant=variant, m=m: ratio_fixed_eta(variant, 0.7, m, math.inf),
                  (0.0 + 1.0) - 0.7)
@@ -485,7 +483,7 @@ class TestDesignVarianceDispatch:
              4 * (0.0 - 1.0 + math.exp(0.5 * analytic.LN10 / 10.0 * 15.0 / 4)) / 15.0**2),
             (lambda: db_to_photons(math.inf), math.inf),
         ],
-        ids=["inverse_squeeze_factor", "ratio_S", "ratio_P", "ratio_E", "variance_P", "db_to_photons"],
+        ids=["ratio_S", "ratio_P", "ratio_E", "variance_P", "db_to_photons"],
     )
     def test_infinite_squeezing_limit_is_exact(self, call, expected):
         # IEEE arithmetic reaches each limit: 1 / inf = 0 and sinh(inf)^2 = inf.

@@ -607,6 +607,24 @@ class TestExitCodes:
             (("optimize", "--design", "E", "--fix-length", "1e6", "--squeeze-db", "10"),
              "loss coefficient 0.5 dB/km and fiber length 1000000.0 km put the variance "
              "out of floating-point range"),
+            # The variance overflows in a division or a product, which gives
+            # inf without raising; it is named the same way, by loss and length.
+            *(
+                (argv, f"loss coefficient {b} dB/km and fiber length {length} km put the "
+                       "variance out of floating-point range")
+                for argv, b, length in (
+                    (("table1", "--fix-length", "1e-160"), 0.5, 1e-160),
+                    (("optimize", "--design", "D", "--fix-length", "1e-160"), 0.5, 1e-160),
+                    (("figure", "--id", "6", "--b", "1e308"), 1e308, 5.0),
+                    (("figure", "--id", "3b", "--b", "7.9e307"), 7.9e307, 0.5),
+                    (("optimize", "--design", "E", "--fix-length", "15", "--b", "1e308",
+                      "--squeeze-db", "10"), 1e308, 15.0),
+                    # L^2 is subnormal: M = 1 stays finite, M >= 2 overflows.
+                    (("optimize", "--design", "D", "--fix-length", "1.4e-154"), 0.5, 1.4e-154),
+                    (("optimize", "--design", "P", "--fix-length", "1.4e-154", "--squeeze-db",
+                      "10"), 0.5, 1.4e-154),
+                )
+            ),
             # The closed-form optimum: b^2 underflows, overflows, or the
             # length overflows; no cell is printed as 0 or inf.
             *(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fogsim import analytic, optimize
+from fogsim import analytic, optimize, sagnac
 from fogsim.optimize import (
     ConvergenceError,
     EvaluationError,
@@ -184,6 +184,62 @@ class TestCountOptimization:
             optimize_m_continuous("C", 0.5, 15.0)
         with pytest.raises(ValueError):
             optimize_m_continuous("S", 0.5, 15.0, 1.0)
+
+
+class TestInputsCheckedOnce:
+    """A search checks its constant inputs once, through ``analytic.variance_profile``,
+    and not again on each evaluation of its objective."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"checks": 0, "evaluations": 0}
+        domain = type(sagnac.DOMAIN)
+        for name in ("check", "check_design"):
+            def counted_check(self, *args, method=getattr(domain, name)):
+                counts["checks"] += 1
+                return method(self, *args)
+            monkeypatch.setattr(domain, name, counted_check)
+
+        def counted_profile(*args, profile=analytic.variance_profile):
+            evaluate = profile(*args)
+
+            def counted_evaluate(length_km, m):
+                counts["evaluations"] += 1
+                return evaluate(length_km, m)
+            return counted_evaluate
+        monkeypatch.setattr(analytic, "variance_profile", counted_profile)
+        return counts
+
+    def test_integer_search_checks_do_not_grow_with_the_count(self, counts):
+        checks = []
+        for m_max in (8, 64):
+            counts.update(checks=0, evaluations=0)
+            optimize_m_integer("P", 0.5, 15.0, db_to_photons(10.0), m_max)
+            assert counts["evaluations"] == m_max
+            checks.append(counts["checks"])
+        assert checks[0] == checks[1]
+
+    @pytest.mark.parametrize(
+        "search, args",
+        [
+            (optimize_length, ("S", 0.5, db_to_photons(10.0))),
+            (optimize_length, ("P", 0.5, db_to_photons(10.0), 4)),
+            (optimize_m_continuous, ("D", 0.5, 15.0)),
+            (optimize_m_continuous, ("E", 0.5, 15.0, db_to_photons(10.0))),
+        ],
+    )
+    def test_continuous_search_checks_a_bounded_number_of_times(self, counts, search, args):
+        search(*args)
+        assert counts["evaluations"] > 100
+        assert counts["checks"] <= 20
+
+    @pytest.mark.parametrize("variant, n_s", [("C", 0.0), ("S", 1.0)])
+    def test_single_interferometer_count_search_raises_before_evaluating(
+        self, counts, variant, n_s
+    ):
+        with pytest.raises(ValueError, match=f"design {variant} uses a single interferometer"):
+            optimize_m_continuous(variant, 0.5, 15.0, n_s)
+        assert counts["evaluations"] == 0
 
 
 class TestEnergySplitNumeric:
