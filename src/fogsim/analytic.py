@@ -83,7 +83,7 @@ def lambert_w0(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Squeezing helpers and Lambert-W exponents
+# Lambert-W exponents
 # ---------------------------------------------------------------------------
 
 def length_exponent(n_squeezed: float, m: int = 1) -> float:
@@ -135,9 +135,7 @@ def classical_variance(time_factor_s: float, eta: float, n_photons: float) -> fl
         ) from None
 
 
-def _quantum_term(
-    variant: str, n_squeezed: float, m: float, eta: float = 1.0
-) -> float:
+def _quantum_term(variant: str, n_squeezed: float, m: float, eta: float = 1.0) -> float:
     """eta * q, with q the squeezed fraction of the vacuum noise at the read port.
 
     q is 1 for designs C and D, 1 / (sqrt(1 + N_s) + sqrt(N_s))^2 = 10^(-sigma/10)
@@ -183,9 +181,10 @@ def design_variance(
 # ---------------------------------------------------------------------------
 
 def variance_profile(
-    variant: str, b: float, length_km: float, m: float = 1, n_squeezed: float = 0.0
+    variant: str, b: float, length_km: float, m: float, n_squeezed: float
 ) -> Callable[[float, float], float]:
-    """:func:`variance_vs_length` of ``(length_km, m)``, with its inputs checked once, here."""
+    """:func:`variance_vs_length` of ``(length_km, m)``, its inputs checked once, here;
+    ``length_km`` and ``m`` are only checked, as a representative point of the search."""
     DOMAIN.check("b_optimum", b)
     DOMAIN.check("length_optimum", length_km)
     DOMAIN.check_design(variant, m, n_squeezed)

@@ -147,10 +147,7 @@ def _quadratic_polish(
 # ---------------------------------------------------------------------------
 
 def optimize_length(
-    variant: str,
-    b: float,
-    n_squeezed: float = 0.0,
-    m: int = 1,
+    variant: str, b: float, n_squeezed: float = 0.0, m: int = 1
 ) -> analytic.Optimum:
     """Numerically minimize the normalized variance over the total fiber length."""
     DOMAIN.check("b_optimum", b)
@@ -187,16 +184,22 @@ def optimize_m_integer(
     """Integer count ``x`` minimizing the fixed-length variance over 1..m_max.
 
     Exhaustive rather than rounding-based because the product design's
-    profile has no closed form; the smallest count wins a tie.
+    profile has no closed form; the smallest count wins a tie, and a count
+    whose variance overflows is skipped unless every count does.
     """
     if variant not in ("D", "P", "E"):
         raise ValueError("count optimization applies to the distributed designs")
     DOMAIN.check("m_max", m_max)
     profile = analytic.variance_profile(variant, b, length_km, 1, n_squeezed)
-    return min(
-        (analytic.Optimum(m, profile(length_km, m)) for m in range(1, m_max + 1)),
-        key=lambda optimum: optimum.value,
-    )
+    optima = []
+    for m in range(1, m_max + 1):
+        try:
+            optima.append(analytic.Optimum(m, profile(length_km, m)))
+        except ValueError as exc:
+            overflow = exc
+    if not optima:
+        raise overflow
+    return min(optima, key=lambda optimum: optimum.value)
 
 
 def optimize_m_continuous(

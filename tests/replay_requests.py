@@ -2,7 +2,7 @@
 
 Run by hand, not by the test suite (its name does not match ``test_*.py``):
 
-    python3 tests/replay_requests.py OLD_SRC NEW_SRC [--seeds 1 2 3] [--count 500]
+    python3 tests/replay_requests.py OLD_SRC NEW_SRC
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories that hold a ``fogsim`` package,
 for instance the ``src`` of a ``git archive`` of the parent commit and this
@@ -10,8 +10,9 @@ checkout's ``src``.  Each tree runs every request in-process through
 ``fogsim.cli.main``, in a fresh interpreter of its own, and the two are
 compared on exit code, stdout and stderr.  The requests are:
 
-- the benchmark's seeded mixes of both workloads, ``--count`` requests per
-  workload and seed, read from ``perfbench/workloads.py`` without changing it;
+- the benchmark's seeded mixes of both workloads, 500 requests per workload
+  and seed for seeds 1-3, read from ``perfbench/workloads.py`` without
+  changing it;
 - the benchmark's probe and out-of-domain requests;
 - every request pinned in ``tests/test_golden_outputs.py``;
 - a grid of loss coefficients and fiber lengths from 1e-320 to 1.7e308,
@@ -34,6 +35,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+#: The benchmark mixes replayed: these seeds, this many requests per workload and seed.
+SEEDS = (1, 2, 3)
+COUNT = 500
 
 #: Runs the JSON list of argv on stdin through ``cli.main`` and prints a JSON
 #: list of [exit code, stdout, stderr].  A warning is printed every time it is
@@ -114,11 +118,11 @@ def _grid_requests() -> list[list[str]]:
     return requests
 
 
-def requests(seeds: list[int], count: int) -> list[list[str]]:
+def requests() -> list[tuple[str, ...]]:
     """Every request of the replay, each once, in a fixed order."""
     workloads = _module(ROOT / "perfbench" / "workloads.py")
-    ops = [op for seed in seeds for workload in workloads.WORKLOADS
-           for op in workloads.generate(workload, seed, count)]
+    ops = [op for seed in SEEDS for workload in workloads.WORKLOADS
+           for op in workloads.generate(workload, seed, COUNT)]
     ops += workloads.probe() + workloads.out_of_domain()
     every = [op["argv"] for op in ops] + _golden_requests() + _grid_requests()
     return list(dict.fromkeys(map(tuple, every)).keys())
@@ -150,11 +154,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--count", type=int, default=500,
-                        help="requests per workload and seed (default 500)")
     args = parser.parse_args()
-    argvs = requests(args.seeds, args.count)
+    argvs = requests()
     old, new = run(args.old_src, argvs), run(args.new_src, argvs)
     differing = 0
     for argv, (old_code, old_out, old_err), (new_code, new_out, new_err) in zip(

@@ -619,10 +619,6 @@ class TestExitCodes:
                     (("figure", "--id", "3b", "--b", "7.9e307"), 7.9e307, 0.5),
                     (("optimize", "--design", "E", "--fix-length", "15", "--b", "1e308",
                       "--squeeze-db", "10"), 1e308, 15.0),
-                    # L^2 is subnormal: M = 1 stays finite, M >= 2 overflows.
-                    (("optimize", "--design", "D", "--fix-length", "1.4e-154"), 0.5, 1.4e-154),
-                    (("optimize", "--design", "P", "--fix-length", "1.4e-154", "--squeeze-db",
-                      "10"), 0.5, 1.4e-154),
                 )
             ),
             # The closed-form optimum: b^2 underflows, overflows, or the
@@ -659,6 +655,18 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error")
     def test_overflowing_loss_is_named(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"fogsim: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv", [("D",), ("P", "--squeeze-db", "10"), ("E", "--squeeze-db", "10")]
+    )
+    # At 1.4e-154 km L^2 is subnormal, so every M >= 2 overflows; at 1e4 km
+    # the attenuation of the single coil overflows, and only M = 1 does.
+    @pytest.mark.parametrize("length, m_best", [("1.4e-154", 1), ("1e4", 64)])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_count_is_not_the_optimum(self, capsys, argv, length, m_best):
+        code, out, err = run(capsys, "optimize", "--design", *argv, "--fix-length", length)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["m_best"] == m_best
 
     @pytest.mark.parametrize(
         "argv",

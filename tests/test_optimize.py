@@ -185,6 +185,16 @@ class TestCountOptimization:
         with pytest.raises(ValueError):
             optimize_m_continuous("S", 0.5, 15.0, 1.0)
 
+    def test_overflowing_count_is_skipped(self):
+        # L^2 is subnormal: M = 1 stays finite, and every M >= 2 overflows.
+        assert optimize_m_integer("D", 0.5, 1.4e-154) == (
+            1, analytic.variance_vs_length("D", 0.5, 1.4e-154, 1), 0
+        )
+
+    def test_search_fails_only_when_every_count_overflows(self):
+        with pytest.raises(ValueError, match="put the variance out of floating-point range"):
+            optimize_m_integer("E", 1e308, 15.0, db_to_photons(10.0))
+
 
 class TestInputsCheckedOnce:
     """A search checks its constant inputs once, through ``analytic.variance_profile``,
