@@ -17,7 +17,7 @@ Commands
 
 A flat ``key = value`` configuration file can be supplied with ``--config``;
 command-line flags override file values.  Exit codes: 0 success, 2 usage or
-configuration error, 3 numeric convergence failure.
+configuration error.
 """
 
 from __future__ import annotations
@@ -677,11 +677,6 @@ def main(argv: list[str] | None = None) -> int:
         # Overflow or division by zero that no library guard names.
         print(f"fogsim: error: {command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    # Last, so that a usage error does not run the lazily loaded optimize
-    # layer just to evaluate this clause; ConvergenceError is a RuntimeError.
-    except optimize.ConvergenceError as exc:
-        print(f"fogsim: convergence error: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 

@@ -20,16 +20,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _PRESCAN_SAMPLES = 64
 #: Golden-section stopping width, relative to the bracket's magnitude.
 _TOLERANCE = 1e-12
-_MAX_ITERATIONS = 200
 _POLISH_ROUNDS = 2
-
-
-class EvaluationError(ValueError):
-    """The objective returned a non-finite value inside the bracket."""
-
-
-class ConvergenceError(RuntimeError):
-    """The iteration budget ran out before reaching the requested tolerance."""
 
 
 # The package's one dataclass: the benchmark's tracer rebuilds a problem
@@ -42,16 +33,6 @@ class ScalarProblem:
     bracket: tuple[float, float]
 
 
-def _evaluate(objective: Callable[[float], float], x: float) -> float:
-    try:
-        value = float(objective(x))
-    except ArithmeticError as exc:
-        raise EvaluationError(f"objective cannot be evaluated at x = {x}: {exc}") from None
-    if not math.isfinite(value):
-        raise EvaluationError(f"objective is not finite at x = {x}: {value}")
-    return value
-
-
 def minimize_scalar(problem: ScalarProblem) -> analytic.Optimum:
     """Golden-section minimum of a unimodal objective on a bracket.
 
@@ -59,7 +40,9 @@ def minimize_scalar(problem: ScalarProblem) -> analytic.Optimum:
     around it before the golden-section contraction, so mild violations of
     unimodality away from the optimum are tolerated.  A final quadratic
     polish removes the sqrt(machine-epsilon) plateau that pure value
-    comparisons leave around a smooth minimum.  Deterministic.
+    comparisons leave around a smooth minimum.  Each contraction shrinks a
+    bracket whose ends share a sign by the golden ratio, whatever the objective
+    returns, so its width alone bounds the count.  Deterministic.
     """
     outer_lo, outer_hi = problem.bracket
     if not (math.isfinite(outer_lo) and math.isfinite(outer_hi) and outer_lo < outer_hi):
@@ -68,7 +51,7 @@ def minimize_scalar(problem: ScalarProblem) -> analytic.Optimum:
     # Evenly spaced, ending exactly on outer_hi.
     step = (outer_hi - outer_lo) / _PRESCAN_SAMPLES
     xs = [i * step + outer_lo for i in range(_PRESCAN_SAMPLES)] + [outer_hi]
-    values = [_evaluate(problem.objective, x) for x in xs]
+    values = [problem.objective(x) for x in xs]
     coarse = values.index(min(values))
     lo = xs[max(coarse - 1, 0)]
     hi = xs[min(coarse + 1, _PRESCAN_SAMPLES)]
@@ -76,26 +59,21 @@ def minimize_scalar(problem: ScalarProblem) -> analytic.Optimum:
     span = hi - lo
     c = hi - _GOLDEN * span
     d = lo + _GOLDEN * span
-    fc = _evaluate(problem.objective, c)
-    fd = _evaluate(problem.objective, d)
+    fc = problem.objective(c)
+    fd = problem.objective(d)
     iterations = 0
     while hi - lo > _TOLERANCE * max(1.0, abs(lo) + abs(hi)) / 2.0:
-        if iterations >= _MAX_ITERATIONS:
-            raise ConvergenceError(
-                f"no convergence within {_MAX_ITERATIONS} iterations "
-                f"(bracket width {hi - lo:.3e})"
-            )
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
-            fc = _evaluate(problem.objective, c)
+            fc = problem.objective(c)
         else:
             lo, c, fc = c, d, fd
             d = lo + _GOLDEN * (hi - lo)
-            fd = _evaluate(problem.objective, d)
+            fd = problem.objective(d)
         iterations += 1
     x = 0.5 * (lo + hi)
-    value = _evaluate(problem.objective, x)
+    value = problem.objective(x)
     x, value = _quadratic_polish(problem.objective, x, value, outer_lo, outer_hi)
     return analytic.Optimum(x, value, iterations)
 
@@ -120,21 +98,21 @@ def _quadratic_polish(
         h = 1e-4 * max(abs(x), 1.0)
         if not (lo < x - 2.0 * h and x + 2.0 * h < hi):
             break
-        f_m2 = _evaluate(objective, x - 2.0 * h)
-        f_m1 = _evaluate(objective, x - h)
-        f_center = _evaluate(objective, x)
-        f_p1 = _evaluate(objective, x + h)
-        f_p2 = _evaluate(objective, x + 2.0 * h)
+        f_m2 = objective(x - 2.0 * h)
+        f_m1 = objective(x - h)
+        f_center = objective(x)
+        f_p1 = objective(x + h)
+        f_p2 = objective(x + 2.0 * h)
         slope = (-f_p2 + 8.0 * f_p1 - 8.0 * f_m1 + f_m2) / (12.0 * h)
         curvature = (f_p1 - 2.0 * f_center + f_m1) / h**2
-        if not (math.isfinite(curvature) and curvature > 0.0):
+        if not curvature > 0.0:
             break
         step = slope / curvature
         candidate = x - step
-        if not (lo < candidate < hi) or not math.isfinite(candidate):
+        if not lo < candidate < hi:
             break
         x = candidate
-        candidate_value = _evaluate(objective, candidate)
+        candidate_value = objective(candidate)
         if candidate_value <= best_value + abs(best_value) * 1e-9:
             best_x, best_value = candidate, min(candidate_value, best_value)
         else:
@@ -158,16 +136,14 @@ def optimize_length(
         )
     profile = analytic.variance_profile(variant, b, bracket[0], m, n_squeezed)
     problem = ScalarProblem(objective=lambda length: profile(length, m), bracket=bracket)
-    # The variance is unimodal in the length, so it peaks at the bracket's ends;
-    # with the inputs checked, a rejection there is the loss coefficient's.
+    # The variance is unimodal in the length, so it peaks at the bracket's ends, the pre-scan's
+    # first and last points; with the inputs checked, a rejection is the loss coefficient's.
     try:
-        for length in bracket:
-            problem.objective(length)
+        return minimize_scalar(problem)
     except ValueError:
         raise ValueError(
             f"loss coefficient {b} dB/km puts the variance out of floating-point range"
         ) from None
-    return minimize_scalar(problem)
 
 
 # ---------------------------------------------------------------------------

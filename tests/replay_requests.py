@@ -16,7 +16,10 @@ compared on exit code, stdout and stderr.  The requests are:
 - the benchmark's probe and out-of-domain requests;
 - every request pinned in ``tests/test_golden_outputs.py``;
 - a grid of loss coefficients and fiber lengths from 1e-320 to 1.7e308,
-  plus 0, -3, +-inf and NaN, on every command that takes them.
+  plus 0, -3, +-inf and NaN, on every command that takes them;
+- a grid of squeezing levels from 0 dB to the top of the domain and inf,
+  through the regions where the closed form's Lambert W argument nears
+  and then passes its branch point, on the commands that take squeezing.
 
 Each request runs once, whatever the number of sources it comes from.  The
 script prints one block per request that differs and a summary line, and
@@ -71,6 +74,12 @@ GRID = (
 PAIR_GRID = ("1e-320", "1e-300", "1e-200", "1e-160", "1.4e-154", "1e-100", "1e-12", "0.5",
              "15", "1e6", "1e100", "1e154", "1e200", "1e300", "1.7e308", "0", "inf", "nan")
 SQUEEZE = ("--squeeze-db", "10")
+#: Squeezing levels in dB: the table's range, the levels where the closed
+#: form loses accuracy or alternates between an error and a wrong value
+#: (162.6-168.5), where ``lambert_w0`` rejects its argument (from 1548), the
+#: top of the domain and the infinite-squeezing limit.
+SQUEEZE_GRID = ("0", "10", "40", "80", "95", "120", "162.6", "165", "168.5", "200",
+                "1547", "1548", "3076.5", "inf")
 
 
 def _module(path: Path):
@@ -118,13 +127,24 @@ def _grid_requests() -> list[list[str]]:
     return requests
 
 
+def _squeeze_requests() -> list[list[str]]:
+    by_squeezing = [
+        ["ratio"],
+        *(["optimize", "--design", variant, *fix]
+          for variant in "SEP" for fix in ((), ("--fix-length", "15"))),
+        ["variance", "--design", "S", "--eta", "1"],
+        ["simulate", "--design", "S", "--eta", "1"],
+    ]
+    return [[*argv, "--squeeze-db", sigma] for argv in by_squeezing for sigma in SQUEEZE_GRID]
+
+
 def requests() -> list[tuple[str, ...]]:
     """Every request of the replay, each once, in a fixed order."""
     workloads = _module(ROOT / "perfbench" / "workloads.py")
     ops = [op for seed in SEEDS for workload in workloads.WORKLOADS
            for op in workloads.generate(workload, seed, COUNT)]
     ops += workloads.probe() + workloads.out_of_domain()
-    every = [op["argv"] for op in ops] + _golden_requests() + _grid_requests()
+    every = [op["argv"] for op in ops] + _golden_requests() + _grid_requests() + _squeeze_requests()
     return list(dict.fromkeys(map(tuple, every)).keys())
 
 

@@ -7,7 +7,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fogsim import analytic
@@ -376,6 +376,69 @@ class TestOptimalCount:
     def test_squeezing_is_checked(self, variant, n_s, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             optimal_m(variant, 0.5, 15.0, n_s)
+
+
+class TestScaling:
+    """The length-resolved variance depends on b and L only through b L, apart
+    from its 1 / L^2 factor: (b, L) -> (k b, L / k) multiplies it by k^2, and
+    so the count optimum's value, while its count stays."""
+
+    K = 7.0
+    #: b over 300 decades, the total loss b L from 1e-10 to 1e4 dB, and the
+    #: squeezing over its whole domain; a draw that raises is skipped.
+    DRAWS = dict(
+        log_b=st.floats(-150.0, 150.0),
+        log_total_db=st.floats(-10.0, 4.0),
+        sigma=st.floats(0.0, 3076.5),
+    )
+    SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+    @staticmethod
+    def _pair(function, log_b, log_total_db):
+        """``function(b, L)`` and ``function(k b, L / k)``."""
+        b = 10.0**log_b
+        length = 10.0**log_total_db / b
+        k = TestScaling.K
+        return (function(loss, fiber) for loss, fiber in ((b, length), (k * b, length / k)))
+
+    @SETTINGS
+    @given(**DRAWS)
+    def test_variance_scales_by_k_squared(self, log_b, log_total_db, sigma):
+        # A subnormal L^2 keeps too few bits for the relation (see the xfail below).
+        assume((10.0**log_total_db / 10.0**log_b / self.K) ** 2 >= sys.float_info.min)
+        n_s = db_to_photons(sigma)
+        for variant, squeezing in (("D", 0.0), ("P", n_s), ("E", n_s)):
+            profile = lambda b, length: variance_vs_length(variant, b, length, 3, squeezing)
+            try:
+                variance, scaled = self._pair(profile, log_b, log_total_db)
+            except (ValueError, ArithmeticError):
+                continue
+            assert scaled == pytest.approx(self.K**2 * variance, rel=1e-12)
+
+    @SETTINGS
+    @given(**DRAWS)
+    def test_count_optimum_keeps_its_count(self, log_b, log_total_db, sigma):
+        n_s = db_to_photons(sigma)
+        for variant, squeezing in (("D", 0.0), ("E", n_s)):
+            count = lambda b, length: optimal_m(variant, b, length, squeezing)
+            try:
+                optimum, scaled = self._pair(count, log_b, log_total_db)
+            except (ValueError, ArithmeticError):  # ZeroDivisionError: ROADMAP item 1
+                continue
+            assert scaled.x == pytest.approx(optimum.x, rel=1e-12)
+            assert scaled.value == pytest.approx(self.K**2 * optimum.value, rel=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the kernel divides by a subnormal L**2, which keeps few bits; the fix changes "
+        "the kernel's rounding and waits for the re-pin bundle in ROADMAP.md",
+    )
+    def test_subnormal_length_square(self):
+        n_s = db_to_photons(200.0)
+        profile = lambda b, length: variance_vs_length("E", b, length, 3, n_s)
+        variance, scaled = self._pair(profile, 148.0, -11.0)
+        assert scaled == pytest.approx(self.K**2 * variance, rel=1e-12)
 
 
 class TestRatios:

@@ -468,17 +468,6 @@ class TestExitCodes:
     def test_invalid_design_value_is_usage_error(self, capsys):
         assert_usage_error(run(capsys, "variance", "--design", "Q"), "'design'", "C, S, D, P, E", "'Q'")
 
-    def test_convergence_error_maps_to_three(self, capsys, monkeypatch):
-        from fogsim.optimize import ConvergenceError
-
-        def explode(config):
-            raise ConvergenceError("forced")
-
-        monkeypatch.setitem(cli._COMMANDS, "table1", explode)
-        code, _, err = run(capsys, "table1")
-        assert code == 3
-        assert "convergence" in err
-
     def test_zero_loss_coefficient_is_usage_error(self, capsys):
         code, out, err = run(capsys, "table1", "--b", "0")
         assert (code, out) == (2, "")
@@ -985,16 +974,14 @@ class TestWholeInputSpace:
             argv += data.draw(st.sampled_from(([f"{flag}={value}"], [flag, value])), label="form")
         result = run_in_process(argv)
         code, out, err = result
-        assert code in (0, 2, 3)
+        assert code in (0, 2)
         if code == 0:
             assert err == ""
             if command not in ("table1", "figure") or drawn.get("--format") == "json":
                 json.loads(out, parse_constant=_reject_constant)
-        elif code == 2:
+        else:
             assert out == ""
             assert err.startswith("fogsim: error:") and err.count("\n") == 1
-        else:
-            assert err.startswith("fogsim: convergence error:")
 
         defect = data.draw(st.sampled_from(FLAG_DEFECTS), label="defect")
         choice_flags = sorted(set(flags) & set(CHOICE_FLAGS))

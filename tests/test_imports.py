@@ -149,25 +149,6 @@ def test_every_import_spelling_gives_one_layer_module(layer):
     assert result.stdout.split() == ["True", "True", "True"]
 
 
-@pytest.mark.parametrize("raise_line", [
-    "raise fogsim.optimize.ConvergenceError('forced')",
-    "from fogsim.optimize import ConvergenceError; raise ConvergenceError('forced')",
-])
-def test_convergence_error_from_an_unexecuted_optimize_layer_maps_to_three(raise_line):
-    """The error class is first read inside the command, after ``main``'s
-    handlers are set up, by either import spelling."""
-    result = _python(
-        "import sys, types, fogsim.cli\n"
-        "def explode(config):\n"
-        f"    {raise_line}\n"
-        "fogsim.cli._COMMANDS['table1'] = explode\n"
-        "assert type(sys.modules['fogsim.optimize']) is not types.ModuleType\n"
-        "sys.exit(fogsim.cli.main(['table1']))"
-    )
-    assert (result.returncode, result.stdout) == (3, "")
-    assert result.stderr == "fogsim: convergence error: forced\n"
-
-
 def test_benchmark_tracer_wraps_the_names_it_expects():
     """The benchmark's tracer wraps ``cli.render_csv``, ``designs._run_circuit``
     and every layer's public functions by name, and rebuilds a ScalarProblem

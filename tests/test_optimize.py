@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from fogsim import analytic, optimize, sagnac
 from fogsim.optimize import (
-    ConvergenceError,
-    EvaluationError,
     ScalarProblem,
     minimize_scalar,
     optimize_length,
@@ -25,6 +23,23 @@ CROSS_CHECK_B = (0.2, 0.5, 1.0)
 CROSS_CHECK_SIGMA = (0.0, 5.0, 10.0, 15.0, 20.0)
 CROSS_CHECK_M = (1, 2, 4, 8, 16)
 CROSS_CHECK_L = (5.0, 15.0, 30.0)
+
+#: Golden-section contraction factor.
+PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def contraction_bound(bracket):
+    """Most golden-section contractions a search on ``bracket`` can take.
+
+    The pre-scan leaves at most two of its 64 steps, each contraction
+    multiplies the width by PHI whatever the objective returns, and the loop
+    stops at a width of 5e-13 or more.  That stopping width is over 2 000
+    ulps of the bracket's ends, so rounding stretches the width by less than
+    a part in 100 over a whole search.
+    """
+    lo, hi = bracket
+    width = 2.0 * (hi - lo) / 64
+    return math.ceil(math.log(max(1.01 * width / 5e-13, 1.0)) / math.log(1.0 / PHI))
 
 
 class TestMinimizeScalar:
@@ -48,19 +63,6 @@ class TestMinimizeScalar:
         with pytest.raises(ValueError):
             minimize_scalar(ScalarProblem(lambda x: x * x, (1.0, 1.0)))
 
-    @pytest.mark.parametrize(
-        "objective",
-        [
-            lambda x: math.inf,
-            lambda x: 1.0 / (x - x),  # ZeroDivisionError
-            lambda x: math.exp(1e6 * (x + 1.0)),  # OverflowError
-        ],
-        ids=["inf", "zero-division", "overflow"],
-    )
-    def test_non_finite_objective(self, objective):
-        with pytest.raises(EvaluationError):
-            minimize_scalar(ScalarProblem(objective, (0.0, 1.0)))
-
     @settings(max_examples=300, deadline=None)
     @given(
         st.floats(-1e6, 1e6, allow_nan=False),
@@ -80,10 +82,87 @@ class TestMinimizeScalar:
         minimize_scalar(ScalarProblem(objective, (lo, hi)))
         assert seen[:65] == np.linspace(lo, hi, 65).tolist()
 
-    def test_iteration_budget(self, monkeypatch):
-        monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 2)
-        with pytest.raises(ConvergenceError):
-            minimize_scalar(ScalarProblem(lambda x: (x - 2.0) ** 2, (0.0, 5.0)))
+    # Ends of one sign, as in every bracket that ``optimize`` builds: then each
+    # computed point is at least 0.38 times the larger end, so its rounding is
+    # a few ulps of itself.  Across 0, a point computed from large ends can
+    # land near a minimum at 0 with an error large against the later widths,
+    # and the bound can be exceeded.  Ends within 1e150: from about 1e158 the
+    # polish's squared step overflows.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(0.0, 1e150),
+        st.floats(0.0, 1e150),
+        st.booleans(),
+        st.sampled_from([
+            lambda x: x * x,
+            lambda x: -x,
+            lambda x: abs(x - 1.0),
+            lambda x: math.nan,
+            lambda x: float(hash(x) % 7),  # no two neighbours need agree
+        ]),
+    )
+    def test_contractions_are_bounded_by_the_bracket(self, a, b, negative, objective):
+        assume(a != b)
+        bracket = tuple(sorted((-a, -b) if negative else (a, b)))
+        assert minimize_scalar(ScalarProblem(objective, bracket)).iterations <= contraction_bound(
+            bracket
+        )
+
+    def test_polish_keeps_a_step_that_overshoots_the_bracket_out(self):
+        # The pre-scan lands on a dip narrower than the polish's stencil, and
+        # golden section then runs to the edge of the dip's pre-scan cell.
+        # Around that edge the objective falls toward x = 5, so the Newton
+        # step points past the bracket's upper end.
+        def objective(x):
+            return (x - 5.0) ** 2 - (100.0 if x == 0.5 else 0.0)
+
+        result = minimize_scalar(ScalarProblem(objective, (0.0, 1.0)))
+        assert result.x == pytest.approx(33 / 64, abs=1e-12)
+        assert result.value == objective(result.x)
+
+    def test_polish_rejects_a_step_that_makes_the_value_worse(self):
+        # At an asymmetric kink the parabola through the stencil has its
+        # vertex a quarter step to the shallow side, far worse than the
+        # golden-section point at the kink.
+        def objective(x):
+            return max(x - 0.3, 3.0 * (0.3 - x))
+
+        result = minimize_scalar(ScalarProblem(objective, (0.0, 1.0)))
+        assert result.x == pytest.approx(0.3, abs=1e-12)
+        assert result.value == objective(result.x) < 1e-12
+
+
+class TestContractionBound:
+    """Every search that ``optimize`` builds ends within the bound of its
+    bracket, so no search needs an iteration budget."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        searches = []
+
+        def recorded(problem, minimize=minimize_scalar):
+            result = minimize(problem)
+            searches.append((problem.bracket, result.iterations))
+            return result
+        monkeypatch.setattr(optimize, "minimize_scalar", recorded)
+        return searches
+
+    def test_length_searches_over_every_decade_of_loss(self, searches):
+        # Outside these decades the loss is rejected before any search runs.
+        n_s = db_to_photons(10.0)
+        for exponent in range(-150, 151):
+            optimize_length("C", 10.0**exponent)
+            optimize_length("E", 10.0**exponent, n_s, 4)
+        assert len(searches) == 2 * 301
+        assert all(iterations <= contraction_bound(bracket) for bracket, iterations in searches)
+
+    @pytest.mark.parametrize("m_hi, bound", [(1e4, 71), (1e5, 76)])
+    def test_count_searches(self, searches, m_hi, bound):
+        assert contraction_bound((1.0, m_hi)) == bound
+        for b, length in ((0.5, 15.0), (1e-3, 1e3), (1e2, 0.1)):
+            optimize_m_continuous("E", b, length, db_to_photons(10.0), m_hi)
+            optimize_m_continuous("P", b, length, db_to_photons(10.0), m_hi)
+        assert all(iterations <= bound for _, iterations in searches)
 
 
 class TestLengthCrossValidation:
@@ -190,6 +269,16 @@ class TestCountOptimization:
         assert optimize_m_integer("D", 0.5, 1.4e-154) == (
             1, analytic.variance_vs_length("D", 0.5, 1.4e-154, 1), 0
         )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the polish keeps min(candidate_value, best_value) with the candidate's x; "
+        "the fix moves pinned bytes and waits for the re-pin of ROADMAP item 1",
+    )
+    def test_value_is_the_objective_at_x(self):
+        n_s = db_to_photons(5.0)
+        optimum = optimize_m_continuous("E", 0.5, 15.0, n_s)
+        assert optimum.value == analytic.variance_vs_length("E", 0.5, 15.0, optimum.x, n_s)
 
     def test_search_fails_only_when_every_count_overflows(self):
         with pytest.raises(ValueError, match="put the variance out of floating-point range"):
