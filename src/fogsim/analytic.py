@@ -212,8 +212,11 @@ def variance_vs_length(
 def _variance(variant: str, b: float, length_km: float, m: float, n_squeezed: float) -> float:
     quantum = _quantum_term(variant, n_squeezed, m)
     try:
-        variance = m * (quantum - 1.0 + math.exp(b * LN10 / 10.0 * length_km / m)) / length_km**2
-    except (OverflowError, ZeroDivisionError):
+        excess = m * (quantum - 1.0 + math.exp(b * LN10 / 10.0 * length_km / m))
+        square = length_km**2
+        # A subnormal square has lost bits that dividing twice by the length keeps.
+        variance = excess / square if square >= sys.float_info.min else excess / length_km / length_km
+    except OverflowError:
         variance = math.inf
     # M is left out of the message: in a count search it is a trial value the caller never gave.
     if not math.isfinite(variance):

@@ -163,7 +163,7 @@ def _run_circuit(config: DesignConfig, phi: float, eta: float) -> tuple[Homodyne
     root_eta = math.sqrt(eta)
     row = [[root_eta * x for x in r] for r in row]
     slope_row = _through_phase(row, conjugate_phase_derivative(phi))
-    row = _through_phase(row, conjugate_phase_transform(phi).matrix)
+    row = _through_phase(row, conjugate_phase_transform(phi))
     mixed = 4 if config.variant == "E" else 2
     for r in (row, slope_row):
         r[:mixed] = [_splitter_mix(q) for q in r[:mixed]]

@@ -1,8 +1,8 @@
 """Single-mode Gaussian states and the phase map of one interferometer.
 
 This is the kit :mod:`fogsim.designs` builds its circuits from: the three
-input states, each checked on construction, and the 4x4 quadrature map of
-a conjugate-phase interferometer with its derivative.  A state is the mean
+input states, each checked on construction, and the 4x4 quadrature matrix
+of a conjugate-phase interferometer with its derivative.  A state is the mean
 and the 2x2 covariance V of the quadratures Re[a] = (a + a^dag) / 2 and
 Im[a] = (a - a^dag) / (2i), so the vacuum variance is 1/4; vectors are
 interleaved per mode as ``(Re_1, Im_1, Re_2, Im_2, ...)``.  A mode is
@@ -75,7 +75,11 @@ class GaussianState(CheckedRecord, namedtuple("GaussianState", ("mean", "cov")))
 
 
 class SymplecticTransform(CheckedRecord, namedtuple("SymplecticTransform", ("matrix",))):
-    """Real 2n x 2n quadrature map, checked to preserve the symplectic form."""
+    """Real 2n x 2n quadrature map, checked to preserve the symplectic form.
+
+    Only the tests build one, around the phase matrix; it stays because the
+    benchmark's span tracer names ``SymplecticTransform.apply`` as a target.
+    """
 
     __slots__ = ()
 
@@ -92,12 +96,7 @@ class SymplecticTransform(CheckedRecord, namedtuple("SymplecticTransform", ("mat
         return super().__new__(cls, matrix)
 
     def apply(self, state: GaussianState) -> GaussianState:
-        """Propagate a single-mode state through a one-mode (2x2) transform.
-
-        Nothing in the package calls this: :mod:`fogsim.designs` propagates
-        the readout row instead.  It stays only because the benchmark's span
-        tracer names ``SymplecticTransform.apply`` as a target.
-        """
+        """Propagate a single-mode state through a one-mode (2x2) transform."""
         s = self.matrix
         if len(s) != 2:
             raise ValueError(f"transform acts on {len(s) // 2} modes, state has 1")
@@ -157,15 +156,15 @@ def _phase_block(c: float, s: float) -> Matrix:
     return ((c, 0.0, 0.0, s), (0.0, c, -s, 0.0), (0.0, -s, -c, 0.0), (s, 0.0, 0.0, -c))
 
 
-def conjugate_phase_transform(phi: float) -> SymplecticTransform:
-    """Two-mode map of an interferometer whose arms carry phases +phi and -phi.
+def conjugate_phase_transform(phi: float) -> Matrix:
+    """Two-mode quadrature matrix of an interferometer whose arms carry phases +phi and -phi.
 
     On annihilation operators the map is
     ``a -> cos(phi) a - i sin(phi) b``, ``b -> i sin(phi) a - cos(phi) b``,
     i.e. the composition of a balanced splitter, conjugate phase shifts, and
     a second balanced splitter.  At phi = 0 it reduces to (a, b) -> (a, -b).
     """
-    return SymplecticTransform(_phase_block(math.cos(phi), math.sin(phi)))
+    return _phase_block(math.cos(phi), math.sin(phi))
 
 
 def conjugate_phase_derivative(phi: float) -> Matrix:

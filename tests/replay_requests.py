@@ -15,6 +15,10 @@ compared on exit code, stdout and stderr.  The requests are:
   changing it;
 - the benchmark's probe and out-of-domain requests;
 - every request pinned in ``tests/test_golden_outputs.py``;
+- ``figure`` requests that read a figure's grid settings from a ``--config``
+  file, at values inside and outside their domains; the files are written
+  once to a temporary directory that both trees read, so paths in messages
+  match;
 - a grid of loss coefficients and fiber lengths from 1e-320 to 1.7e308,
   plus 0, -3, +-inf and NaN, on every command that takes them;
 - a grid of squeezing levels from 0 dB to the top of the domain and inf,
@@ -35,6 +39,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +85,19 @@ SQUEEZE = ("--squeeze-db", "10")
 #: top of the domain and the infinite-squeezing limit.
 SQUEEZE_GRID = ("0", "10", "40", "80", "95", "120", "162.6", "165", "168.5", "200",
                 "1547", "1548", "3076.5", "inf")
+#: (figure id, grid setting, value) of each configuration-file request.
+CONFIG_CASES = (
+    ("3a", "fig3a_points", "2"),
+    ("3b", "fig3b_max_length_km", "1e3"),
+    ("3b", "fig3b_max_length_km", "-1"),
+    ("6", "fig6_lengths_km", "5,inf"),
+    ("6", "fig6_lengths_km", "0"),
+    ("6", "fig6_max_m", "1"),
+    ("6", "fig6_max_m", "100"),
+    ("7", "fig7_max_m", "1"),
+    ("7", "fig7_max_sigma_db", "0"),
+    ("7", "fig7_max_sigma_db", "3076.5"),
+)
 
 
 def _module(path: Path):
@@ -96,7 +114,8 @@ def _golden_requests() -> list[list[str]]:
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.Assign):
             exec(compile(ast.Module(body=[node], type_ignores=[]), str(path), "exec"), names)
-    return [list(argv) for argv in (*names["DOCUMENT_DIGESTS"], *names["JSON_REQUESTS"])]
+    return [list(argv) for argv in
+            (*names["DOCUMENT_DIGESTS"], *names["JSON_REQUESTS"], *names["SIMULATE_REQUESTS"])]
 
 
 def _grid_requests() -> list[list[str]]:
@@ -138,13 +157,28 @@ def _squeeze_requests() -> list[list[str]]:
     return [[*argv, "--squeeze-db", sigma] for argv in by_squeezing for sigma in SQUEEZE_GRID]
 
 
-def requests() -> list[tuple[str, ...]]:
-    """Every request of the replay, each once, in a fixed order."""
+def _config_requests(directory: str) -> list[list[str]]:
+    """Write one configuration file per case into ``directory``; the requests that read them."""
+    requests = []
+    for number, (figure_id, key, value) in enumerate(CONFIG_CASES):
+        path = os.path.join(directory, f"case{number}.cfg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(f"{key} = {value}\n")
+        requests.append(["figure", "--id", figure_id, "--config", path])
+    return requests
+
+
+def requests(config_dir: str) -> list[tuple[str, ...]]:
+    """Every request of the replay, each once, in a fixed order.
+
+    The configuration-file requests write their files into ``config_dir``.
+    """
     workloads = _module(ROOT / "perfbench" / "workloads.py")
     ops = [op for seed in SEEDS for workload in workloads.WORKLOADS
            for op in workloads.generate(workload, seed, COUNT)]
     ops += workloads.probe() + workloads.out_of_domain()
     every = [op["argv"] for op in ops] + _golden_requests() + _grid_requests() + _squeeze_requests()
+    every += _config_requests(config_dir)
     return list(dict.fromkeys(map(tuple, every)).keys())
 
 
@@ -175,8 +209,9 @@ def main() -> int:
     parser.add_argument("old_src")
     parser.add_argument("new_src")
     args = parser.parse_args()
-    argvs = requests()
-    old, new = run(args.old_src, argvs), run(args.new_src, argvs)
+    with tempfile.TemporaryDirectory() as config_dir:
+        argvs = requests(config_dir)
+        old, new = run(args.old_src, argvs), run(args.new_src, argvs)
     differing = 0
     for argv, (old_code, old_out, old_err), (new_code, new_out, new_err) in zip(
         argvs, old, new, strict=True

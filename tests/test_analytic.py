@@ -7,7 +7,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fogsim import analytic
@@ -405,8 +405,6 @@ class TestScaling:
     @SETTINGS
     @given(**DRAWS)
     def test_variance_scales_by_k_squared(self, log_b, log_total_db, sigma):
-        # A subnormal L^2 keeps too few bits for the relation (see the xfail below).
-        assume((10.0**log_total_db / 10.0**log_b / self.K) ** 2 >= sys.float_info.min)
         n_s = db_to_photons(sigma)
         for variant, squeezing in (("D", 0.0), ("P", n_s), ("E", n_s)):
             profile = lambda b, length: variance_vs_length(variant, b, length, 3, squeezing)
@@ -429,12 +427,8 @@ class TestScaling:
             assert scaled.x == pytest.approx(optimum.x, rel=1e-12)
             assert scaled.value == pytest.approx(self.K**2 * optimum.value, rel=1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the kernel divides by a subnormal L**2, which keeps few bits; the fix changes "
-        "the kernel's rounding and waits for the re-pin bundle in ROADMAP.md",
-    )
     def test_subnormal_length_square(self):
+        # L**2 is subnormal at both points; the kernel divides by L twice there.
         n_s = db_to_photons(200.0)
         profile = lambda b, length: variance_vs_length("E", b, length, 3, n_s)
         variance, scaled = self._pair(profile, 148.0, -11.0)

@@ -4,7 +4,8 @@ Each command runs in-process through ``cli.main`` and the SHA-256 of what
 it prints is compared with a stored digest, so a refactor that moves the
 last bit of any number is caught.  ``table1``, ``table1 --format json`` and
 every figure get a digest of their own; a fixed list of single-point JSON
-requests shares one digest over (argv, exit code, stdout, stderr).
+requests shares one digest over (argv, exit code, stdout, stderr), and the
+``simulate`` requests share another.
 
 The digests were taken with CPython 3.11 on x86-64 Linux (glibc libm).
 ``math.exp``, ``math.log``, ``**`` and friends come from the platform's
@@ -85,6 +86,21 @@ JSON_REQUESTS_DIGEST = (
     "34c2e1c6aac3871ee5f841abe0d234fe332748d8383420ba0eedb603edc98e16"
 )
 
+#: Circuit requests: every design at each count it takes out of 1, 4 and 64,
+#: at phase 0 and 0.01, on both transmissivity routes, and a rejected request.
+SIMULATE_REQUESTS = tuple(
+    ("simulate", "--design", variant, "--m", m, "--phi", phi, *route,
+     *(("--squeeze-db", "10") if variant in "SPE" else ()))
+    for variant in "CSDPE"
+    for m in (("1",) if variant in "CS" else ("1", "4", "64"))
+    for phi in ("0", "0.01")
+    for route in (ETA_09, FIBER_15)
+) + (("simulate", "--design", "C", "--m", "4", *ETA_09),)
+
+SIMULATE_REQUESTS_DIGEST = (
+    "eb84316d580565242546a0a92723041a1a55d24259f8bb1e0fdb7a529897e4bc"
+)
+
 
 def _run(capsys, argv):
     code = main(list(argv))
@@ -109,3 +125,7 @@ def test_document_bytes(capsys, argv):
 
 def test_json_request_bytes(capsys):
     assert _digest(capsys, JSON_REQUESTS) == JSON_REQUESTS_DIGEST
+
+
+def test_simulate_request_bytes(capsys):
+    assert _digest(capsys, SIMULATE_REQUESTS) == SIMULATE_REQUESTS_DIGEST

@@ -1,13 +1,15 @@
 """Numeric optimizer: golden-section behavior and analytic cross-validation."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fogsim import analytic, optimize, sagnac
+from fogsim import analytic, cli, optimize, sagnac
 from fogsim.optimize import (
     ScalarProblem,
     minimize_scalar,
@@ -59,13 +61,22 @@ class TestMinimizeScalar:
         assert result.x == pytest.approx(reference.x, rel=1e-6)
         assert result.value == pytest.approx(reference.value, rel=1e-9)
 
-    def test_invalid_bracket(self):
-        with pytest.raises(ValueError):
-            minimize_scalar(ScalarProblem(lambda x: x * x, (1.0, 1.0)))
+    @pytest.mark.parametrize(
+        "bracket",
+        [(1.0, 1.0), (2.0, 1.0), (-2.0, -1.0), (-1.0, 1.0), (-1e-300, 1.0), (math.nan, 1.0),
+         (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0), (math.inf, math.inf)],
+        ids=["empty", "reversed", "negative", "straddling", "tiny-negative-end", "nan-lo",
+             "nan-hi", "infinite-hi", "infinite-lo", "both-infinite"],
+    )
+    def test_invalid_bracket(self, bracket):
+        evaluated = []
+        with pytest.raises(ValueError, match=re.escape(f"invalid bracket {bracket}")):
+            minimize_scalar(ScalarProblem(evaluated.append, bracket))
+        assert evaluated == []
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.floats(-1e6, 1e6, allow_nan=False),
+        st.floats(0.0, 1e6, allow_nan=False),
         st.floats(1e-9, 1e6, allow_nan=False),
     )
     def test_prescan_points_are_linspace(self, lo, width):
@@ -82,17 +93,11 @@ class TestMinimizeScalar:
         minimize_scalar(ScalarProblem(objective, (lo, hi)))
         assert seen[:65] == np.linspace(lo, hi, 65).tolist()
 
-    # Ends of one sign, as in every bracket that ``optimize`` builds: then each
-    # computed point is at least 0.38 times the larger end, so its rounding is
-    # a few ulps of itself.  Across 0, a point computed from large ends can
-    # land near a minimum at 0 with an error large against the later widths,
-    # and the bound can be exceeded.  Ends within 1e150: from about 1e158 the
-    # polish's squared step overflows.
+    # Ends within 1e150: from about 1.3e158 the polish's squared step overflows.
     @settings(max_examples=100, deadline=None)
     @given(
         st.floats(0.0, 1e150),
         st.floats(0.0, 1e150),
-        st.booleans(),
         st.sampled_from([
             lambda x: x * x,
             lambda x: -x,
@@ -101,9 +106,9 @@ class TestMinimizeScalar:
             lambda x: float(hash(x) % 7),  # no two neighbours need agree
         ]),
     )
-    def test_contractions_are_bounded_by_the_bracket(self, a, b, negative, objective):
+    def test_contractions_are_bounded_by_the_bracket(self, a, b, objective):
         assume(a != b)
-        bracket = tuple(sorted((-a, -b) if negative else (a, b)))
+        bracket = (min(a, b), max(a, b))
         assert minimize_scalar(ScalarProblem(objective, bracket)).iterations <= contraction_bound(
             bracket
         )
@@ -163,6 +168,26 @@ class TestContractionBound:
             optimize_m_continuous("E", b, length, db_to_photons(10.0), m_hi)
             optimize_m_continuous("P", b, length, db_to_photons(10.0), m_hi)
         assert all(iterations <= bound for _, iterations in searches)
+
+
+def test_each_search_evaluates_a_point_once(monkeypatch, capsys):
+    """The polish reuses the value it holds at its centre, so no search of
+    ``table1`` or ``figure --id 6`` evaluates its objective twice at one x."""
+    searches = []
+
+    def recorded(problem, minimize=minimize_scalar):
+        xs = []
+        searches.append(xs)
+
+        def objective(x):
+            xs.append(x)
+            return problem.objective(x)
+        return minimize(dataclasses.replace(problem, objective=objective))
+    monkeypatch.setattr(optimize, "minimize_scalar", recorded)
+    assert cli.main(["table1"]) == cli.main(["figure", "--id", "6"]) == 0
+    capsys.readouterr()
+    assert len(searches) == 12 + 77
+    assert all(len(set(xs)) == len(xs) for xs in searches)
 
 
 class TestLengthCrossValidation:
