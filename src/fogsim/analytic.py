@@ -203,10 +203,7 @@ def variance_vs_length(
     fixed-length optimization (minimize over M at fixed L, with M real for
     the continuous optimum).
     """
-    DOMAIN.check("b_optimum", b)
-    DOMAIN.check("length_optimum", length_km)
-    DOMAIN.check_design(variant, m, n_squeezed)
-    return _variance(variant, b, length_km, m, n_squeezed)
+    return variance_profile(variant, b, length_km, m, n_squeezed)(length_km, m)
 
 
 def _variance(variant: str, b: float, length_km: float, m: float, n_squeezed: float) -> float:

@@ -36,14 +36,14 @@ class ScalarProblem:
 def minimize_scalar(problem: ScalarProblem) -> analytic.Optimum:
     """Golden-section minimum of a unimodal objective on a bracket ``0 <= lo < hi < inf``.
 
-    Any other bracket raises ValueError.  A 64-sample pre-scan locates the
-    coarse minimum and refines the bracket around it before the golden-section
-    contraction, so mild violations of unimodality away from the optimum are
-    tolerated.  A final quadratic polish removes the sqrt(machine-epsilon)
-    plateau that pure value comparisons leave around a smooth minimum.  Each
-    contraction shrinks the bracket by the golden ratio whatever the objective
-    returns, so the count is at most ceil(ln(1.01 w / 5e-13) / ln(1 / 0.618)),
-    with w twice the pre-scan step.  Deterministic.
+    Any other bracket raises ValueError.  A 64-sample pre-scan refines the
+    bracket around the coarse minimum, so mild violations of unimodality away
+    from the optimum are tolerated.  A quadratic polish, which forms no h**2 and
+    whose stencil follows the bracket's upper end below 1, removes the
+    sqrt(machine-epsilon) plateau that value comparisons leave around a smooth
+    minimum.  Each contraction shrinks the bracket by the golden ratio whatever
+    the objective returns, so the count is at most ceil(ln(1.01 w / 5e-13) /
+    ln(1 / 0.618)), with w twice the pre-scan step.  Deterministic.
     """
     outer_lo, outer_hi = problem.bracket
     if not 0.0 <= outer_lo < outer_hi < math.inf:
@@ -88,25 +88,22 @@ def _quadratic_polish(
     relative sqrt(eps); fitting the local parabola can.  Steps that leave
     the bracket, meet a non-convex fit, or fail to keep the value from
     degrading are rejected, so non-smooth or boundary minima are returned
-    unchanged.  ``value`` is the objective at ``x``.  ``h**2`` overflows past
-    x = 1.3e158, beyond every search this module builds: a length objective
-    raises its named error from L = 1.34e154, and count brackets end at 1e5.
+    unchanged.  ``value`` is the objective at ``x``.  The stencil step is
+    1e-4 of max(x, min(1, hi)), and no h**2 is formed to under- or overflow.
     """
     best_x, best_value = x, value
     for _ in range(_POLISH_ROUNDS):
-        h = 1e-4 * max(x, 1.0)
+        h = 1e-4 * max(x, min(1.0, hi))
         if not (lo < x - 2.0 * h and x + 2.0 * h < hi):
             break
         f_m2 = objective(x - 2.0 * h)
         f_m1 = objective(x - h)
         f_p1 = objective(x + h)
         f_p2 = objective(x + 2.0 * h)
-        slope = (-f_p2 + 8.0 * f_p1 - 8.0 * f_m1 + f_m2) / (12.0 * h)
-        curvature = (f_p1 - 2.0 * value + f_m1) / h**2
-        if not curvature > 0.0:
+        difference = f_p1 - 2.0 * value + f_m1
+        if not difference > 0.0:
             break
-        step = slope / curvature
-        candidate = x - step
+        candidate = x - h * (-f_p2 + 8.0 * f_p1 - 8.0 * f_m1 + f_m2) / (12.0 * difference)
         if not lo < candidate < hi:
             break
         x = candidate
@@ -165,15 +162,18 @@ def optimize_m_integer(
         raise ValueError("count optimization applies to the distributed designs")
     DOMAIN.check("m_max", m_max)
     profile = analytic.variance_profile(variant, b, length_km, 1, n_squeezed)
-    optima = []
+    best = None
     for m in range(1, m_max + 1):
         try:
-            optima.append(analytic.Optimum(m, profile(length_km, m)))
+            value = profile(length_km, m)
         except ValueError as exc:
             overflow = exc
-    if not optima:
+            continue
+        if best is None or value < best.value:
+            best = analytic.Optimum(m, value)
+    if best is None:
         raise overflow
-    return min(optima, key=lambda optimum: optimum.value)
+    return best
 
 
 def optimize_m_continuous(

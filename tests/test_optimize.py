@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -93,7 +95,7 @@ class TestMinimizeScalar:
         minimize_scalar(ScalarProblem(objective, (lo, hi)))
         assert seen[:65] == np.linspace(lo, hi, 65).tolist()
 
-    # Ends within 1e150: from about 1.3e158 the polish's squared step overflows.
+    # Ends within 1e150; test_polish_works_at_every_scale reaches 1e300.
     @settings(max_examples=100, deadline=None)
     @given(
         st.floats(0.0, 1e150),
@@ -124,6 +126,16 @@ class TestMinimizeScalar:
         result = minimize_scalar(ScalarProblem(objective, (0.0, 1.0)))
         assert result.x == pytest.approx(33 / 64, abs=1e-12)
         assert result.value == objective(result.x)
+
+    def test_polish_works_at_every_scale(self):
+        # Below 1 the stencil follows the bracket, and no h**2 is formed, so a
+        # bracket far from 1 gets the same Newton step as one around it.
+        errors = {}
+        for exponent in range(-300, 301, 10):
+            center = 10.0**exponent
+            problem = ScalarProblem(lambda x: (x / center - 1.0) ** 2, (center / 3, 10 * center / 3))
+            errors[exponent] = abs(minimize_scalar(problem).x - center) / center
+        assert {exponent: error for exponent, error in errors.items() if error > 1e-15} == {}
 
     def test_polish_rejects_a_step_that_makes_the_value_worse(self):
         # At an asymmetric kink the parabola through the stencil has its
@@ -210,6 +222,21 @@ class TestLengthCrossValidation:
         reference = analytic.optimal_length(variant, b, n_s, m)
         assert numeric.x == pytest.approx(reference.x, rel=1e-6)
         assert numeric.value == pytest.approx(reference.value, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "variant, sigma, m", [("C", 0.0, 1), ("S", 10.0, 1), ("D", 0.0, 16), ("P", 10.0, 4),
+                              ("E", 10.0, 4)],
+    )
+    def test_every_decade_of_loss(self, variant, sigma, m):
+        # From b = 1e2 the length bracket lies below 1 km, and below b = 1e-78
+        # a second difference over h**2 underflows.
+        n_s = db_to_photons(sigma)
+        errors = {}
+        for exponent in range(-150, 11):
+            b = 10.0**exponent
+            reference = analytic.optimal_length(variant, b, n_s, m).x
+            errors[exponent] = abs(optimize_length(variant, b, n_s, m).x - reference) / reference
+        assert {exponent: error for exponent, error in errors.items() if error > 5e-12} == {}
 
 
 class TestCountOptimization:
@@ -304,6 +331,56 @@ class TestCountOptimization:
         n_s = db_to_photons(5.0)
         optimum = optimize_m_continuous("E", 0.5, 15.0, n_s)
         assert optimum.value == analytic.variance_vs_length("E", 0.5, 15.0, optimum.x, n_s)
+
+    def test_integer_search_memory_does_not_grow_with_the_count(self):
+        n_s = db_to_photons(10.0)
+        tracemalloc.start()
+        try:
+            optimize_m_integer("P", 0.5, 15.0, n_s, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(("D", "P", "E")),
+        st.floats(1e-3, 10.0),
+        st.floats(1e-2, 1e3),
+        st.floats(0.0, 30.0),
+        st.integers(1, 200),
+        st.sampled_from((None, 1, 2)),
+    )
+    def test_integer_search_is_the_exhaustive_minimum(
+        self, variant, b, length, sigma, m_max, digits
+    ):
+        # Rounding the profile to a few significant digits makes ties common;
+        # b L up to 1e4 dB overflows the smallest counts.
+        n_s = 0.0 if variant == "D" else db_to_photons(sigma)
+        checked = analytic.variance_profile
+
+        def variance_profile(*args):
+            profile = checked(*args)
+            if digits is None:
+                return profile
+            return lambda length_km, m: float(f"{profile(length_km, m):.{digits}g}")
+
+        profile = variance_profile(variant, b, length, 1, n_s)
+        optima = []
+        for m in range(1, m_max + 1):
+            try:
+                optima.append(analytic.Optimum(m, profile(length, m)))
+            except ValueError:
+                pass
+        with mock.patch.object(analytic, "variance_profile", variance_profile):
+            if not optima:
+                with pytest.raises(ValueError, match="put the variance out of floating-point range"):
+                    optimize_m_integer(variant, b, length, n_s, m_max)
+                return
+            # min keeps the first, so the smallest count wins a tie.
+            assert optimize_m_integer(variant, b, length, n_s, m_max) == min(
+                optima, key=lambda optimum: optimum.value
+            )
 
     def test_search_fails_only_when_every_count_overflows(self):
         with pytest.raises(ValueError, match="put the variance out of floating-point range"):
