@@ -421,11 +421,14 @@ def _emit_json(record: dict | list[dict], out: str | None) -> None:
     _write_output(text + "\n", out)
 
 
+def _design_point(config: RunConfig) -> tuple[float, float, float]:
+    """Squeezed photons, transmissivity and time factor, resolved and checked in that order."""
+    return config.resolved_squeezed_photons(), config.resolved_eta(), config.resolved_time_factor()
+
+
 def cmd_variance(config: RunConfig) -> None:
     """Estimator variance of one design."""
-    n_s = config.resolved_squeezed_photons()
-    eta = config.resolved_eta()
-    t = config.resolved_time_factor()
+    n_s, eta, t = _design_point(config)
     variance = analytic.design_variance(config.design, t, eta, config.m, config.n_v, n_s)
     _emit_json(
         {
@@ -516,10 +519,7 @@ def cmd_optimize(config: RunConfig) -> None:
 
 def cmd_simulate(config: RunConfig) -> None:
     """Gaussian-circuit cross check."""
-    # Inputs are resolved and checked in the order cmd_variance checks them.
-    n_s = config.resolved_squeezed_photons()
-    eta = config.resolved_eta()
-    t = config.resolved_time_factor()
+    n_s, eta, t = _design_point(config)
     design = designs.DesignConfig(config.design, config.m, config.n_v, n_s)
     result = designs.estimator_variance_sim(design, eta, t)
     stats = designs.build_and_run(design, config.phi, eta)

@@ -18,12 +18,16 @@ imaginary-quadrature homodyne on the symmetric port reads the rotation.
 ``build_and_run`` computes the readout exactly at arbitrary phase in the
 Heisenberg picture, in O(M) time and memory on Python lists: the row of the
 measured quadrature is propagated backwards through the recombiner, the
-loss, the 4x4 phase block of each interferometer and the input splitters
+loss, the phase map of each interferometer and the input splitters
 (Householder reflections, applied as rank-1 updates), then contracted with
-the product input state by ``math.fsum``.  Each distinct single-mode input
-is built once by the :mod:`fogsim.gaussian` constructors, which check its
-physicality.  The tests compare this route against a dense numpy engine
-that propagates the full 4M x 4M covariance.
+the product input state by ``math.fsum``.  That row only ever reaches two
+quadratures per interferometer, Re[a_j] and Im[b_j]: the splitter arrays and
+the loss act alike on both quadratures of a port, and the conjugate-phase
+map couples Re[a_j] with Im[b_j] only (Weedbrook et al., Rev. Mod. Phys. 84,
+621 (2012)).  Each distinct single-mode input is built once by the
+:mod:`fogsim.gaussian` constructors, which check its physicality.  The
+tests compare this route against a dense numpy engine that propagates the
+full 4M x 4M covariance.
 """
 
 from __future__ import annotations
@@ -37,10 +41,7 @@ from .gaussian import (
     CheckedRecord,
     GaussianState,
     HomodyneResult,
-    Matrix,
     coherent_state,
-    conjugate_phase_derivative,
-    conjugate_phase_transform,
     squeezed_vacuum,
     vacuum_state,
 )
@@ -130,49 +131,38 @@ def _splitter_mix(v: list[float]) -> list[float]:
     return out
 
 
-def _through_phase(row: list[list[float]], block: Matrix) -> list[list[float]]:
-    """Row times the 4x4 ``block`` of every interferometer (a_j, b_j) pair.
-
-    A phase block has two nonzero entries per column, so each sum rounds once.
-    """
-    return [
-        [a * c0 + b * c1 + c * c2 + d * c3 for a, b, c, d in zip(*row)]
-        for c0, c1, c2, c3 in zip(*block)
-    ]
-
-
-def _per_mode(row: list[list[float]], modes: list[GaussianState]):
-    """(Re, Im) row entries of every input mode, paired with its state."""
-    return zip(zip(row[0] + row[2], row[1] + row[3]), modes)
-
-
 def _run_circuit(config: DesignConfig, phi: float, eta: float) -> tuple[HomodyneResult, float]:
     """Homodyne statistics of the read port at ``phi`` and d<b'_1>/dphi.
 
-    The row holds a list over the ports for each of a Re, a Im, b Re, b Im.
-    The loss scales it by sqrt(eta) and adds (1 - eta)/4 |row|^2 of vacuum
-    noise; the derivative of the phase blocks gives the slope row.
+    The row is a pair of lists over the ports, Re[a_j] and Im[b_j]; the two
+    other quadratures of every port never reach the readout.  The loss scales
+    the row by sqrt(eta) and adds (1 - eta)/4 |row|^2 of vacuum noise.  Each
+    interferometer maps Im[b_j] of its output to sin(phi) Re[a_j] and
+    -cos(phi) Im[b_j] of its input; the derivative gives the slope row.
     """
     DOMAIN.check("eta_homodyne", eta)
     DOMAIN.check("phi", phi)
     modes = _input_modes(config)
-    row = [[0.0] * config.m_interferometers for _ in range(4)]
-    row[3][0] = 1.0  # Im quadrature of b-side port 0, the read port
-    row[3] = _splitter_mix(row[3])
-    loss_variance = (1.0 - eta) * VACUUM_VARIANCE * math.fsum(x * x for r in row for x in r)
+    m = config.m_interferometers
+    read = _splitter_mix([1.0] + [0.0] * (m - 1))  # Im quadrature of b-side port 0
+    loss_variance = (1.0 - eta) * VACUUM_VARIANCE * math.fsum(x * x for x in read)
     root_eta = math.sqrt(eta)
-    row = [[root_eta * x for x in r] for r in row]
-    slope_row = _through_phase(row, conjugate_phase_derivative(phi))
-    row = _through_phase(row, conjugate_phase_transform(phi))
-    mixed = 4 if config.variant == "E" else 2
-    for r in (row, slope_row):
-        r[:mixed] = [_splitter_mix(q) for q in r[:mixed]]
+    read = [root_eta * x for x in read]
+    cos, sin = math.cos(phi), math.sin(phi)
+    # Each entry is 0.0 + x * coefficient: in the phase map's full sum over
+    # the four quadratures of a port the other terms are +0.0, so a zero
+    # entry is +0.0 too.  Only design E splits side b at the input.
+    mix_b = _splitter_mix if config.variant == "E" else list
+    row, slope_row = (
+        _splitter_mix([0.0 + x * a for x in read]) + mix_b([0.0 + x * b for x in read])
+        for a, b in ((sin, -cos), (cos, sin))
+    )
+    quadrature = [0] * m + [1] * m  # Re of each a-side mode, Im of each b-side one
     variance = math.fsum(
-        v[p] * state.cov[p][q] * v[q]
-        for v, state in _per_mode(row, modes) for p in (0, 1) for q in (0, 1)
+        x * state.cov[p][p] * x for x, state, p in zip(row, modes, quadrature)
     ) + loss_variance
     mean, slope = (
-        math.fsum(v[p] * state.mean[p] for v, state in _per_mode(r, modes) for p in (0, 1))
+        math.fsum(x * state.mean[p] for x, state, p in zip(r, modes, quadrature))
         for r in (row, slope_row)
     )
     return HomodyneResult(mean=mean, variance=variance), slope

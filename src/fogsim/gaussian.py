@@ -1,14 +1,15 @@
-"""Single-mode Gaussian states and the phase map of one interferometer.
+"""Single-mode Gaussian states.
 
 This is the kit :mod:`fogsim.designs` builds its circuits from: the three
-input states, each checked on construction, and the 4x4 quadrature matrix
-of a conjugate-phase interferometer with its derivative.  A state is the mean
-and the 2x2 covariance V of the quadratures Re[a] = (a + a^dag) / 2 and
-Im[a] = (a - a^dag) / (2i), so the vacuum variance is 1/4; vectors are
-interleaved per mode as ``(Re_1, Im_1, Re_2, Im_2, ...)``.  A mode is
-physical when both variances are positive and its symplectic eigenvalue
-sqrt(det V) is at least 1/4 (Weedbrook et al., Rev. Mod. Phys. 84, 621
-(2012), sec. II).  Matrices are tuples of row tuples.
+input states, each checked on construction, and the homodyne result they
+are read into.  The circuit applies each interferometer's phase map to its
+readout row itself.  A state is the mean and the 2x2 covariance V of the
+quadratures Re[a] = (a + a^dag) / 2 and Im[a] = (a - a^dag) / (2i), so the
+vacuum variance is 1/4; vectors are interleaved per mode as
+``(Re_1, Im_1, Re_2, Im_2, ...)``.  A mode is physical when both variances
+are positive and its symplectic eigenvalue sqrt(det V) is at least 1/4
+(Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012), sec. II).  Matrices are
+tuples of row tuples.
 """
 
 from __future__ import annotations
@@ -77,8 +78,9 @@ class GaussianState(CheckedRecord, namedtuple("GaussianState", ("mean", "cov")))
 class SymplecticTransform(CheckedRecord, namedtuple("SymplecticTransform", ("matrix",))):
     """Real 2n x 2n quadrature map, checked to preserve the symplectic form.
 
-    Only the tests build one, around the phase matrix; it stays because the
-    benchmark's span tracer names ``SymplecticTransform.apply`` as a target.
+    Only the tests build one, around the dense engine's conjugate-phase
+    matrix and a rotation; it stays because the benchmark's span tracer names
+    ``SymplecticTransform.apply`` as a target.
     """
 
     __slots__ = ()
@@ -149,24 +151,3 @@ def squeezed_vacuum(n_s: float) -> GaussianState:
             f"squeezed photon number {n_s:.6g} overflows the squeezed-vacuum variances"
         )
     return GaussianState((0.0, 0.0), ((spread * spread / 4.0, 0.0), (0.0, 1.0 / inverse_squeezed)))
-
-
-def _phase_block(c: float, s: float) -> Matrix:
-    """Quadrature matrix of a -> c a - i s b, b -> i s a - c b on (a, b)."""
-    return ((c, 0.0, 0.0, s), (0.0, c, -s, 0.0), (0.0, -s, -c, 0.0), (s, 0.0, 0.0, -c))
-
-
-def conjugate_phase_transform(phi: float) -> Matrix:
-    """Two-mode quadrature matrix of an interferometer whose arms carry phases +phi and -phi.
-
-    On annihilation operators the map is
-    ``a -> cos(phi) a - i sin(phi) b``, ``b -> i sin(phi) a - cos(phi) b``,
-    i.e. the composition of a balanced splitter, conjugate phase shifts, and
-    a second balanced splitter.  At phi = 0 it reduces to (a, b) -> (a, -b).
-    """
-    return _phase_block(math.cos(phi), math.sin(phi))
-
-
-def conjugate_phase_derivative(phi: float) -> Matrix:
-    """Entrywise derivative with respect to phi of the conjugate-phase map."""
-    return _phase_block(-math.sin(phi), math.cos(phi))

@@ -23,7 +23,11 @@ compared on exit code, stdout and stderr.  The requests are:
   plus 0, -3, +-inf and NaN, on every command that takes them;
 - a grid of squeezing levels from 0 dB to the top of the domain and inf,
   through the regions where the closed form's Lambert W argument nears
-  and then passes its branch point, on the commands that take squeezing.
+  and then passes its branch point, on the commands that take squeezing;
+- ``simulate`` at phases -0.7, 2.0, pi and 1e6, which give both signs of
+  cos(phi) and sin(phi), for every design at each of the counts 1, 4 and
+  64 that it takes (44 requests), with ``--eta 0.8`` and, for S, P and E,
+  ``--squeeze-db 10``.
 
 Each request runs once, whatever the number of sources it comes from.  The
 script prints one block per request that differs and a summary line, and
@@ -85,6 +89,9 @@ SQUEEZE = ("--squeeze-db", "10")
 #: top of the domain and the infinite-squeezing limit.
 SQUEEZE_GRID = ("0", "10", "40", "80", "95", "120", "162.6", "165", "168.5", "200",
                 "1547", "1548", "3076.5", "inf")
+#: Circuit phases: -0.7, 2.0 and pi between them give both signs of cos(phi)
+#: and sin(phi), and 1e6 is a phase of many periods.
+PHASES = ("-0.7", "2.0", "3.141592653589793", "1e6")
 #: (figure id, grid setting, value) of each configuration-file request.
 CONFIG_CASES = (
     ("3a", "fig3a_points", "2"),
@@ -157,6 +164,15 @@ def _squeeze_requests() -> list[list[str]]:
     return [[*argv, "--squeeze-db", sigma] for argv in by_squeezing for sigma in SQUEEZE_GRID]
 
 
+def _phase_requests() -> list[list[str]]:
+    counts = [(variant, "1") for variant in "CS"] + [(v, m) for v in "DPE" for m in ("1", "4", "64")]
+    return [
+        ["simulate", "--design", variant, "--m", m, "--eta", "0.8",
+         *(SQUEEZE if variant in "SPE" else ()), "--phi", phi]
+        for variant, m in counts for phi in PHASES
+    ]
+
+
 def _config_requests(directory: str) -> list[list[str]]:
     """Write one configuration file per case into ``directory``; the requests that read them."""
     requests = []
@@ -178,6 +194,7 @@ def requests(config_dir: str) -> list[tuple[str, ...]]:
            for op in workloads.generate(workload, seed, COUNT)]
     ops += workloads.probe() + workloads.out_of_domain()
     every = [op["argv"] for op in ops] + _golden_requests() + _grid_requests() + _squeeze_requests()
+    every += _phase_requests()
     every += _config_requests(config_dir)
     return list(dict.fromkeys(map(tuple, every)).keys())
 

@@ -266,7 +266,8 @@ class TestMonotonicity:
             assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
 
-ORACLE_PHIS = (0.0, 0.01, 0.3, 1.2)
+#: Both signs of cos(phi) and sin(phi), so each phase coefficient's sign is pinned.
+ORACLE_PHIS = (0.0, 0.01, 0.3, 1.2, -0.7, 2.0, math.pi)
 ORACLE_ETAS = (0.0, 0.5, 1.0)
 #: At most 30 dB, where the dense engine's eigen-checks are well conditioned.
 ORACLE_SQUEEZE_DB = (0.0, 10.0, 30.0)
