@@ -32,6 +32,7 @@ from _dense import (
     tensor,
     vacuum_state,
 )
+from fogsim import designs
 from fogsim import gaussian as kit
 from fogsim.sagnac import db_to_photons
 
@@ -191,6 +192,29 @@ class TestConjugatePhaseTransform:
         matrix = np.asarray(engine.phase(phi).matrix)
         omega = symplectic_form(2)
         assert np.allclose(matrix @ omega @ matrix.T, omega, atol=1e-12)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.01, 0.3, -0.7, 1.2, math.pi, 1e3])
+    def test_kit_blocks_equal_the_dense_ones(self, phi, monkeypatch):
+        # The kit has no phase map; the circuit built from it applies the
+        # map's readout row itself.  At M = 1 and eta = 1 with a unit mean on
+        # one input quadrature and zero elsewhere, the circuit's mean and
+        # slope are that quadrature's entries of the map's Im[b] row and of
+        # its derivative.
+        row, slope_row = [], []
+        for quadrature in range(4):
+            unit = [0.0] * 4
+            unit[quadrature] = 1.0
+            modes = [kit.coherent_state(*unit[:2]), kit.coherent_state(*unit[2:])]
+            monkeypatch.setattr(designs, "_input_modes", lambda config: modes)
+            result, slope = designs._run_circuit(designs.DesignConfig("C"), phi, 1.0)
+            row.append(result.mean)
+            slope_row.append(slope)
+        np.testing.assert_allclose(
+            row, _dense.conjugate_phase_transform(phi).matrix[3], rtol=0, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            slope_row, _dense.conjugate_phase_derivative(phi)[3], rtol=0, atol=1e-15
+        )
 
 
 class TestBalancedSplitterArray:
