@@ -10,6 +10,7 @@ check the closed-form optima of :mod:`fogsim.analytic` independently.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -34,19 +35,19 @@ class ScalarProblem:
 
 
 def minimize_scalar(problem: ScalarProblem) -> analytic.Optimum:
-    """Golden-section minimum of a unimodal objective on a bracket ``0 <= lo < hi < inf``.
+    """Golden-section minimum of a unimodal objective on a bracket ``0 < lo < hi < inf``.
 
-    Any other bracket raises ValueError.  A 64-sample pre-scan refines the
-    bracket around the coarse minimum, so mild violations of unimodality away
-    from the optimum are tolerated.  A quadratic polish, which forms no h**2 and
-    whose stencil follows the bracket's upper end below 1, removes the
-    sqrt(machine-epsilon) plateau that value comparisons leave around a smooth
-    minimum.  Each contraction shrinks the bracket by the golden ratio whatever
-    the objective returns, so the count is at most ceil(ln(1.01 w / 5e-13) /
-    ln(1 / 0.618)), with w twice the pre-scan step.  Deterministic.
+    ``lo`` must be a normal float, and any other bracket raises ValueError.  A
+    64-sample pre-scan refines the bracket around the coarse minimum, so mild
+    violations of unimodality away from the optimum are tolerated.  A quadratic
+    polish, which forms no h**2, removes the sqrt(machine-epsilon) plateau that
+    value comparisons leave around a smooth minimum.  Each contraction shrinks
+    the bracket by the golden ratio whatever the objective returns, to no less
+    than 1e-12 lo, so there are at most ceil(ln(1.01 w / (1e-12 lo)) / ln(1 / 0.618))
+    contractions, w being twice the pre-scan step.  Deterministic.
     """
     outer_lo, outer_hi = problem.bracket
-    if not 0.0 <= outer_lo < outer_hi < math.inf:
+    if not sys.float_info.min <= outer_lo < outer_hi < math.inf:
         raise ValueError(f"invalid bracket {problem.bracket}")
 
     # Evenly spaced, ending exactly on outer_hi.
@@ -60,7 +61,7 @@ def minimize_scalar(problem: ScalarProblem) -> analytic.Optimum:
     c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
     fc, fd = problem.objective(c), problem.objective(d)
     iterations = 0
-    while hi - lo > _TOLERANCE * max(1.0, lo + hi) / 2.0:
+    while hi - lo > _TOLERANCE * (lo + hi) / 2.0:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
@@ -85,15 +86,14 @@ def _quadratic_polish(
     """Newton steps on a finite-difference derivative around a smooth minimum.
 
     Function-value comparisons cannot localize a quadratic minimum beyond a
-    relative sqrt(eps); fitting the local parabola can.  Steps that leave
-    the bracket, meet a non-convex fit, or fail to keep the value from
-    degrading are rejected, so non-smooth or boundary minima are returned
-    unchanged.  ``value`` is the objective at ``x``.  The stencil step is
-    1e-4 of max(x, min(1, hi)), and no h**2 is formed to under- or overflow.
+    relative sqrt(eps); fitting the local parabola can.  Steps that leave the
+    bracket, meet a non-convex fit, or fail to keep the value from degrading are
+    rejected, so non-smooth or boundary minima are returned unchanged.  ``value``
+    is the objective at ``x``.  The stencil step is 1e-4 x, and no h**2 is formed.
     """
     best_x, best_value = x, value
     for _ in range(_POLISH_ROUNDS):
-        h = 1e-4 * max(x, min(1.0, hi))
+        h = 1e-4 * x
         if not (lo < x - 2.0 * h and x + 2.0 * h < hi):
             break
         f_m2 = objective(x - 2.0 * h)

@@ -145,7 +145,7 @@ def optimize_energy_split_numeric(n_total: float, eta: float) -> analytic.Optimu
     return minimize_scalar(
         ScalarProblem(
             objective=objective,
-            bracket=(0.0, n_total * (1.0 - 1e-9)),
+            bracket=(n_total * 1e-9, n_total * (1.0 - 1e-9)),
         )
     )
 

@@ -31,7 +31,11 @@ compared on exit code, stdout and stderr.  The requests are:
 
 Each request runs once, whatever the number of sources it comes from.  The
 script prints one block per request that differs and a summary line, and
-exits 1 if any request differs.
+exits 1 if any request differs.  Where both outputs of a differing request
+carry ``numeric_length_km`` and ``length_opt_km``, the block gives the
+numeric length's relative distance from the closed form's before and after,
+and the summary counts the requests whose numeric length moved closer and
+farther.
 """
 
 from __future__ import annotations
@@ -221,6 +225,17 @@ def _first_difference(old: str, new: str) -> str:
     return f"{len(old.splitlines())} lines -> {len(new.splitlines())} lines"
 
 
+def _length_error(out: str) -> float | None:
+    """Relative distance of the numeric length optimum from the closed form's, if ``out`` has both."""
+    try:
+        fields = json.loads(out)
+    except ValueError:
+        return None
+    if not isinstance(fields, dict) or not {"numeric_length_km", "length_opt_km"} <= fields.keys():
+        return None
+    return abs(fields["numeric_length_km"] - fields["length_opt_km"]) / fields["length_opt_km"]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
@@ -229,7 +244,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as config_dir:
         argvs = requests(config_dir)
         old, new = run(args.old_src, argvs), run(args.new_src, argvs)
-    differing = 0
+    differing = closer = farther = 0
     for argv, (old_code, old_out, old_err), (new_code, new_out, new_err) in zip(
         argvs, old, new, strict=True
     ):
@@ -243,7 +258,13 @@ def main() -> int:
             print(f"  stdout: {_first_difference(old_out, new_out)}")
         if old_err != new_err:
             print(f"  stderr: {old_err.strip()!r} -> {new_err.strip()!r}")
-    print(f"{len(argvs)} requests, {differing} differ")
+        old_error, new_error = _length_error(old_out), _length_error(new_out)
+        if old_error is not None and new_error is not None:
+            print(f"  length error: {old_error:.2g} -> {new_error:.2g}")
+            closer += new_error < old_error
+            farther += new_error > old_error
+    print(f"{len(argvs)} requests, {differing} differ; "
+          f"numeric length optima: {closer} moved closer, {farther} farther")
     return 1 if differing else 0
 
 

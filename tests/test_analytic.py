@@ -26,7 +26,7 @@ from fogsim.analytic import (
     variance_vs_length,
 )
 from fogsim.optimize import optimize_m_integer
-from fogsim.sagnac import db_to_photons, transmissivity
+from fogsim.sagnac import DOMAIN, db_to_photons, transmissivity
 
 from _oracles import grid_minimum, lambert_bisect
 
@@ -453,6 +453,26 @@ class TestRatios:
         for m in (2, 4, 8):
             for eta in (0.3, 0.9):
                 assert ratio_fixed_eta("P", eta, m, n_s) >= ratio_fixed_eta("E", eta, m, n_s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        variant=st.sampled_from("SPE"),
+        eta=st.floats(0.0, 1.0, exclude_min=True),
+        m=st.integers(1, 10**9),
+        sigma=st.floats(0.0, DOMAIN["squeeze_db"][3]) | st.just(math.inf),
+    )
+    def test_fixed_eta_ratio_obeys_the_loss_bound(self, variant, eta, m, sigma):
+        # Phase estimation through a channel of transmissivity eta has variance
+        # at least (1 - eta) / (eta N) (Escher et al., Nat. Phys. 7, 406 (2011);
+        # Demkowicz-Dobrzanski et al., Nat. Commun. 3, 1063 (2012)).  The test
+        # takes the model's form, ratio >= 1 - eta, stronger than the strict
+        # (1 - eta) n_v / (n_v + N_s); infinite squeezing attains it.  No slack:
+        # eta q >= 0, and rounding is monotone.
+        m = 1 if variant == "S" else m
+        ratio = ratio_fixed_eta(variant, eta, m, db_to_photons(sigma))
+        assert ratio >= 1.0 - eta
+        if sigma == math.inf:
+            assert ratio == 1.0 - eta
 
     def test_infinite_squeezing_limits(self):
         assert ratio_fixed_eta("S", 0.7, 1, math.inf) == pytest.approx(0.3, rel=1e-12)

@@ -15,7 +15,7 @@ from fogsim.designs import (
     build_and_run,
     estimator_variance_sim,
 )
-from fogsim.sagnac import db_to_photons, transmissivity
+from fogsim.sagnac import DOMAIN, db_to_photons, transmissivity
 
 from _dense import balanced_splitter_array
 from _oracles import dense_design_circuit, homodyne_closed_form
@@ -176,6 +176,35 @@ def test_circuit_matches_length_resolved_form(design):
     sim = estimator_variance_sim(DesignConfig(variant, m, 1.0, n_s), eta, 1.0)
     closed = analytic.variance_vs_length(variant, b, length, m, n_s) * (length / m) ** 2
     assert sim.variance_normalized == pytest.approx(closed, rel=LENGTH_FORM_RTOL)
+
+
+#: Above about 130 dB the circuit attains the loss bound, and rounding leaves
+#: it up to 7 ulps either side: the worst of 100 000 draws up to 3076.5 dB was
+#: 1.6e-15 below.
+LOSS_BOUND_RTOL = 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    variant=st.sampled_from("SPE"),
+    m=st.integers(1, 64),
+    sigma=st.floats(0.0, DOMAIN["squeeze_db"][3]),
+    eta=st.floats(0.0, 1.0, exclude_min=True),
+    log_n_v=st.floats(-6.0, 12.0),
+    log_t=st.floats(-3.0, 3.0),
+)
+def test_circuit_obeys_the_loss_bound(variant, m, sigma, eta, log_n_v, log_t):
+    # The loss bound of test_analytic's TestRatios, in the model's form, on
+    # the circuit: its variance is never below 1 - eta times the laser-only
+    # one, whose photons are all the lasers' M n_v.
+    m = 1 if variant == "S" else m
+    n_v, t = 10.0**log_n_v, 10.0**log_t
+    try:
+        sim = estimator_variance_sim(DesignConfig(variant, m, n_v, db_to_photons(sigma)), eta, t)
+        classical = analytic.classical_variance(t, eta, m * n_v)
+    except ValueError:  # a variance out of floating-point range
+        return
+    assert sim.estimator_variance >= (1.0 - eta) * classical * (1.0 - LOSS_BOUND_RTOL)
 
 
 class TestEstimatorVariance:

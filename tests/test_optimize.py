@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -37,18 +38,21 @@ def contraction_bound(bracket):
 
     The pre-scan leaves at most two of its 64 steps, each contraction
     multiplies the width by PHI whatever the objective returns, and the loop
-    stops at a width of 5e-13 or more.  That stopping width is over 2 000
-    ulps of the bracket's ends, so rounding stretches the width by less than
-    a part in 100 over a whole search.
+    stops at a width of 1e-12 relative to the bracket, so of 1e-12 lo or more.
+    That stopping width is over 2 000 ulps of the bracket's ends, so rounding
+    stretches the width by less than a part in 100 over a whole search.  The
+    bound depends on the bracket's shape alone: scaling both ends leaves it.
     """
     lo, hi = bracket
     width = 2.0 * (hi - lo) / 64
-    return math.ceil(math.log(max(1.01 * width / 5e-13, 1.0)) / math.log(1.0 / PHI))
+    # In logarithms, as width / lo overflows for a bracket from 1e-300 to 1e150.
+    log_ratio = math.log(1.01 * width) - math.log(1e-12) - math.log(lo)
+    return math.ceil(max(log_ratio, 0.0) / math.log(1.0 / PHI))
 
 
 class TestMinimizeScalar:
     def test_shifted_quadratic(self):
-        result = minimize_scalar(ScalarProblem(lambda x: (x - 2.0) ** 2, (0.0, 5.0)))
+        result = minimize_scalar(ScalarProblem(lambda x: (x - 2.0) ** 2, (0.5, 5.0)))
         assert result.x == pytest.approx(2.0, abs=1e-10)
         assert result.value == pytest.approx(0.0, abs=1e-18)
 
@@ -65,12 +69,15 @@ class TestMinimizeScalar:
 
     @pytest.mark.parametrize(
         "bracket",
-        [(1.0, 1.0), (2.0, 1.0), (-2.0, -1.0), (-1.0, 1.0), (-1e-300, 1.0), (math.nan, 1.0),
-         (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0), (math.inf, math.inf)],
-        ids=["empty", "reversed", "negative", "straddling", "tiny-negative-end", "nan-lo",
-             "nan-hi", "infinite-hi", "infinite-lo", "both-infinite"],
+        [(1.0, 1.0), (2.0, 1.0), (-2.0, -1.0), (-1.0, 1.0), (-1e-300, 1.0), (0.0, 1.0),
+         (5e-324, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (-math.inf, 1.0),
+         (math.inf, math.inf)],
+        ids=["empty", "reversed", "negative", "straddling", "tiny-negative-end", "zero-lo",
+             "subnormal-lo", "nan-lo", "nan-hi", "infinite-hi", "infinite-lo", "both-infinite"],
     )
     def test_invalid_bracket(self, bracket):
+        # A subnormal lo is rejected: 1e-12 of it rounds below the spacing of
+        # floats there, and a search that closes in on it would never stop.
         evaluated = []
         with pytest.raises(ValueError, match=re.escape(f"invalid bracket {bracket}")):
             minimize_scalar(ScalarProblem(evaluated.append, bracket))
@@ -78,7 +85,7 @@ class TestMinimizeScalar:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.floats(0.0, 1e6, allow_nan=False),
+        st.floats(sys.float_info.min, 1e6, allow_nan=False),
         st.floats(1e-9, 1e6, allow_nan=False),
     )
     def test_prescan_points_are_linspace(self, lo, width):
@@ -98,8 +105,8 @@ class TestMinimizeScalar:
     # Ends within 1e150; test_polish_works_at_every_scale reaches 1e300.
     @settings(max_examples=100, deadline=None)
     @given(
-        st.floats(0.0, 1e150),
-        st.floats(0.0, 1e150),
+        st.floats(sys.float_info.min, 1e150),
+        st.floats(sys.float_info.min, 1e150),
         st.sampled_from([
             lambda x: x * x,
             lambda x: -x,
@@ -123,13 +130,13 @@ class TestMinimizeScalar:
         def objective(x):
             return (x - 5.0) ** 2 - (100.0 if x == 0.5 else 0.0)
 
-        result = minimize_scalar(ScalarProblem(objective, (0.0, 1.0)))
+        result = minimize_scalar(ScalarProblem(objective, (1 / 64, 65 / 64)))
         assert result.x == pytest.approx(33 / 64, abs=1e-12)
         assert result.value == objective(result.x)
 
     def test_polish_works_at_every_scale(self):
-        # Below 1 the stencil follows the bracket, and no h**2 is formed, so a
-        # bracket far from 1 gets the same Newton step as one around it.
+        # The stencil step is a fixed fraction of x, and no h**2 is formed, so
+        # a bracket far from 1 gets the same Newton step as one around it.
         errors = {}
         for exponent in range(-300, 301, 10):
             center = 10.0**exponent
@@ -144,7 +151,7 @@ class TestMinimizeScalar:
         def objective(x):
             return max(x - 0.3, 3.0 * (0.3 - x))
 
-        result = minimize_scalar(ScalarProblem(objective, (0.0, 1.0)))
+        result = minimize_scalar(ScalarProblem(objective, (0.25, 1.0)))
         assert result.x == pytest.approx(0.3, abs=1e-12)
         assert result.value == objective(result.x) < 1e-12
 
@@ -165,15 +172,17 @@ class TestContractionBound:
         return searches
 
     def test_length_searches_over_every_decade_of_loss(self, searches):
-        # Outside these decades the loss is rejected before any search runs.
+        # Every length bracket is (0.1, 40) times m/b, one shape at every scale.
+        # Outside these decades the loss is rejected before any search ends.
         n_s = db_to_photons(10.0)
-        for exponent in range(-150, 151):
+        for exponent in range(-151, 154):
             optimize_length("C", 10.0**exponent)
             optimize_length("E", 10.0**exponent, n_s, 4)
-        assert len(searches) == 2 * 301
-        assert all(iterations <= contraction_bound(bracket) for bracket, iterations in searches)
+        assert len(searches) == 2 * 305
+        assert {contraction_bound(bracket) for bracket, _ in searches} == {63}
+        assert all(iterations <= 63 for _, iterations in searches)
 
-    @pytest.mark.parametrize("m_hi, bound", [(1e4, 71), (1e5, 76)])
+    @pytest.mark.parametrize("m_hi, bound", [(1e4, 70), (1e5, 75)])
     def test_count_searches(self, searches, m_hi, bound):
         assert contraction_bound((1.0, m_hi)) == bound
         for b, length in ((0.5, 15.0), (1e-3, 1e3), (1e2, 0.1)):
@@ -228,11 +237,15 @@ class TestLengthCrossValidation:
                               ("E", 10.0, 4)],
     )
     def test_every_decade_of_loss(self, variant, sigma, m):
-        # From b = 1e2 the length bracket lies below 1 km, and below b = 1e-78
-        # a second difference over h**2 underflows.
+        # From b = 1e2 the length bracket lies below 1 km, and from b = 1e12 it
+        # is narrower than 1e-12 km.  Above 1e153 the closed form rejects the
+        # loss; below 1e-151 the square of the search's upper length 40·m/b
+        # overflows for D, P and E.
         n_s = db_to_photons(sigma)
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            analytic.optimal_length(variant, 1e154, n_s, m)
         errors = {}
-        for exponent in range(-150, 11):
+        for exponent in range(-151, 154):
             b = 10.0**exponent
             reference = analytic.optimal_length(variant, b, n_s, m).x
             errors[exponent] = abs(optimize_length(variant, b, n_s, m).x - reference) / reference
@@ -317,10 +330,19 @@ class TestCountOptimization:
             optimize_m_continuous("S", 0.5, 15.0, 1.0)
 
     def test_overflowing_count_is_skipped(self):
-        # L^2 is subnormal: M = 1 stays finite, and every M >= 2 overflows.
+        # Overflow can lie at either end of a count profile.  Where L^2 is
+        # subnormal, M = 1 to 3 stay finite and M >= 4 overflows through the
+        # M / L^2 factor; at L = 1e4 km, M = 1 overflows through exp(cL/M).
+        for m in (2, 3):
+            assert math.isfinite(analytic.variance_vs_length("D", 0.5, 1.4e-154, m))
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            analytic.variance_vs_length("D", 0.5, 1.4e-154, 4)
         assert optimize_m_integer("D", 0.5, 1.4e-154) == (
             1, analytic.variance_vs_length("D", 0.5, 1.4e-154, 1), 0
         )
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            analytic.variance_vs_length("D", 0.5, 1e4, 1)
+        assert optimize_m_integer("D", 0.5, 1e4).x == 64
 
     @pytest.mark.xfail(
         strict=True,
