@@ -180,6 +180,10 @@ def design_variance(
 # Length-resolved (normalized) variances
 # ---------------------------------------------------------------------------
 
+#: The error of a length-resolved variance, or of a count search, out of range: b, then L.
+OUT_OF_RANGE = "loss coefficient {} dB/km and fiber length {} km put the variance out of floating-point range"
+
+
 def variance_profile(
     variant: str, b: float, length_km: float, m: float, n_squeezed: float
 ) -> Callable[[float, float], float]:
@@ -203,25 +207,22 @@ def variance_vs_length(
     fixed-length optimization (minimize over M at fixed L, with M real for
     the continuous optimum).
     """
-    return variance_profile(variant, b, length_km, m, n_squeezed)(length_km, m)
+    variance = variance_profile(variant, b, length_km, m, n_squeezed)(length_km, m)
+    if not math.isfinite(variance):
+        raise ValueError(OUT_OF_RANGE.format(b, length_km))
+    return variance
 
 
 def _variance(variant: str, b: float, length_km: float, m: float, n_squeezed: float) -> float:
+    """The normalized variance, or inf where it overflows; raises nothing."""
     quantum = _quantum_term(variant, n_squeezed, m)
     try:
         excess = m * (quantum - 1.0 + math.exp(b * LN10 / 10.0 * length_km / m))
         square = length_km**2
-        # A subnormal square has lost bits that dividing twice by the length keeps.
-        variance = excess / square if square >= sys.float_info.min else excess / length_km / length_km
     except OverflowError:
-        variance = math.inf
-    # M is left out of the message: in a count search it is a trial value the caller never gave.
-    if not math.isfinite(variance):
-        raise ValueError(
-            f"loss coefficient {b} dB/km and fiber length {length_km} km put the "
-            "variance out of floating-point range"
-        )
-    return variance
+        return math.inf
+    # A subnormal square has lost bits that dividing twice by the length keeps.
+    return excess / square if square >= sys.float_info.min else excess / length_km / length_km
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +233,17 @@ def _variance(variant: str, b: float, length_km: float, m: float, n_squeezed: fl
 #: the golden-section search of :mod:`fogsim.optimize`, which counts its
 #: contractions.
 Optimum = namedtuple("Optimum", ("x", "value", "iterations"), defaults=(0,))
+
+
+def in_range(optimum: Optimum, message: str, *inputs: float) -> Optimum:
+    """``optimum`` if its value is a positive normal float, else ValueError(message.format(*inputs)).
+
+    The failure rule of every optimum, closed-form or numeric.  A subnormal value has
+    lost digits; inf is overflow, which each search ranks above every finite value.
+    """
+    if not sys.float_info.min <= optimum.value < math.inf:
+        raise ValueError(message.format(*inputs))
+    return optimum
 
 
 def optimal_energy_split(n_total: float, eta: float) -> Optimum:
@@ -287,12 +299,13 @@ def optimal_length(
         raise ValueError(
             f"loss coefficient {b} dB/km puts the optimal fiber length out of floating-point range"
         )
-    if not sys.float_info.min <= variance < math.inf:
-        raise ValueError(
-            f"loss coefficient {b} dB/km puts the variance out of floating-point "
-            f"range (optimal fiber length {length} km per interferometer)"
-        )
-    return Optimum(length * m, variance)
+    return in_range(
+        Optimum(length * m, variance),
+        "loss coefficient {} dB/km puts the variance out of floating-point "
+        "range (optimal fiber length {} km per interferometer)",
+        b,
+        length,
+    )
 
 
 def optimal_m(

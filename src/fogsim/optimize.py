@@ -125,20 +125,14 @@ def optimize_length(
     """Numerically minimize the normalized variance over the total fiber length."""
     DOMAIN.check("b_optimum", b)
     bracket = (0.1 * m / b, 40.0 * m / b)
-    if bracket[1] == math.inf:
+    if not sys.float_info.min <= bracket[0] < bracket[1] < math.inf:
         raise ValueError(
             f"loss coefficient {b} dB/km puts the optimal fiber length out of floating-point range"
         )
     profile = analytic.variance_profile(variant, b, bracket[0], m, n_squeezed)
     problem = ScalarProblem(objective=lambda length: profile(length, m), bracket=bracket)
-    # The variance is unimodal in the length, so it peaks at the bracket's ends, the pre-scan's
-    # first and last points; with the inputs checked, a rejection is the loss coefficient's.
-    try:
-        return minimize_scalar(problem)
-    except ValueError:
-        raise ValueError(
-            f"loss coefficient {b} dB/km puts the variance out of floating-point range"
-        ) from None
+    message = "loss coefficient {} dB/km puts the variance out of floating-point range"
+    return analytic.in_range(minimize_scalar(problem), message, b)
 
 
 # ---------------------------------------------------------------------------
@@ -155,25 +149,17 @@ def optimize_m_integer(
     """Integer count ``x`` minimizing the fixed-length variance over 1..m_max.
 
     Exhaustive rather than rounding-based because the product design's
-    profile has no closed form; the smallest count wins a tie, and a count
-    whose variance overflows is skipped unless every count does.
+    profile has no closed form; the smallest count wins a tie.
     """
     if variant not in ("D", "P", "E"):
         raise ValueError("count optimization applies to the distributed designs")
     DOMAIN.check("m_max", m_max)
     profile = analytic.variance_profile(variant, b, length_km, 1, n_squeezed)
-    best = None
+    best = analytic.Optimum(1, math.inf)
     for m in range(1, m_max + 1):
-        try:
-            value = profile(length_km, m)
-        except ValueError as exc:
-            overflow = exc
-            continue
-        if best is None or value < best.value:
+        if (value := profile(length_km, m)) < best.value:
             best = analytic.Optimum(m, value)
-    if best is None:
-        raise overflow
-    return best
+    return analytic.in_range(best, analytic.OUT_OF_RANGE, b, length_km)
 
 
 def optimize_m_continuous(
@@ -185,6 +171,5 @@ def optimize_m_continuous(
 ) -> analytic.Optimum:
     """Golden-section minimum over a continuous (real-valued) count."""
     profile = analytic.variance_profile(variant, b, length_km, m_hi, n_squeezed)
-    return minimize_scalar(
-        ScalarProblem(objective=lambda m: profile(length_km, m), bracket=(1.0, m_hi))
-    )
+    problem = ScalarProblem(objective=lambda m: profile(length_km, m), bracket=(1.0, m_hi))
+    return analytic.in_range(minimize_scalar(problem), analytic.OUT_OF_RANGE, b, length_km)

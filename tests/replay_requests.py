@@ -35,7 +35,9 @@ exits 1 if any request differs.  Where both outputs of a differing request
 carry ``numeric_length_km`` and ``length_opt_km``, the block gives the
 numeric length's relative distance from the closed form's before and after,
 and the summary counts the requests whose numeric length moved closer and
-farther.
+farther.  The summary also counts, for each tree, the requests that end in
+the CLI's fallback line ``fogsim: error: <command>: <Class>Error: ...``,
+which names no input.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -87,6 +90,8 @@ GRID = (
 PAIR_GRID = ("1e-320", "1e-300", "1e-200", "1e-160", "1.4e-154", "1e-100", "1e-12", "0.5",
              "15", "1e6", "1e100", "1e154", "1e200", "1e300", "1.7e308", "0", "inf", "nan")
 SQUEEZE = ("--squeeze-db", "10")
+#: The stderr line of an arithmetic error that no library guard names.
+FALLBACK = re.compile(r"^fogsim: error: \w+: [A-Z]\w*Error: ", re.MULTILINE)
 #: Squeezing levels in dB: the table's range, the levels where the closed
 #: form loses accuracy or alternates between an error and a wrong value
 #: (162.6-168.5), where ``lambert_w0`` rejects its argument (from 1548), the
@@ -263,8 +268,10 @@ def main() -> int:
             print(f"  length error: {old_error:.2g} -> {new_error:.2g}")
             closer += new_error < old_error
             farther += new_error > old_error
+    fallbacks = [sum(bool(FALLBACK.search(err)) for _, _, err in tree) for tree in (old, new)]
     print(f"{len(argvs)} requests, {differing} differ; "
-          f"numeric length optima: {closer} moved closer, {farther} farther")
+          f"numeric length optima: {closer} moved closer, {farther} farther; "
+          f"fallback lines: {fallbacks[0]} -> {fallbacks[1]}")
     return 1 if differing else 0
 
 

@@ -17,6 +17,8 @@ from fogsim import analytic, cli, sagnac
 from fogsim.cli import RunConfig, format_number, main
 from fogsim.sagnac import db_to_photons
 
+import replay_requests
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -603,6 +605,8 @@ class TestExitCodes:
                        "variance out of floating-point range")
                 for argv, b, length in (
                     (("table1", "--fix-length", "1e-160"), 0.5, 1e-160),
+                    # The length search answers here; the count search at 15 km overflows.
+                    *((("table1", "--b", b), float(b), 15.0) for b in ("1e154", "1.2e154", "2e154")),
                     (("optimize", "--design", "D", "--fix-length", "1e-160"), 0.5, 1e-160),
                     (("figure", "--id", "6", "--b", "1e308"), 1e308, 5.0),
                     (("figure", "--id", "3b", "--b", "7.9e307"), 7.9e307, 0.5),
@@ -631,13 +635,20 @@ class TestExitCodes:
             (("figure", "--id", "5", "--b", "1e-310"),
              "loss coefficient 1e-310 dB/km puts the optimal fiber length out of "
              "floating-point range"),
-            # The length optimizer's objective leaves range at its bracket's
-            # ends; only the loss coefficient is named, not a trial length.
+            # The length search's lower bracket end 0.1/b is subnormal: named
+            # by the loss coefficient, not by the bracket.
+            *(
+                (("table1", "--b", b),
+                 f"loss coefficient {float(b)} dB/km puts the optimal fiber length out of "
+                 "floating-point range")
+                for b in ("1e308", "1.7e308")
+            ),
+            # The length search's optimum leaves range; only the loss
+            # coefficient is named, not a trial length.
             *(
                 (("table1", "--b", b),
                  f"loss coefficient {float(b)} dB/km puts the variance out of floating-point range")
-                for b in ("1e154", "1.2e154", "2e154", "1e155", "1e200", "1e300", "1e-160",
-                          "1e-300")
+                for b in ("1e155", "1e200", "1e300", "1e-160", "1e-300")
             ),
         ],
     )
@@ -656,6 +667,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "optimize", "--design", *argv, "--fix-length", length)
         assert (code, err) == (0, "")
         assert json.loads(out)["m_best"] == m_best
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            *(("--b", b) for b in replay_requests.GRID),
+            *(("--fix-length", length) for length in replay_requests.GRID),
+            *(("--fix-length", length, "--b", b)
+              for length in replay_requests.PAIR_GRID for b in replay_requests.PAIR_GRID),
+        ],
+        ids=" ".join,
+    )
+    def test_table_names_every_rejection(self, flags):
+        code, _, err = run_in_process(["table1", *flags])
+        assert code in (0, 2)
+        assert not replay_requests.FALLBACK.search(err), err
 
     @pytest.mark.parametrize(
         "argv",

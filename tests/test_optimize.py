@@ -1,5 +1,6 @@
 """Numeric optimizer: golden-section behavior and analytic cross-validation."""
 
+import contextlib
 import dataclasses
 import math
 import re
@@ -44,7 +45,11 @@ def contraction_bound(bracket):
     bound depends on the bracket's shape alone: scaling both ends leaves it.
     """
     lo, hi = bracket
-    width = 2.0 * (hi - lo) / 64
+    # Two of 64 steps; 2·(hi - lo) would overflow for a bracket wider than 9e307.
+    width = (hi - lo) / 32
+    if width == 0.0:
+        # A bracket a few subnormal spacings wide: already below 1e-12 lo.
+        return 0
     # In logarithms, as width / lo overflows for a bracket from 1e-300 to 1e150.
     log_ratio = math.log(1.01 * width) - math.log(1e-12) - math.log(lo)
     return math.ceil(max(log_ratio, 0.0) / math.log(1.0 / PHI))
@@ -172,13 +177,15 @@ class TestContractionBound:
         return searches
 
     def test_length_searches_over_every_decade_of_loss(self, searches):
-        # Every length bracket is (0.1, 40) times m/b, one shape at every scale.
-        # Outside these decades the loss is rejected before any search ends.
+        # Every length bracket is (0.1, 40) times m/b, one shape at every scale,
+        # and a valid one at every decade from 1e-306 to 1e306 dB/km.  Each
+        # search runs to its end, also where its optimum is then rejected.
         n_s = db_to_photons(10.0)
-        for exponent in range(-151, 154):
-            optimize_length("C", 10.0**exponent)
-            optimize_length("E", 10.0**exponent, n_s, 4)
-        assert len(searches) == 2 * 305
+        for exponent in range(-306, 307):
+            for args in (("C", 10.0**exponent), ("E", 10.0**exponent, n_s, 4)):
+                with contextlib.suppress(ValueError):
+                    optimize_length(*args)
+        assert len(searches) == 2 * 613
         assert {contraction_bound(bracket) for bracket, _ in searches} == {63}
         assert all(iterations <= 63 for _, iterations in searches)
 
@@ -233,19 +240,22 @@ class TestLengthCrossValidation:
         assert numeric.value == pytest.approx(reference.value, rel=1e-6)
 
     @pytest.mark.parametrize(
-        "variant, sigma, m", [("C", 0.0, 1), ("S", 10.0, 1), ("D", 0.0, 16), ("P", 10.0, 4),
-                              ("E", 10.0, 4)],
+        "variant, sigma, m, lowest",
+        [("C", 0.0, 1, -153), ("S", 10.0, 1, -153), ("D", 0.0, 16, -151), ("P", 10.0, 4, -152),
+         ("E", 10.0, 4, -152)],
     )
-    def test_every_decade_of_loss(self, variant, sigma, m):
+    def test_every_decade_of_loss(self, variant, sigma, m, lowest):
         # From b = 1e2 the length bracket lies below 1 km, and from b = 1e12 it
-        # is narrower than 1e-12 km.  Above 1e153 the closed form rejects the
-        # loss; below 1e-151 the square of the search's upper length 40·m/b
-        # overflows for D, P and E.
+        # is narrower than 1e-12 km.  Above 1e153 the closed form's variance
+        # overflows; one decade below ``lowest`` it is subnormal, except for D
+        # at M = 16, whose optimum 1.39e154 km at 1e-152 squares past the float
+        # range.  Below about 3e-153·m the square of the search's upper length
+        # 40·m/b overflows, and the search ranks those lengths last.
         n_s = db_to_photons(sigma)
         with pytest.raises(ValueError, match="out of floating-point range"):
             analytic.optimal_length(variant, 1e154, n_s, m)
         errors = {}
-        for exponent in range(-151, 154):
+        for exponent in range(lowest, 154):
             b = 10.0**exponent
             reference = analytic.optimal_length(variant, b, n_s, m).x
             errors[exponent] = abs(optimize_length(variant, b, n_s, m).x - reference) / reference
@@ -321,6 +331,17 @@ class TestCountOptimization:
             assert numeric.x == pytest.approx(reference.x, rel=1e-6)
             assert numeric.value == pytest.approx(reference.value, rel=1e-6)
 
+    @pytest.mark.parametrize("variant, sigma", [("D", 0.0), ("E", 10.0)])
+    def test_continuous_count_where_the_smallest_counts_overflow(self, variant, sigma):
+        # At L = 1e4 km, e^(cL/M) overflows for M below 1.6, the pre-scan's first point.
+        n_s = db_to_photons(sigma)
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            analytic.variance_vs_length(variant, 0.5, 1e4, 1, n_s)
+        numeric = optimize_m_continuous(variant, 0.5, 1e4, n_s)
+        reference = analytic.optimal_m(variant, 0.5, 1e4, n_s)
+        assert numeric.x == pytest.approx(reference.x, rel=1e-10)
+        assert numeric.value == pytest.approx(reference.value, rel=1e-10)
+
     def test_rejects_non_distributed(self):
         with pytest.raises(ValueError):
             optimize_m_integer("C", 0.5, 15.0)
@@ -333,8 +354,11 @@ class TestCountOptimization:
         # Overflow can lie at either end of a count profile.  Where L^2 is
         # subnormal, M = 1 to 3 stay finite and M >= 4 overflows through the
         # M / L^2 factor; at L = 1e4 km, M = 1 overflows through exp(cL/M).
+        # The searches' profile returns inf there; only the point evaluation raises.
         for m in (2, 3):
             assert math.isfinite(analytic.variance_vs_length("D", 0.5, 1.4e-154, m))
+        assert analytic.variance_profile("D", 0.5, 1.4e-154, 1, 0.0)(1.4e-154, 4) == math.inf
+        assert analytic.variance_profile("D", 0.5, 1e4, 1, 0.0)(1e4, 1) == math.inf
         with pytest.raises(ValueError, match="out of floating-point range"):
             analytic.variance_vs_length("D", 0.5, 1.4e-154, 4)
         assert optimize_m_integer("D", 0.5, 1.4e-154) == (
@@ -388,20 +412,17 @@ class TestCountOptimization:
             return lambda length_km, m: float(f"{profile(length_km, m):.{digits}g}")
 
         profile = variance_profile(variant, b, length, 1, n_s)
-        optima = []
-        for m in range(1, m_max + 1):
-            try:
-                optima.append(analytic.Optimum(m, profile(length, m)))
-            except ValueError:
-                pass
+        # A count that overflows is one whose profile value is inf.
+        optima = [analytic.Optimum(m, profile(length, m)) for m in range(1, m_max + 1)]
+        finite = [optimum for optimum in optima if optimum.value < math.inf]
         with mock.patch.object(analytic, "variance_profile", variance_profile):
-            if not optima:
+            if not finite:
                 with pytest.raises(ValueError, match="put the variance out of floating-point range"):
                     optimize_m_integer(variant, b, length, n_s, m_max)
                 return
             # min keeps the first, so the smallest count wins a tie.
             assert optimize_m_integer(variant, b, length, n_s, m_max) == min(
-                optima, key=lambda optimum: optimum.value
+                finite, key=lambda optimum: optimum.value
             )
 
     def test_search_fails_only_when_every_count_overflows(self):
