@@ -180,6 +180,9 @@ def design_variance(
 # Length-resolved (normalized) variances
 # ---------------------------------------------------------------------------
 
+#: The largest length whose square ``length_km**2`` does not overflow.
+_SQRT_MAX = math.sqrt(sys.float_info.max)
+
 #: The error of a length-resolved variance, or of a count search, out of range: b, then L.
 OUT_OF_RANGE = "loss coefficient {} dB/km and fiber length {} km put the variance out of floating-point range"
 
@@ -207,10 +210,8 @@ def variance_vs_length(
     fixed-length optimization (minimize over M at fixed L, with M real for
     the continuous optimum).
     """
-    variance = variance_profile(variant, b, length_km, m, n_squeezed)(length_km, m)
-    if not math.isfinite(variance):
-        raise ValueError(OUT_OF_RANGE.format(b, length_km))
-    return variance
+    point = Optimum(length_km, variance_profile(variant, b, length_km, m, n_squeezed)(length_km, m))
+    return in_range(point, OUT_OF_RANGE, b, length_km).value
 
 
 def _variance(variant: str, b: float, length_km: float, m: float, n_squeezed: float) -> float:
@@ -218,11 +219,12 @@ def _variance(variant: str, b: float, length_km: float, m: float, n_squeezed: fl
     quantum = _quantum_term(variant, n_squeezed, m)
     try:
         excess = m * (quantum - 1.0 + math.exp(b * LN10 / 10.0 * length_km / m))
-        square = length_km**2
     except OverflowError:
         return math.inf
-    # A subnormal square has lost bits that dividing twice by the length keeps.
-    return excess / square if square >= sys.float_info.min else excess / length_km / length_km
+    # Where the square is subnormal or overflows, dividing twice by the length keeps its bits.
+    if length_km <= _SQRT_MAX and (square := length_km**2) >= sys.float_info.min:
+        return excess / square
+    return excess / length_km / length_km
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +240,8 @@ Optimum = namedtuple("Optimum", ("x", "value", "iterations"), defaults=(0,))
 def in_range(optimum: Optimum, message: str, *inputs: float) -> Optimum:
     """``optimum`` if its value is a positive normal float, else ValueError(message.format(*inputs)).
 
-    The failure rule of every optimum, closed-form or numeric.  A subnormal value has
-    lost digits; inf is overflow, which each search ranks above every finite value.
+    The failure rule of every optimum, closed-form or numeric, and of :func:`variance_vs_length`.
+    A zero or subnormal value has lost digits; inf is overflow, which searches rank last.
     """
     if not sys.float_info.min <= optimum.value < math.inf:
         raise ValueError(message.format(*inputs))

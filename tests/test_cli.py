@@ -610,6 +610,10 @@ class TestExitCodes:
                     (("optimize", "--design", "D", "--fix-length", "1e-160"), 0.5, 1e-160),
                     (("figure", "--id", "6", "--b", "1e308"), 1e308, 5.0),
                     (("figure", "--id", "3b", "--b", "7.9e307"), 7.9e307, 0.5),
+                    # The infinite-squeezing column's first point cancels to 0
+                    # (ROADMAP item 1), which the point evaluation rejects.
+                    (("figure", "--id", "3b", "--b", "1e-200"), 1e-200, 0.5),
+                    (("figure", "--id", "3b", "--b", "1e-160"), 1e-160, 0.5),
                     (("optimize", "--design", "E", "--fix-length", "15", "--b", "1e308",
                       "--squeeze-db", "10"), 1e308, 15.0),
                 )
@@ -622,11 +626,9 @@ class TestExitCodes:
                  f"range (optimal fiber length {length} km per interferometer)")
                 for figure_id, b, length in (
                     ("5", "1e-200", 8.685889638065036e200),
-                    ("3b", "1e-200", 8.685889638065036e200),
                     ("5", "1e154", 8.685889638065036e-154),
                     # b^2 is subnormal: positive, but with too few digits to print.
                     ("5", "1e-160", 8.685889638065035e160),
-                    ("3b", "1e-160", 8.685889638065035e160),
                 )
             ),
             (("optimize", "--design", "C", "--b", "1e-160"),
@@ -667,6 +669,24 @@ class TestExitCodes:
         code, out, err = run(capsys, "optimize", "--design", *argv, "--fix-length", length)
         assert (code, err) == (0, "")
         assert json.loads(out)["m_best"] == m_best
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--design", "C", "--b", "5e-154"),
+            ("--design", "D", "--m", "16", "--b", "1e-152"),
+            ("--design", "E", "--m", "64", "--squeeze-db", "10", "--b", "1e-152"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_length_optimum_whose_square_overflows(self, capsys, argv):
+        # The optimum lies past sqrt(float max) = 1.34e154 km, where the
+        # search's variance divides twice by the length instead of by its square.
+        code, out, err = run(capsys, "optimize", *argv)
+        assert (code, err) == (0, "")
+        result = json.loads(out)
+        assert result["length_opt_km"] > 1.34e154
+        assert result["relative_length_difference"] < 5e-12
 
     @pytest.mark.parametrize(
         "flags",

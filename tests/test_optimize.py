@@ -240,26 +240,32 @@ class TestLengthCrossValidation:
         assert numeric.value == pytest.approx(reference.value, rel=1e-6)
 
     @pytest.mark.parametrize(
-        "variant, sigma, m, lowest",
-        [("C", 0.0, 1, -153), ("S", 10.0, 1, -153), ("D", 0.0, 16, -151), ("P", 10.0, 4, -152),
-         ("E", 10.0, 4, -152)],
+        "variant, sigma, m", [("C", 0.0, 1), ("S", 10.0, 1), ("D", 0.0, 16), ("P", 10.0, 4),
+                              ("E", 10.0, 4)],
     )
-    def test_every_decade_of_loss(self, variant, sigma, m, lowest):
+    def test_every_decade_of_loss(self, variant, sigma, m):
         # From b = 1e2 the length bracket lies below 1 km, and from b = 1e12 it
         # is narrower than 1e-12 km.  Above 1e153 the closed form's variance
-        # overflows; one decade below ``lowest`` it is subnormal, except for D
-        # at M = 16, whose optimum 1.39e154 km at 1e-152 squares past the float
-        # range.  Below about 3e-153·m the square of the search's upper length
-        # 40·m/b overflows, and the search ranks those lengths last.
+        # overflows; at the lowest decades it is subnormal, and there the
+        # search rejects the loss too.  Below about 3e-153·m the search's upper
+        # length 40·m/b squares past the float range, and D's optimum does at
+        # 1e-152 (1.39e154 km), where the kernel divides twice by the length.
         n_s = db_to_photons(sigma)
         with pytest.raises(ValueError, match="out of floating-point range"):
             analytic.optimal_length(variant, 1e154, n_s, m)
-        errors = {}
-        for exponent in range(lowest, 154):
+        errors, rejected = {}, []
+        for exponent in range(-153, 154):
             b = 10.0**exponent
-            reference = analytic.optimal_length(variant, b, n_s, m).x
+            try:
+                reference = analytic.optimal_length(variant, b, n_s, m).x
+            except ValueError:
+                rejected.append(exponent)
+                with pytest.raises(ValueError, match="out of floating-point range"):
+                    optimize_length(variant, b, n_s, m)
+                continue
             errors[exponent] = abs(optimize_length(variant, b, n_s, m).x - reference) / reference
         assert {exponent: error for exponent, error in errors.items() if error > 5e-12} == {}
+        assert rejected == ([] if variant in ("C", "S") else [-153])
 
 
 class TestCountOptimization:
