@@ -27,7 +27,12 @@ compared on exit code, stdout and stderr.  The requests are:
 - ``simulate`` at phases -0.7, 2.0, pi and 1e6, which give both signs of
   cos(phi) and sin(phi), for every design at each of the counts 1, 4 and
   64 that it takes (44 requests), with ``--eta 0.8`` and, for S, P and E,
-  ``--squeeze-db 10``.
+  ``--squeeze-db 10``;
+- the front end's own paths: ``--help``, ``-h``, no arguments, an unknown
+  command, ``COMMAND --help`` for each of the six commands, a flag with no
+  value (``variance --m``), an abbreviated flag (``variance --squeeze 10``),
+  ``figure`` without ``--id``, and ``table1`` writing to a directory that
+  does not exist (``--out /nonexistent/dir/t.csv``).
 
 Each request runs once, whatever the number of sources it comes from.  The
 script prints one block per request that differs and a summary line, and
@@ -101,6 +106,15 @@ SQUEEZE_GRID = ("0", "10", "40", "80", "95", "120", "162.6", "165", "168.5", "20
 #: Circuit phases: -0.7, 2.0 and pi between them give both signs of cos(phi)
 #: and sin(phi), and 1e6 is a phase of many periods.
 PHASES = ("-0.7", "2.0", "3.141592653589793", "1e6")
+#: The CLI's commands, each asked for its help text.
+COMMANDS = ("table1", "figure", "variance", "optimize", "ratio", "simulate")
+#: Requests that stop in the front end: help, usage errors and an unwritable output.
+FRONT_END = (
+    ("--help",), ("-h",), (), ("plot",),
+    *((command, "--help") for command in COMMANDS),
+    ("variance", "--m"), ("variance", "--squeeze", "10"), ("figure",),
+    ("table1", "--out", "/nonexistent/dir/t.csv"),
+)
 #: (figure id, grid setting, value) of each configuration-file request.
 CONFIG_CASES = (
     ("3a", "fig3a_points", "2"),
@@ -205,6 +219,7 @@ def requests(config_dir: str) -> list[tuple[str, ...]]:
     every = [op["argv"] for op in ops] + _golden_requests() + _grid_requests() + _squeeze_requests()
     every += _phase_requests()
     every += _config_requests(config_dir)
+    every += FRONT_END
     return list(dict.fromkeys(map(tuple, every)).keys())
 
 
