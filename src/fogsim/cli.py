@@ -34,10 +34,6 @@ from .sagnac import DOMAIN, VARIANTS, db_to_photons, time_factor, transmissivity
 #: Squeezing grid of the improvement table, in dB; inf is the infinite-squeezing limit.
 TABLE_SIGMAS_DB = (5.0, 10.0, 15.0, 20.0, math.inf)
 
-class ConfigError(ValueError):
-    """A configuration file or flag combination cannot be used."""
-
-
 def format_number(value: float) -> str:
     """Fixed CSV number format: 12 significant digits, scientific notation."""
     return f"{value:.11e}"
@@ -46,10 +42,10 @@ def format_number(value: float) -> str:
 def _sweep(parameter: str, start: float, stop: float, steps: int, log: bool = False) -> list[float]:
     """``steps`` evenly spaced grid values from ``start`` to ``stop`` (log-spaced if ``log``)."""
     if steps < 2:
-        raise ConfigError(f"sweep of {parameter} needs at least 2 steps")
+        raise ValueError(f"sweep of {parameter} needs at least 2 steps")
     if log:
         if start <= 0 or stop <= 0:
-            raise ConfigError(f"log sweep of {parameter} needs positive bounds")
+            raise ValueError(f"log sweep of {parameter} needs positive bounds")
         a, b = math.log10(start), math.log10(stop)
         return [10.0 ** (a + (b - a) * i / (steps - 1)) for i in range(steps)]
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
@@ -63,15 +59,28 @@ class RunConfig:
             setattr(self, key, default)
 
     def apply(self, key: str, raw: str) -> None:
-        """Set ``key`` from its text, parsed by the setting's declared type."""
+        """Set ``key`` from its text, parsed by the setting's declared type or
+        checked against its allowed values."""
         if key not in _SETTINGS:
-            raise ConfigError(f"unknown configuration key: {key!r}")
-        setattr(self, key, _parse(key, raw))
+            raise ValueError(f"unknown configuration key: {key!r}")
+        kind = _SETTINGS[key][0]
+        if isinstance(kind, tuple):
+            if raw in kind:
+                setattr(self, key, raw)
+                return
+            expected = f"one of {', '.join(kind)}"
+        else:
+            try:
+                setattr(self, key, kind(raw))
+                return
+            except ValueError:
+                expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"configuration key {key!r} expects {expected}, got {raw!r}")
 
     def resolved_squeezed_photons(self) -> float:
         """Total squeezed photon number from either config route (0 if absent)."""
         if self.n_squeezed is not None and self.squeeze_db is not None:
-            raise ConfigError("give either squeeze_db or n_squeezed, not both")
+            raise ValueError("give either squeeze_db or n_squeezed, not both")
         if self.n_squeezed is not None:
             return self.n_squeezed
         if self.squeeze_db is not None:
@@ -84,7 +93,7 @@ class RunConfig:
             return self.eta
         if self.length_km is not None:
             return transmissivity(self.b, self.length_km / self.m)
-        raise ConfigError("missing field: provide eta or length_km")
+        raise ValueError("missing field: provide eta or length_km")
 
     def resolved_time_factor(self) -> float:
         """Per-interferometer time factor (seconds); 1.0 when underivable."""
@@ -98,35 +107,20 @@ class RunConfig:
         try:
             lengths = [float(tok) for tok in self.fig6_lengths_km.split(",") if tok.strip()]
         except ValueError:
-            raise ConfigError(f"fig6_lengths_km expects comma-separated numbers, got {self.fig6_lengths_km!r}") from None
+            raise ValueError(f"fig6_lengths_km expects comma-separated numbers, got {self.fig6_lengths_km!r}") from None
         if not lengths:
-            raise ConfigError("fig6_lengths_km must list at least one length")
+            raise ValueError("fig6_lengths_km must list at least one length")
         # Figure 6 names its columns by each length to 6 significant digits.
         named: dict[str, float] = {}
         for length in lengths:
             tag = f"{length:g}km"
             if tag in named:
-                raise ConfigError(
+                raise ValueError(
                     f"fig6_lengths_km gives {named[tag]!r} and {length!r} the same "
                     f"column name design_d_{tag}"
                 )
             named[tag] = length
         return lengths
-
-
-def _parse(key: str, raw: str) -> object:
-    """``raw`` as the declared type of setting ``key``, or one of its allowed values."""
-    kind = _SETTINGS[key][0]
-    if isinstance(kind, tuple):
-        if raw in kind:
-            return raw
-        expected = f"one of {', '.join(kind)}"
-    else:
-        try:
-            return kind(raw)
-        except ValueError:
-            expected = "an integer" if kind is int else "a number"
-    raise ConfigError(f"configuration key {key!r} expects {expected}, got {raw!r}")
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -139,13 +133,13 @@ def load_config_file(path: str) -> dict[str, str]:
                 if not text:
                     continue
                 if "=" not in text:
-                    raise ConfigError(
+                    raise ValueError(
                         f"{path}:{line_number}: expected 'key = value', got {line.strip()!r}"
                     )
                 key, raw = (part.strip() for part in text.split("=", 1))
                 entries[key] = raw
     except OSError as exc:
-        raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
+        raise ValueError(f"cannot read configuration file {path}: {exc}") from exc
     return entries
 
 
@@ -199,7 +193,7 @@ def _write_output(text: str, out: str | None) -> None:
             with open(out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write output file {out}: {exc.strerror or exc}") from None
+            raise ValueError(f"cannot write output file {out}: {exc.strerror or exc}") from None
 
 
 def _config_comment(config: RunConfig, **extra: object) -> str:
@@ -250,13 +244,12 @@ def table1_columns(config: RunConfig) -> Columns:
     }
 
 
-def cmd_table1(config: RunConfig) -> None:
+def cmd_table1(config: RunConfig) -> str:
     """Constant-factor improvement table."""
     columns = table1_columns(config)
     if config.format == "json":
-        _emit_json([dict(zip(columns, row)) for row in _rows(columns)], config.out)
-    else:
-        _write_output(render_csv(_config_comment(config, command="table1"), columns), config.out)
+        return _json([dict(zip(columns, row)) for row in _rows(columns)])
+    return render_csv(_config_comment(config, command="table1"), columns)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +318,7 @@ def figure_6(config: RunConfig) -> Columns:
     lengths = config.fig6_lengths()
     parametric_lengths = _sweep("length_km", 2.0, 40.0, 77)
     if config.fig6_max_m < 1:
-        raise ConfigError(f"fig6_max_m must be at least 1, got {config.fig6_max_m}")
+        raise ValueError(f"fig6_max_m must be at least 1, got {config.fig6_max_m}")
     counts = range(1, config.fig6_max_m + 1)
     columns: Columns = {"m": counts}
     for length in lengths:
@@ -364,7 +357,7 @@ def figure_7(config: RunConfig) -> Columns:
     length = config.fix_length_km if config.fix_length_km is not None else 15.0
     sigmas = _sweep("sigma_db", 0.0, config.fig7_max_sigma_db, 61)
     if config.fig7_max_m < 1:
-        raise ConfigError(f"fig7_max_m must be at least 1, got {config.fig7_max_m}")
+        raise ValueError(f"fig7_max_m must be at least 1, got {config.fig7_max_m}")
     counts = range(1, config.fig7_max_m + 1)
     eta_single = transmissivity(config.b, length)
     etas = [transmissivity(config.b, length / m) for m in counts]
@@ -395,20 +388,19 @@ _FIGURE_BUILDERS = {
 }
 
 
-def cmd_figure(config: RunConfig) -> None:
+def cmd_figure(config: RunConfig) -> str:
     """Figure data set as CSV."""
     if config.figure_id is None:
-        raise ConfigError("figure: flag --id is required")
+        raise ValueError("figure: flag --id is required")
     columns = _FIGURE_BUILDERS[config.figure_id](config)
-    comment = _config_comment(config, command="figure", id=config.figure_id)
-    _write_output(render_csv(comment, columns), config.out)
+    return render_csv(_config_comment(config, command="figure", id=config.figure_id), columns)
 
 
 # ---------------------------------------------------------------------------
 # Single-point JSON commands
 # ---------------------------------------------------------------------------
 
-def _emit_json(record: dict | list[dict], out: str | None) -> None:
+def _json(record: dict | list[dict]) -> str:
     """Strict JSON of one record or a list of them: a non-finite number is an
     error naming its key, never NaN or Infinity."""
     try:
@@ -418,7 +410,7 @@ def _emit_json(record: dict | list[dict], out: str | None) -> None:
         bad = sorted({key for entry in records for key, value in entry.items()
                       if isinstance(value, float) and not math.isfinite(value)})
         raise ValueError(f"non-finite result: {', '.join(bad)}") from None
-    _write_output(text + "\n", out)
+    return text + "\n"
 
 
 def _design_point(config: RunConfig) -> tuple[float, float, float]:
@@ -426,11 +418,11 @@ def _design_point(config: RunConfig) -> tuple[float, float, float]:
     return config.resolved_squeezed_photons(), config.resolved_eta(), config.resolved_time_factor()
 
 
-def cmd_variance(config: RunConfig) -> None:
+def cmd_variance(config: RunConfig) -> str:
     """Estimator variance of one design."""
     n_s, eta, t = _design_point(config)
     variance = analytic.design_variance(config.design, t, eta, config.m, config.n_v, n_s)
-    _emit_json(
+    return _json(
         {
             "design": config.design,
             "m": config.m,
@@ -441,12 +433,11 @@ def cmd_variance(config: RunConfig) -> None:
             "variance": variance,
             "variance_normalized": variance * t**2 * config.n_v,
             "provenance": "analytic",
-        },
-        config.out,
+        }
     )
 
 
-def cmd_ratio(config: RunConfig) -> None:
+def cmd_ratio(config: RunConfig) -> str:
     """Quantum/classical sensitivity ratios."""
     n_s = config.resolved_squeezed_photons()
     eta = config.resolved_eta() if config.eta is not None or config.length_km is not None else None
@@ -464,10 +455,10 @@ def cmd_ratio(config: RunConfig) -> None:
     }
     if eta is not None and config.m > 1:
         record["ratio_product_fixed_eta"] = analytic.ratio_fixed_eta("P", eta, config.m, n_s)
-    _emit_json(record, config.out)
+    return _json(record)
 
 
-def cmd_optimize(config: RunConfig) -> None:
+def cmd_optimize(config: RunConfig) -> str:
     """Optimal length or count."""
     n_s = config.resolved_squeezed_photons()
     variant = config.design
@@ -497,27 +488,25 @@ def cmd_optimize(config: RunConfig) -> None:
             ratio = analytic.ratio_optimal_m(n_s)
             record["ratio_fixed_length"] = ratio
             record["improvement_fixed_length"] = 1.0 / ratio
-        _emit_json(record, config.out)
-    else:
-        optimum = analytic.optimal_length(variant, config.b, n_s, config.m)
-        numeric = optimize.optimize_length(variant, config.b, n_s, config.m)
-        _emit_json(
-            {
-                "design": variant,
-                "b": config.b,
-                "m": config.m,
-                "length_opt_km": optimum.x,
-                "variance_normalized": optimum.value,
-                "numeric_length_km": numeric.x,
-                "numeric_variance": numeric.value,
-                "relative_length_difference": abs(numeric.x - optimum.x) / optimum.x,
-                "provenance": "analytic",
-            },
-            config.out,
-        )
+        return _json(record)
+    optimum = analytic.optimal_length(variant, config.b, n_s, config.m)
+    numeric = optimize.optimize_length(variant, config.b, n_s, config.m)
+    return _json(
+        {
+            "design": variant,
+            "b": config.b,
+            "m": config.m,
+            "length_opt_km": optimum.x,
+            "variance_normalized": optimum.value,
+            "numeric_length_km": numeric.x,
+            "numeric_variance": numeric.value,
+            "relative_length_difference": abs(numeric.x - optimum.x) / optimum.x,
+            "provenance": "analytic",
+        }
+    )
 
 
-def cmd_simulate(config: RunConfig) -> None:
+def cmd_simulate(config: RunConfig) -> str:
     """Gaussian-circuit cross check."""
     n_s, eta, t = _design_point(config)
     design = designs.DesignConfig(config.design, config.m, config.n_v, n_s)
@@ -526,7 +515,7 @@ def cmd_simulate(config: RunConfig) -> None:
     reference = analytic.design_variance(
         design.variant, t, eta, design.m_interferometers, design.n_v, design.n_squeezed
     )
-    _emit_json(
+    return _json(
         {
             "design": design.variant,
             "m": design.m_interferometers,
@@ -544,23 +533,13 @@ def cmd_simulate(config: RunConfig) -> None:
             / reference,
             "variance_normalized": result.variance_normalized,
             "provenance": "simulated",
-        },
-        config.out,
+        }
     )
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
-
-_COMMANDS = {
-    "table1": cmd_table1,
-    "figure": cmd_figure,
-    "variance": cmd_variance,
-    "optimize": cmd_optimize,
-    "ratio": cmd_ratio,
-    "simulate": cmd_simulate,
-}
 
 #: Every setting, in the order of the CSV comment line: its type, or the
 #: tuple of its allowed values; its default; and, for a setting some command
@@ -601,17 +580,20 @@ _SETTINGS: dict[str, tuple] = {
     "format": (("csv", "json"), "csv", "output format"),
 }
 
-#: The RunConfig keys each command reads; each key is one flag of that
-#: command, besides --config and --out.  Config files accept every key.
-COMMAND_SETTINGS = {
-    "table1": ("b", "fix_length_km", "format"),
-    "figure": ("b", "figure_id"),
-    "variance": ("b", "wavelength_nm", "radius_m", "design", "m", "n_v", "squeeze_db",
-                 "n_squeezed", "eta", "length_km", "time_factor_s"),
-    "optimize": ("b", "design", "m", "squeeze_db", "n_squeezed", "fix_length_km", "m_max"),
-    "ratio": ("b", "m", "squeeze_db", "n_squeezed", "eta", "length_km"),
-    "simulate": ("b", "wavelength_nm", "radius_m", "design", "m", "n_v", "squeeze_db",
-                 "n_squeezed", "eta", "length_km", "phi", "time_factor_s"),
+#: Each command's function, which returns the document it writes, and the
+#: RunConfig keys it reads; each key is one flag of that command, besides
+#: --config and --out.  Config files accept every key.
+_COMMANDS = {
+    "table1": (cmd_table1, ("b", "fix_length_km", "format")),
+    "figure": (cmd_figure, ("b", "figure_id")),
+    "variance": (cmd_variance, ("b", "wavelength_nm", "radius_m", "design", "m", "n_v",
+                                "squeeze_db", "n_squeezed", "eta", "length_km", "time_factor_s")),
+    "optimize": (cmd_optimize, ("b", "design", "m", "squeeze_db", "n_squeezed", "fix_length_km",
+                                "m_max")),
+    "ratio": (cmd_ratio, ("b", "m", "squeeze_db", "n_squeezed", "eta", "length_km")),
+    "simulate": (cmd_simulate, ("b", "wavelength_nm", "radius_m", "design", "m", "n_v",
+                                "squeeze_db", "n_squeezed", "eta", "length_km", "phi",
+                                "time_factor_s")),
 }
 
 
@@ -624,10 +606,11 @@ def _help(command: str | None) -> str:
     """Usage text of one command, or the command list when ``command`` is None."""
     lines = [f"usage: fogsim {command or 'COMMAND'} [FLAG VALUE ...]", ""]
     if command is None:
-        lines += [f"  {name:<10}{run.__doc__}" for name, run in _COMMANDS.items()]
+        lines += [f"  {name:<10}{run.__doc__}" for name, (run, _) in _COMMANDS.items()]
     else:
-        lines += [_COMMANDS[command].__doc__, "", f"  {'--config':<18}flat key = value configuration file"]
-        for key in ("out", *COMMAND_SETTINGS[command]):
+        run, keys = _COMMANDS[command]
+        lines += [run.__doc__, "", f"  {'--config':<18}flat key = value configuration file"]
+        for key in ("out", *keys):
             kind, _, text, *_ = _SETTINGS[key]
             choices = f" ({', '.join(kind)})" if isinstance(kind, tuple) else ""
             lines.append(f"  {_flag(key):<18}{text}{choices}")
@@ -639,26 +622,26 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict[str, str] | None]:
     """(command, {key: flag text}) from ``argv``; the flags are None when help is asked for.
 
     A flag takes its value as ``--flag value`` or ``--flag=value``, is spelled
-    exactly, and its last occurrence wins.  Anything else raises ConfigError.
+    exactly, and its last occurrence wins.  Anything else raises ValueError.
     """
     if argv and argv[0] in ("-h", "--help"):
         return None, None
     if not argv or argv[0] not in _COMMANDS:
         got = f", got {argv[0]!r}" if argv else ""
-        raise ConfigError(f"expected a command ({', '.join(_COMMANDS)}){got}")
+        raise ValueError(f"expected a command ({', '.join(_COMMANDS)}){got}")
     command, tokens = argv[0], iter(argv[1:])
-    keys = {"--config": "config", **{_flag(key): key for key in ("out", *COMMAND_SETTINGS[command])}}
+    keys = {"--config": "config", **{_flag(key): key for key in ("out", *_COMMANDS[command][1])}}
     flags: dict[str, str] = {}
     for token in tokens:
         if token in ("-h", "--help"):
             return command, None
         flag, equals, value = token.partition("=")
         if flag not in keys:
-            raise ConfigError(f"{command}: unknown flag {flag!r}")
+            raise ValueError(f"{command}: unknown flag {flag!r}")
         if not equals:
             value = next(tokens, None)
             if value is None or value.startswith("--"):
-                raise ConfigError(f"{command}: flag {flag} expects a value")
+                raise ValueError(f"{command}: flag {flag} expects a value")
         flags[keys[flag]] = value
     return command, flags
 
@@ -669,7 +652,8 @@ def main(argv: list[str] | None = None) -> int:
         if flags is None:
             sys.stdout.write(_help(command))
             return 0
-        _COMMANDS[command](resolve_config(flags))
+        config = resolve_config(flags)
+        _write_output(_COMMANDS[command][0](config), config.out)
     except ValueError as exc:
         print(f"fogsim: error: {exc}", file=sys.stderr)
         return 2
