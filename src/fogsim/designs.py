@@ -73,9 +73,9 @@ class DesignConfig(
 
 class CircuitResult(
     CheckedRecord,
-    namedtuple("CircuitResult", ("homodyne", "slope", "estimator_variance", "variance_normalized")),
+    namedtuple("CircuitResult", ("slope", "estimator_variance", "variance_normalized")),
 ):
-    """Homodyne statistics and the rotation-estimator variance they imply.
+    """The rotation-estimator variance of a circuit and the homodyne mean slope it divides by.
 
     ``estimator_variance`` is in rad^2/s^2 for the supplied time factor;
     ``variance_normalized`` is the dimensionless product
@@ -198,7 +198,6 @@ def estimator_variance_sim(
     gain = 2.0 / time_factor_s / slope
     variance = gain * gain * result.variance
     return CircuitResult(
-        homodyne=result,
         slope=slope,
         estimator_variance=variance,
         variance_normalized=variance * time_factor_s * time_factor_s * config.n_v,
