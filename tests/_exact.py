@@ -10,11 +10,11 @@ inputs alone, which are exact doubles, never from an intermediate double:
 
 with q = k / (sqrt(k + N_s) + sqrt(N_s))^2 the squeezed fraction of the
 vacuum noise at the read port: k = 1 for designs S and E, k = M for the M
-squeezers of P, and q = 1 for the laser-only designs C and D.  Infinite
-squeezing is its exact limit, q = 0.
+squeezers of P, and q = 1 for the laser-only designs C and D.  The
+squeezing N_s is finite, as the circuit takes it.
 
-Precision grows with the squeezing, 60 + log10 N_s digits, so that no
-difference of the form 1 + (q - 1) loses q, however small it is.
+Precision grows with the squeezing, 60 + log10 N_s digits, so that the sum
+eta q + 1 - eta keeps q at eta = 1, where q is about 1 / (4 N_s).
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ import mpmath
 
 
 def _digits(n_squeezed: float) -> int:
-    if n_squeezed == math.inf:
-        return 60
     return 60 + math.ceil(math.log10(max(n_squeezed, 1.0)))
 
 
@@ -34,8 +32,6 @@ def _squeezing_factor(variant: str, m: int, n_squeezed: float) -> mpmath.mpf:
     """q of the docstring above, at the working precision of the caller."""
     if variant in ("C", "D"):
         return mpmath.mpf(1)
-    if n_squeezed == math.inf:
-        return mpmath.mpf(0)
     k, n = mpmath.mpf(m if variant == "P" else 1), mpmath.mpf(n_squeezed)
     return k / (mpmath.sqrt(k + n) + mpmath.sqrt(n)) ** 2
 

@@ -28,6 +28,7 @@ from fogsim.analytic import (
 from fogsim.optimize import optimize_m_integer
 from fogsim.sagnac import DOMAIN, db_to_photons, transmissivity
 
+import _exact
 from _oracles import grid_minimum, lambert_bisect
 
 TABLE_SIGMAS = (5.0, 10.0, 15.0, 20.0, math.inf)
@@ -183,6 +184,14 @@ class TestVarianceFormulas:
                 "S", 1.0, eta, 1, 10.0, math.inf
             ) / classical_variance(1.0, eta, 10.0)
             assert ratio == pytest.approx(1.0 - eta, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="T^2 eta is formed first, and is subnormal here")
+    def test_classical_variance_where_t_squared_eta_is_subnormal(self):
+        # T^2 eta = 2.2e-312 keeps 39 of its 53 bits, so the variance, 4.5e306,
+        # is off by 1.1e-13; the circuit gives it within 2e-16.
+        eta = sys.float_info.min
+        exact = _exact.classical_variance(1e-2, eta, 1e5)
+        assert abs(classical_variance(1e-2, eta, 1e5) - exact) <= 1e-14 * exact
 
     @pytest.mark.parametrize("time_factor_s", [1e200, 1e-200])
     def test_time_factor_out_of_range_is_named(self, time_factor_s):
