@@ -21,6 +21,10 @@ compared on exit code, stdout and stderr.  The requests are:
   match;
 - a grid of loss coefficients and fiber lengths from 1e-320 to 1.7e308,
   plus 0, -3, +-inf and NaN, on every command that takes them;
+- the losses at which the length optimum's value nears the float maximum,
+  b = 3e154, 4e154, 1e155 and 1e156 dB/km, on ``optimize`` for C, S at
+  10 dB, D at M = 16, P and E at M = 4, and E at M = 64 (S, P and E at
+  10 dB), and on ``figure --id 3b`` and ``figure --id 5``;
 - a grid of squeezing levels from 0 dB to the top of the domain and inf,
   through the regions where the closed form's Lambert W argument nears
   and then passes its branch point, on the commands that take squeezing;
@@ -95,6 +99,9 @@ GRID = (
 PAIR_GRID = ("1e-320", "1e-300", "1e-200", "1e-160", "1.4e-154", "1e-100", "1e-12", "0.5",
              "15", "1e6", "1e100", "1e154", "1e200", "1e300", "1.7e308", "0", "inf", "nan")
 SQUEEZE = ("--squeeze-db", "10")
+#: Losses, in dB/km, between the top of ``GRID``'s 1e154 and the decade where
+#: the length optimum's value leaves the floats for every design.
+TOP_LOSSES = ("3e154", "4e154", "1e155", "1e156")
 #: The stderr line of an arithmetic error that no library guard names.
 FALLBACK = re.compile(r"^fogsim: error: \w+: [A-Z]\w*Error: ", re.MULTILINE)
 #: Squeezing levels in dB: the table's range, the levels where the closed
@@ -176,6 +183,19 @@ def _grid_requests() -> list[list[str]]:
     return requests
 
 
+def _top_loss_requests() -> list[list[str]]:
+    by_loss = [
+        ["optimize", "--design", "C"],
+        ["optimize", "--design", "S", *SQUEEZE],
+        ["optimize", "--design", "D", "--m", "16"],
+        *(["optimize", "--design", variant, "--m", "4", *SQUEEZE] for variant in "PE"),
+        ["optimize", "--design", "E", "--m", "64", *SQUEEZE],
+        ["figure", "--id", "3b"],
+        ["figure", "--id", "5"],
+    ]
+    return [[*argv, "--b", b] for argv in by_loss for b in TOP_LOSSES]
+
+
 def _squeeze_requests() -> list[list[str]]:
     by_squeezing = [
         ["ratio"],
@@ -217,6 +237,7 @@ def requests(config_dir: str) -> list[tuple[str, ...]]:
            for op in workloads.generate(workload, seed, COUNT)]
     ops += workloads.probe() + workloads.out_of_domain()
     every = [op["argv"] for op in ops] + _golden_requests() + _grid_requests() + _squeeze_requests()
+    every += _top_loss_requests()
     every += _phase_requests()
     every += _config_requests(config_dir)
     every += FRONT_END
