@@ -127,7 +127,11 @@ def classical_variance(time_factor_s: float, eta: float, n_photons: float) -> fl
     DOMAIN.check("time_factor_s", time_factor_s)
     DOMAIN.check("n_total", n_photons)
     try:
-        return 1.0 / (time_factor_s**2 * eta * n_photons)
+        product = time_factor_s**2 * eta
+        if product < sys.float_info.min:
+            # Subnormal: scaled by 2^1000, exactly, the product keeps its bits and stays below 2^-22.
+            return 1.0 / (time_factor_s**2 * (eta * 2.0**1000) * n_photons) * 2.0**1000
+        return 1.0 / (product * n_photons)
     except (OverflowError, ZeroDivisionError):
         raise ValueError(
             f"time factor {time_factor_s} s puts the variance out of floating-point "
@@ -296,6 +300,9 @@ def optimal_length(
         variance = factor * b**2 / divisor / m
     except OverflowError:
         variance = math.inf
+    if variance == math.inf:
+        # factor * b**2 overflowed; dividing first, by m too, keeps every optimum that is a float.
+        variance = b * (b * (factor / divisor / m))
     # A tiny loss overflows the length or leaves the variance subnormal; a huge one overflows it.
     if not 0.0 < length * m < math.inf:
         raise ValueError(

@@ -32,9 +32,9 @@ from . import analytic, designs, optimize
 from .sagnac import DOMAIN, VARIANTS, db_to_photons, time_factor, transmissivity
 
 #: Squeezing grid of the improvement table, in dB; inf is the infinite-squeezing limit.
-TABLE_SIGMAS_DB = (5.0, 10.0, 15.0, 20.0, math.inf)
+_TABLE_SIGMAS_DB = (5.0, 10.0, 15.0, 20.0, math.inf)
 
-def format_number(value: float) -> str:
+def _format_number(value: float) -> str:
     """Fixed CSV number format: 12 significant digits, scientific notation."""
     return f"{value:.11e}"
 
@@ -51,7 +51,7 @@ def _sweep(parameter: str, start: float, stop: float, steps: int, log: bool = Fa
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 
-class RunConfig:
+class _RunConfig:
     """Resolved settings for one invocation (file values overridden by flags)."""
 
     def __init__(self) -> None:
@@ -123,7 +123,7 @@ class RunConfig:
         return lengths
 
 
-def load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str) -> dict[str, str]:
     """Parse a flat ``key = value`` file; '#' starts a comment."""
     entries: dict[str, str] = {}
     try:
@@ -143,11 +143,11 @@ def load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def resolve_config(flags: dict[str, str]) -> RunConfig:
-    """RunConfig from defaults, then the config file, then explicit flags."""
-    config = RunConfig()
+def _resolve_config(flags: dict[str, str]) -> _RunConfig:
+    """_RunConfig from defaults, then the config file, then explicit flags."""
+    config = _RunConfig()
     if flags.get("config"):
-        for key, raw in load_config_file(flags["config"]).items():
+        for key, raw in _load_config_file(flags["config"]).items():
             config.apply(key, raw)
     for key in _SETTINGS:
         if key in flags:
@@ -162,10 +162,10 @@ def resolve_config(flags: dict[str, str]) -> RunConfig:
 
 #: A table or figure: column name -> values, in header order.  Columns may
 #: differ in length; a shorter one ends in blank cells.
-Columns = dict[str, Sequence[object]]
+_Columns = dict[str, Sequence[object]]
 
 
-def _rows(columns: Columns) -> zip_longest:
+def _rows(columns: _Columns) -> zip_longest:
     """The rows of ``columns``, with None where a shorter column has ended."""
     return zip_longest(*columns.values())
 
@@ -175,10 +175,10 @@ def _cell(value: object) -> str:
         return ""
     if isinstance(value, (str, int)):
         return str(value)
-    return format_number(float(value))
+    return _format_number(float(value))
 
 
-def render_csv(comment: str, columns: Columns) -> str:
+def render_csv(comment: str, columns: _Columns) -> str:
     """Deterministic CSV: comment line, header, then 12-significant-digit rows."""
     lines = [f"# {comment}", ",".join(columns)]
     lines.extend(",".join(_cell(value) for value in row) for row in _rows(columns))
@@ -196,7 +196,7 @@ def _write_output(text: str, out: str | None) -> None:
             raise ValueError(f"cannot write output file {out}: {exc.strerror or exc}") from None
 
 
-def _config_comment(config: RunConfig, **extra: object) -> str:
+def _config_comment(config: _RunConfig, **extra: object) -> str:
     parts = [f"{key}={value}" for key, value in sorted(extra.items())]
     # Full resolved configuration, minus output routing, so a data file is
     # reproducible from its own comment line.
@@ -208,7 +208,7 @@ def _config_comment(config: RunConfig, **extra: object) -> str:
 # Improvement table
 # ---------------------------------------------------------------------------
 
-def table1_columns(config: RunConfig) -> Columns:
+def _table1_columns(config: _RunConfig) -> _Columns:
     """Analytic and numeric inverse sensitivity ratios at the table squeezings."""
     fixed_length = config.fix_length_km if config.fix_length_km is not None else 15.0
     classical_length = optimize.optimize_length("C", config.b)
@@ -228,11 +228,11 @@ def table1_columns(config: RunConfig) -> Columns:
         )
 
     length_analytic, length_numeric, count_analytic, count_numeric = zip(
-        *map(improvements, TABLE_SIGMAS_DB)
+        *map(improvements, _TABLE_SIGMAS_DB)
     )
     return {
         # Text, so that JSON records "inf" rather than a non-finite number.
-        "sigma_db": [format_number(sigma) for sigma in TABLE_SIGMAS_DB],
+        "sigma_db": [_format_number(sigma) for sigma in _TABLE_SIGMAS_DB],
         "improvement_length_opt_analytic": length_analytic,
         "improvement_length_opt_numeric": length_numeric,
         "improvement_length_opt_absdiff": [
@@ -244,9 +244,9 @@ def table1_columns(config: RunConfig) -> Columns:
     }
 
 
-def cmd_table1(config: RunConfig) -> str:
+def _cmd_table1(config: _RunConfig) -> str:
     """Constant-factor improvement table."""
-    columns = table1_columns(config)
+    columns = _table1_columns(config)
     if config.format == "json":
         return _json([dict(zip(columns, row)) for row in _rows(columns)])
     return render_csv(_config_comment(config, command="table1"), columns)
@@ -256,10 +256,10 @@ def cmd_table1(config: RunConfig) -> str:
 # Figure data sets
 # ---------------------------------------------------------------------------
 
-def figure_3a(config: RunConfig) -> Columns:
+def _figure_3a(config: _RunConfig) -> _Columns:
     """Energy-split-optimized variance against total photons, per transmissivity."""
     photons = _sweep("n_photons", 1.0, config.fig3a_max_photons, config.fig3a_points, log=True)
-    columns: Columns = {"n_photons": photons}
+    columns: _Columns = {"n_photons": photons}
     for eta in (1.0, 0.9, 0.99, 0.999):
         columns[f"classical_eta_{eta}"] = [
             analytic.classical_variance(1.0, eta, n) for n in photons
@@ -270,10 +270,10 @@ def figure_3a(config: RunConfig) -> Columns:
     return columns
 
 
-def figure_3b(config: RunConfig) -> Columns:
+def _figure_3b(config: _RunConfig) -> _Columns:
     """Normalized variance against fiber length, plus the optimized parametric curve."""
     lengths = _sweep("length_km", 0.5, config.fig3b_max_length_km, config.fig3b_points)
-    columns: Columns = {
+    columns: _Columns = {
         "length_km": lengths,
         "classical": [analytic.variance_vs_length("C", config.b, length) for length in lengths],
     }
@@ -290,7 +290,7 @@ def figure_3b(config: RunConfig) -> Columns:
     return columns
 
 
-def figure_5(config: RunConfig) -> Columns:
+def _figure_5(config: _RunConfig) -> _Columns:
     """Length-optimized normalized variance of the distributed designs.
 
     The product design appears twice: with the total squeezed energy fixed
@@ -312,7 +312,7 @@ def figure_5(config: RunConfig) -> Columns:
     }
 
 
-def figure_6(config: RunConfig) -> Columns:
+def _figure_6(config: _RunConfig) -> _Columns:
     """Fixed-length variance profiles against the interferometer count."""
     n_s = db_to_photons(10.0)
     lengths = config.fig6_lengths()
@@ -320,7 +320,7 @@ def figure_6(config: RunConfig) -> Columns:
     if config.fig6_max_m < 1:
         raise ValueError(f"fig6_max_m must be at least 1, got {config.fig6_max_m}")
     counts = range(1, config.fig6_max_m + 1)
-    columns: Columns = {"m": counts}
+    columns: _Columns = {"m": counts}
     for length in lengths:
         for variant, n_squeezed in (("D", 0.0), ("P", n_s), ("E", n_s)):
             columns[f"design_{variant.lower()}_{length:g}km"] = [
@@ -347,7 +347,7 @@ def figure_6(config: RunConfig) -> Columns:
     return columns
 
 
-def figure_7(config: RunConfig) -> Columns:
+def _figure_7(config: _RunConfig) -> _Columns:
     """Sensitivity-ratio surfaces over squeezing and interferometer count.
 
     Fixed total length (default 15 km): the per-coil transmissivity improves
@@ -380,15 +380,15 @@ def figure_7(config: RunConfig) -> Columns:
 
 
 _FIGURE_BUILDERS = {
-    "3a": figure_3a,
-    "3b": figure_3b,
-    "5": figure_5,
-    "6": figure_6,
-    "7": figure_7,
+    "3a": _figure_3a,
+    "3b": _figure_3b,
+    "5": _figure_5,
+    "6": _figure_6,
+    "7": _figure_7,
 }
 
 
-def cmd_figure(config: RunConfig) -> str:
+def _cmd_figure(config: _RunConfig) -> str:
     """Figure data set as CSV."""
     if config.figure_id is None:
         raise ValueError("figure: flag --id is required")
@@ -413,12 +413,12 @@ def _json(record: dict | list[dict]) -> str:
     return text + "\n"
 
 
-def _design_point(config: RunConfig) -> tuple[float, float, float]:
+def _design_point(config: _RunConfig) -> tuple[float, float, float]:
     """Squeezed photons, transmissivity and time factor, resolved and checked in that order."""
     return config.resolved_squeezed_photons(), config.resolved_eta(), config.resolved_time_factor()
 
 
-def cmd_variance(config: RunConfig) -> str:
+def _cmd_variance(config: _RunConfig) -> str:
     """Estimator variance of one design."""
     n_s, eta, t = _design_point(config)
     variance = analytic.design_variance(config.design, t, eta, config.m, config.n_v, n_s)
@@ -437,7 +437,7 @@ def cmd_variance(config: RunConfig) -> str:
     )
 
 
-def cmd_ratio(config: RunConfig) -> str:
+def _cmd_ratio(config: _RunConfig) -> str:
     """Quantum/classical sensitivity ratios."""
     n_s = config.resolved_squeezed_photons()
     eta = config.resolved_eta() if config.eta is not None or config.length_km is not None else None
@@ -458,7 +458,7 @@ def cmd_ratio(config: RunConfig) -> str:
     return _json(record)
 
 
-def cmd_optimize(config: RunConfig) -> str:
+def _cmd_optimize(config: _RunConfig) -> str:
     """Optimal length or count."""
     n_s = config.resolved_squeezed_photons()
     variant = config.design
@@ -506,7 +506,7 @@ def cmd_optimize(config: RunConfig) -> str:
     )
 
 
-def cmd_simulate(config: RunConfig) -> str:
+def _cmd_simulate(config: _RunConfig) -> str:
     """Gaussian-circuit cross check."""
     n_s, eta, t = _design_point(config)
     design = designs.DesignConfig(config.design, config.m, config.n_v, n_s)
@@ -581,19 +581,19 @@ _SETTINGS: dict[str, tuple] = {
 }
 
 #: Each command's function, which returns the document it writes, and the
-#: RunConfig keys it reads; each key is one flag of that command, besides
+#: _RunConfig keys it reads; each key is one flag of that command, besides
 #: --config and --out.  Config files accept every key.
 _COMMANDS = {
-    "table1": (cmd_table1, ("b", "fix_length_km", "format")),
-    "figure": (cmd_figure, ("b", "figure_id")),
-    "variance": (cmd_variance, ("b", "wavelength_nm", "radius_m", "design", "m", "n_v",
-                                "squeeze_db", "n_squeezed", "eta", "length_km", "time_factor_s")),
-    "optimize": (cmd_optimize, ("b", "design", "m", "squeeze_db", "n_squeezed", "fix_length_km",
-                                "m_max")),
-    "ratio": (cmd_ratio, ("b", "m", "squeeze_db", "n_squeezed", "eta", "length_km")),
-    "simulate": (cmd_simulate, ("b", "wavelength_nm", "radius_m", "design", "m", "n_v",
-                                "squeeze_db", "n_squeezed", "eta", "length_km", "phi",
-                                "time_factor_s")),
+    "table1": (_cmd_table1, ("b", "fix_length_km", "format")),
+    "figure": (_cmd_figure, ("b", "figure_id")),
+    "variance": (_cmd_variance, ("b", "wavelength_nm", "radius_m", "design", "m", "n_v",
+                                 "squeeze_db", "n_squeezed", "eta", "length_km", "time_factor_s")),
+    "optimize": (_cmd_optimize, ("b", "design", "m", "squeeze_db", "n_squeezed", "fix_length_km",
+                                 "m_max")),
+    "ratio": (_cmd_ratio, ("b", "m", "squeeze_db", "n_squeezed", "eta", "length_km")),
+    "simulate": (_cmd_simulate, ("b", "wavelength_nm", "radius_m", "design", "m", "n_v",
+                                 "squeeze_db", "n_squeezed", "eta", "length_km", "phi",
+                                 "time_factor_s")),
 }
 
 
@@ -618,7 +618,7 @@ def _help(command: str | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_args(argv: list[str]) -> tuple[str | None, dict[str, str] | None]:
+def _parse_args(argv: list[str]) -> tuple[str | None, dict[str, str] | None]:
     """(command, {key: flag text}) from ``argv``; the flags are None when help is asked for.
 
     A flag takes its value as ``--flag value`` or ``--flag=value``, is spelled
@@ -648,11 +648,11 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict[str, str] | None]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        command, flags = parse_args(sys.argv[1:] if argv is None else argv)
+        command, flags = _parse_args(sys.argv[1:] if argv is None else argv)
         if flags is None:
             sys.stdout.write(_help(command))
             return 0
-        config = resolve_config(flags)
+        config = _resolve_config(flags)
         _write_output(_COMMANDS[command][0](config), config.out)
     except ValueError as exc:
         print(f"fogsim: error: {exc}", file=sys.stderr)

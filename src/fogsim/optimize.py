@@ -101,9 +101,15 @@ def _quadratic_polish(
         f_p1 = objective(x + h)
         f_p2 = objective(x + 2.0 * h)
         difference = f_p1 - 2.0 * value + f_m1
+        slope, curvature = -f_p2 + 8.0 * f_p1 - 8.0 * f_m1 + f_m2, 12.0 * difference
+        if not (math.isfinite(slope) and math.isfinite(curvature)):
+            # Near the float maximum 2 value, 8 f or 12 difference overflows; f / value does not.
+            f_m2, f_m1, f_p1, f_p2 = (f / value for f in (f_m2, f_m1, f_p1, f_p2))
+            difference = f_p1 - 2.0 + f_m1
+            slope, curvature = -f_p2 + 8.0 * f_p1 - 8.0 * f_m1 + f_m2, 12.0 * difference
         if not difference > 0.0:
             break
-        candidate = x - h * (-f_p2 + 8.0 * f_p1 - 8.0 * f_m1 + f_m2) / (12.0 * difference)
+        candidate = x - h * slope / curvature
         if not lo < candidate < hi:
             break
         x = candidate

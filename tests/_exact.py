@@ -1,7 +1,9 @@
-"""Exact twin of the fixed-transmissivity closed form, evaluated with mpmath.
+"""Exact twin of the fixed-transmissivity closed form and of the length
+optimum, evaluated with mpmath.
 
 Each function has the name and arguments of its counterpart in
-``fogsim.analytic`` and returns an ``mpmath.mpf``.  It is derived from the
+``fogsim.analytic`` and returns ``mpmath.mpf`` values: ``optimal_length``
+the pair (x, value) of an ``Optimum``.  Each is derived from the
 inputs alone, which are exact doubles, never from an intermediate double:
 
     design variance = ratio_fixed_eta * classical variance,
@@ -15,6 +17,25 @@ squeezing N_s is finite, as the circuit takes it.
 
 Precision grows with the squeezing, 60 + log10 N_s digits, so that the sum
 eta q + 1 - eta keeps q at eta = 1, where q is about 1 / (4 N_s).
+
+The length optimum minimizes the normalized variance (M / L^2)(q - 1 + e^u)
+over the total length L, u = c L / M being the loss exponent of one coil and
+c = b ln(10) / 10: its root is (u - 2) e^u = 2 (q - 1).
+
+The paper's two limits are minima of the loss bound of quantum metrology,
+Var >= (1 - eta) / (eta N) for N photons through transmissivity eta (Escher
+et al., Nat. Phys. 7, 406 (2011); Demkowicz-Dobrzanski et al., Nat. Commun.
+3, 1063 (2012)), in the package's per-fiber normalization, where the laser's
+variance is 1 / (eta N) and eta = e^-u:
+
+- one coil: the bound's (e^u - 1) / u^2 is least at u* = 2 + W0(-2/e^2),
+  the laser's e^u / u^2 at u = 2, and the ratio of the two minima is
+  ``LENGTH_GAIN_LIMIT`` = 1.19630709450629569;
+- M coils sharing a total length L: the bound's M (e^(cL/M) - 1) / L^2
+  falls to c / L as M grows, the laser's M e^(cL/M) / L^2 is least, c e / L,
+  at M = c L, and their ratio is ``COUNT_GAIN_LIMIT`` = e.
+
+The bound is asymptotic in N and counts all photons, laser and squeezed.
 """
 
 from __future__ import annotations
@@ -57,3 +78,19 @@ def design_variance(variant: str, time_factor_s: float, eta: float, m: int = 1,
         # M n_v as an exact product, not the double the code may round it to.
         laser = classical_variance(time_factor_s, eta, n_v) / m
         return laser * ratio_fixed_eta(variant, eta, m, n_squeezed)
+
+
+def optimal_length(variant: str, b: float, n_squeezed: float = 0.0,
+                   m: int = 1) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """Total fiber length and normalized variance at the length optimum."""
+    with mpmath.workdps(_digits(n_squeezed)):
+        q = _squeezing_factor(variant, m, n_squeezed)
+        u = 2 + mpmath.lambertw(2 * (q - 1) / mpmath.e**2).real
+        length = m * u / (mpmath.mpf(b) * mpmath.log(10) / 10)
+        return +length, m / length**2 * (q - 1 + mpmath.exp(u))
+
+
+with mpmath.workdps(60):
+    _U_STAR = 2 + mpmath.lambertw(-2 / mpmath.e**2).real
+    LENGTH_GAIN_LIMIT = (mpmath.e**2 / 4) / (mpmath.expm1(_U_STAR) / _U_STAR**2)
+    COUNT_GAIN_LIMIT = +mpmath.e

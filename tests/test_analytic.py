@@ -185,10 +185,9 @@ class TestVarianceFormulas:
             ) / classical_variance(1.0, eta, 10.0)
             assert ratio == pytest.approx(1.0 - eta, rel=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="T^2 eta is formed first, and is subnormal here")
     def test_classical_variance_where_t_squared_eta_is_subnormal(self):
-        # T^2 eta = 2.2e-312 keeps 39 of its 53 bits, so the variance, 4.5e306,
-        # is off by 1.1e-13; the circuit gives it within 2e-16.
+        # T^2 eta = 2.2e-312 would keep 39 of its 53 bits, and the variance,
+        # 4.5e306, be off by 1.1e-13; scaled out of the subnormals it is not.
         eta = sys.float_info.min
         exact = _exact.classical_variance(1e-2, eta, 1e5)
         assert abs(classical_variance(1e-2, eta, 1e5) - exact) <= 1e-14 * exact
@@ -318,7 +317,7 @@ class TestOptimalLength:
         ("C", 1e-200, 1, "variance"),
         ("C", 1e-160, 1, "variance"),
         ("E", 1e-160, 4, "variance"),
-        ("S", 1e154, 1, "variance"),
+        ("S", 1e155, 1, "variance"),
         ("D", 1e300, 4, "variance"),
     ])
     def test_out_of_range_optimum_names_the_loss(self, variant, b, m, quantity):
@@ -491,6 +490,14 @@ class TestRatios:
         )
         assert ratio_optimal_length(math.inf) == pytest.approx(0.836, abs=5e-4)
         assert ratio_optimal_m(math.inf) == pytest.approx(1.0 / math.e, rel=1e-14)
+
+    def test_infinite_squeezing_limits_are_the_loss_bound_minima(self):
+        # The paper's two limits are those of the loss bound, not of squeezing
+        # alone: see the bound's two minima in tests/_exact.py.
+        length_gain = 1.0 / ratio_optimal_length(math.inf)
+        count_gain = 1.0 / ratio_optimal_m(math.inf)
+        assert abs(length_gain - _exact.LENGTH_GAIN_LIMIT) <= 4e-15 * _exact.LENGTH_GAIN_LIMIT
+        assert abs(count_gain - _exact.COUNT_GAIN_LIMIT) <= 4e-15 * _exact.COUNT_GAIN_LIMIT
 
     def test_benchmark_table_rows(self):
         for sigma, expected in zip(TABLE_SIGMAS, TABLE_LENGTH_OPT):

@@ -306,6 +306,19 @@ def test_every_public_layer_function_is_run_by_a_command():
     assert not missing, f"no command enters {', '.join(missing)}"
 
 
+def test_cli_exports_only_what_its_callers_use():
+    """``main`` is the ``fogsim`` script's entry point and the benchmark's, and
+    the benchmark's tracer wraps ``render_csv``; everything else is private."""
+    defined = set()
+    for node in ast.parse(Path(cli.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(target.id for target in targets if isinstance(target, ast.Name))
+    assert {name for name in defined if not name.startswith("_")} == {"main", "render_csv"}
+
+
 def test_every_command_runs_without_numpy():
     result = _python(_RUN_REQUESTS, json.dumps(CLI_REQUESTS))
     assert result.returncode == 0, result.stderr

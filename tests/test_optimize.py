@@ -23,6 +23,7 @@ from fogsim.optimize import (
 )
 from fogsim.sagnac import db_to_photons
 
+import _exact
 from _oracles import optimize_energy_split_numeric
 
 CROSS_CHECK_B = (0.2, 0.5, 1.0)
@@ -245,16 +246,20 @@ class TestLengthCrossValidation:
     )
     def test_every_decade_of_loss(self, variant, sigma, m):
         # From b = 1e2 the length bracket lies below 1 km, and from b = 1e12 it
-        # is narrower than 1e-12 km.  Above 1e153 the closed form's variance
-        # overflows; at the lowest decades it is subnormal, and there the
-        # search rejects the loss too.  Below about 3e-153·m the search's upper
-        # length 40·m/b squares past the float range, and D's optimum does at
-        # 1e-152 (1.39e154 km), where the kernel divides twice by the length.
+        # is narrower than 1e-12 km.  Above the top decade the optimum's
+        # variance is not a float, and both routes reject the loss; at the
+        # lowest decades it is subnormal, and there the search rejects the
+        # loss too.  Below about 3e-153·m the search's upper length 40·m/b
+        # squares past the float range, and D's optimum does at 1e-152
+        # (1.39e154 km), where the kernel divides twice by the length.
         n_s = db_to_photons(sigma)
-        with pytest.raises(ValueError, match="out of floating-point range"):
-            analytic.optimal_length(variant, 1e154, n_s, m)
+        top = max(exponent for exponent in range(150, 160)
+                  if _exact.optimal_length(variant, 10.0**exponent, n_s, m)[1] <= sys.float_info.max)
+        for route in (analytic.optimal_length, optimize_length):
+            with pytest.raises(ValueError, match="out of floating-point range"):
+                route(variant, 10.0 ** (top + 1), n_s, m)
         errors, rejected = {}, []
-        for exponent in range(-153, 154):
+        for exponent in range(-153, top + 1):
             b = 10.0**exponent
             try:
                 reference = analytic.optimal_length(variant, b, n_s, m).x
