@@ -258,17 +258,20 @@ class TestLengthCrossValidation:
         for route in (analytic.optimal_length, optimize_length):
             with pytest.raises(ValueError, match="out of floating-point range"):
                 route(variant, 10.0 ** (top + 1), n_s, m)
-        errors, rejected = {}, []
+        errors, exact_errors, rejected = {}, {}, []
         for exponent in range(-153, top + 1):
             b = 10.0**exponent
             try:
-                reference = analytic.optimal_length(variant, b, n_s, m).x
+                closed = analytic.optimal_length(variant, b, n_s, m)
             except ValueError:
                 rejected.append(exponent)
                 with pytest.raises(ValueError, match="out of floating-point range"):
                     optimize_length(variant, b, n_s, m)
                 continue
-            errors[exponent] = abs(optimize_length(variant, b, n_s, m).x - reference) / reference
+            exact = _exact.optimal_length(variant, b, n_s, m)
+            exact_errors[exponent] = max(abs(got - want) / want for got, want in zip(closed, exact))
+            errors[exponent] = abs(optimize_length(variant, b, n_s, m).x - closed.x) / closed.x
+        assert {exponent: error for exponent, error in exact_errors.items() if error > 1e-15} == {}
         assert {exponent: error for exponent, error in errors.items() if error > 5e-12} == {}
         assert rejected == ([] if variant in ("C", "S") else [-153])
 
