@@ -28,6 +28,10 @@ compared on exit code, stdout and stderr.  The requests are:
 - a grid of squeezing levels from 0 dB to the top of the domain and inf,
   through the regions where the closed form's Lambert W argument nears
   and then passes its branch point, on the commands that take squeezing;
+- ``variance`` and ``simulate`` of designs C and E (M = 4, 10 dB) where
+  the laser-only variance 1/(T^2 eta n) nears or leaves the floats: tiny
+  transmissivities (down to 1e-320), time factors from 1e-200 to 1e200 s
+  and laser photon numbers up to 1e300;
 - ``simulate`` at phases -0.7, 2.0, pi and 1e6, which give both signs of
   cos(phi) and sin(phi), for every design at each of the counts 1, 4 and
   64 that it takes (44 requests), with ``--eta 0.8`` and, for S, P and E,
@@ -110,6 +114,14 @@ FALLBACK = re.compile(r"^fogsim: error: \w+: [A-Z]\w*Error: ", re.MULTILINE)
 #: top of the domain and the infinite-squeezing limit.
 SQUEEZE_GRID = ("0", "10", "40", "80", "95", "120", "162.6", "165", "168.5", "200",
                 "1547", "1548", "3076.5", "inf")
+#: (--eta, --t, --n-v) at which 1/(T^2 eta n) is subnormal, overflows or
+#: underflows, with a normal-range point of each for contrast.
+TIME_FACTOR_CASES = tuple(
+    (eta, t, n_v)
+    for eta in ("1e-320", "1e-310", "2.2e-308", "1e-300", "1")
+    for t in ("1e-200", "1e-160", "1e-155", "0.01", "1e150", "1e200")
+    for n_v in ("1", "1e10", "1e100", "1e300")
+)
 #: Circuit phases: -0.7, 2.0 and pi between them give both signs of cos(phi)
 #: and sin(phi), and 1e6 is a phase of many periods.
 PHASES = ("-0.7", "2.0", "3.141592653589793", "1e6")
@@ -207,6 +219,15 @@ def _squeeze_requests() -> list[list[str]]:
     return [[*argv, "--squeeze-db", sigma] for argv in by_squeezing for sigma in SQUEEZE_GRID]
 
 
+def _time_factor_requests() -> list[list[str]]:
+    designs = (("--design", "C"), ("--design", "E", "--m", "4", *SQUEEZE))
+    return [
+        [command, *design, "--eta", eta, "--t", t, "--n-v", n_v]
+        for command in ("variance", "simulate") for design in designs
+        for eta, t, n_v in TIME_FACTOR_CASES
+    ]
+
+
 def _phase_requests() -> list[list[str]]:
     counts = [(variant, "1") for variant in "CS"] + [(v, m) for v in "DPE" for m in ("1", "4", "64")]
     return [
@@ -238,6 +259,7 @@ def requests(config_dir: str) -> list[tuple[str, ...]]:
     ops += workloads.probe() + workloads.out_of_domain()
     every = [op["argv"] for op in ops] + _golden_requests() + _grid_requests() + _squeeze_requests()
     every += _top_loss_requests()
+    every += _time_factor_requests()
     every += _phase_requests()
     every += _config_requests(config_dir)
     every += FRONT_END
