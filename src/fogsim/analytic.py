@@ -127,16 +127,18 @@ def classical_variance(time_factor_s: float, eta: float, n_photons: float) -> fl
     DOMAIN.check("time_factor_s", time_factor_s)
     DOMAIN.check("n_total", n_photons)
     try:
-        product = time_factor_s**2 * eta
-        if product < sys.float_info.min:
-            # Subnormal: scaled by 2^1000, exactly, the product keeps its bits and stays below 2^-22.
-            return 1.0 / (time_factor_s**2 * (eta * 2.0**1000) * n_photons) * 2.0**1000
-        return 1.0 / (product * n_photons)
+        # Scaled by 2^1000, exactly, a subnormal T^2 eta keeps its bits and stays below 2^-22.
+        scale = 2.0**1000 if time_factor_s**2 * eta < sys.float_info.min else 1.0
+        variance = 1.0 / (time_factor_s**2 * (eta * scale) * n_photons) * scale
     except (OverflowError, ZeroDivisionError):
+        variance = 0.0
+    # Float division rounds a variance out of range to inf or 0.0 without raising.
+    if not 0.0 < variance < math.inf:
         raise ValueError(
             f"time factor {time_factor_s} s puts the variance out of floating-point "
             f"range (transmissivity {eta}, {n_photons} photons)"
-        ) from None
+        )
+    return variance
 
 
 def _quantum_term(variant: str, n_squeezed: float, m: float, eta: float = 1.0) -> float:

@@ -192,11 +192,16 @@ class TestVarianceFormulas:
         exact = _exact.classical_variance(1e-2, eta, 1e5)
         assert abs(classical_variance(1e-2, eta, 1e5) - exact) <= 1e-14 * exact
 
-    @pytest.mark.parametrize("time_factor_s", [1e200, 1e-200])
-    def test_time_factor_out_of_range_is_named(self, time_factor_s):
-        # T^2 overflows (or underflows to 0); the error names the time factor.
-        with pytest.raises(ValueError, match="time factor"):
-            classical_variance(time_factor_s, 0.9, 100.0)
+    @pytest.mark.parametrize("time_factor_s, eta, n_photons", [
+        (1e200, 0.9, 100.0),  # T^2 overflows
+        (1e-200, 0.9, 100.0),  # T^2 underflows to 0
+        (0.01, 1e-310, 1.0),  # 1/(T^2 eta n) overflows on the scaled, subnormal-product path
+        (1e-160, 1.0, 1.0),  # T^2 is subnormal, and the variance overflows
+        (1e150, 1.0, 1e10),  # T^2 n overflows, so the variance rounds to 0
+    ])
+    def test_time_factor_out_of_range_is_named(self, time_factor_s, eta, n_photons):
+        with pytest.raises(ValueError, match=re.escape(f"time factor {time_factor_s} s puts")):
+            classical_variance(time_factor_s, eta, n_photons)
 
     def test_fiber_form_matches_optimized_value(self):
         b = 0.5

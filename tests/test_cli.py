@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fogsim import analytic, cli, sagnac
+from fogsim import analytic, cli, figures, sagnac
 from fogsim.cli import _RunConfig, _format_number, main
 from fogsim.sagnac import db_to_photons
 
@@ -402,6 +402,15 @@ class TestFigures:
         assert self.figure_from_file(capsys, tmp_path, "6", "fig6_lengths_km = 5,inf\n") == (
             2, "", "fogsim: error: fiber length must be positive and finite, got inf\n")
 
+    def test_fig6_lengths_parsing(self):
+        config = _RunConfig()
+        config.apply("fig6_lengths_km", "2.5, 10")
+        assert figures.fig6_lengths(config.fig6_lengths_km) == [2.5, 10.0]
+
+    def test_every_figure_id_has_one_builder(self):
+        builders = {name for name in vars(figures) if name.startswith("figure_")}
+        assert builders == {f"figure_{figure_id}" for figure_id in cli._SETTINGS["figure_id"][0]}
+
     def test_format_key_leaves_figure_as_csv(self, capsys, tmp_path):
         # Config files are shared across commands, and a command ignores
         # the keys it does not read; the comment line still records them.
@@ -789,6 +798,16 @@ class TestExitCodes:
         assert_usage_error(variance, named)
         assert run(capsys, "simulate", *argv) == variance
 
+    @pytest.mark.parametrize("flags", [
+        ("--eta", "1", "--t", "1e150", "--n-v", "1e100"),
+        ("--eta", "1e-310", "--t", "0.01"),
+        ("--eta", "1", "--t", "1e-160"),
+    ], ids=" ".join)
+    def test_variance_out_of_range_names_the_time_factor(self, capsys, flags):
+        # 1/(T^2 eta n) rounds to 0.0 or inf; the error names the inputs, not the result.
+        result = run(capsys, "variance", "--design", "C", *flags)
+        assert_usage_error(result, "time factor", "puts the variance out of floating-point range")
+
     @pytest.mark.parametrize("command", [("table1",), ("figure", "--id", "3a")])
     @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["missing directory", "directory"])
     def test_unwritable_out_is_named(self, capsys, tmp_path, command, target):
@@ -1094,8 +1113,3 @@ class TestRunConfig:
         assert config.squeeze_db == math.inf
         with pytest.raises(ValueError, match="'squeeze_db' expects a number"):
             config.apply("squeeze_db", "ten")
-
-    def test_fig6_lengths_parsing(self):
-        config = _RunConfig()
-        config.apply("fig6_lengths_km", "2.5, 10")
-        assert config.fig6_lengths() == [2.5, 10.0]

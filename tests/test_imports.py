@@ -1,7 +1,8 @@
 """Import-time guards.  The package, the CLI and every command run without
 numpy, which only the test suite's oracles use; importing the CLI registers
 every layer in ``sys.modules`` but runs only the layers each command uses,
-and loads no argument-parsing library; the layers' records are immutable
+and only ``figure`` compiles the figure module; no request compiles more
+source than it needs; the CLI loads no argument-parsing library; the layers' records are immutable
 tuples, built without generated dataclass code, and a checked record cannot
 be rebuilt unchecked; no module reads another module's private names; and
 every public layer function is entered by some command."""
@@ -70,8 +71,9 @@ def test_import_leaves_numpy_unloaded(module):
 LAYERS = ("analytic", "designs", "gaussian", "optimize", "sagnac")
 
 #: What a fresh interpreter has after ``import fogsim.cli`` and one request:
-#: the layers registered and executed, and the modules only ``optimize`` needs.
-#: A layer still unexecuted is a lazy module; reading any attribute of it,
+#: the layers registered by the import, the fogsim modules executed by the
+#: end of the request, and the modules only ``optimize`` needs.  A layer
+#: still unexecuted is a lazy module; reading any attribute of it,
 #: ``__dict__`` included, would execute it, so only its type is looked at.
 _LAYERS_RUN = """
 import contextlib, io, json, sys, types
@@ -84,8 +86,9 @@ if sys.argv[1:]:
 print(json.dumps({
     "code": code,
     "registered": sorted(name.removeprefix("fogsim.") for name in layers),
-    "executed": sorted(name.removeprefix("fogsim.") for name in layers
-                       if type(sys.modules[name]) is types.ModuleType),
+    "executed": sorted(name.removeprefix("fogsim.") for name, module in sys.modules.items()
+                       if name.startswith("fogsim.") and name != "fogsim.cli"
+                       and type(module) is types.ModuleType),
     "loaded": sorted(name for name in ("argparse", "gettext", "dataclasses", "inspect")
                      if name in sys.modules),
 }))
@@ -98,14 +101,19 @@ print(json.dumps({
     (("variance", "--design", "E", "--m", "4", "--squeeze-db", "10", "--eta", "0.8"), 0,
      ["analytic", "sagnac"], []),
     (("ratio", "--squeeze-db", "10", "--eta", "0.8", "--m", "4"), 0, ["analytic", "sagnac"], []),
-    (("figure", "--id", "5"), 0, ["analytic", "sagnac"], []),
+    # Only figure compiles the figure module, which the package does not register.
+    (("figure", "--id", "5"), 0, ["analytic", "figures", "sagnac"], []),
+    (("figure", "--id", "6"), 0, ["analytic", "figures", "optimize", "sagnac"],
+     ["dataclasses", "inspect"]),
     (("variance", "--design", "E", "--m", "4", "--squeeze-db", "10", "--eta", "1.5"), 2,
      ["analytic", "sagnac"], []),
     (("simulate", "--design", "E", "--m", "4", "--squeeze-db", "10", "--eta", "0.8"), 0,
      ["analytic", "designs", "gaussian", "sagnac"], []),
     (("optimize", "--design", "S", "--squeeze-db", "10"), 0,
      ["analytic", "optimize", "sagnac"], ["dataclasses", "inspect"]),
-], ids=["import", "variance", "ratio", "figure", "usage-error", "simulate", "optimize"])
+    (("table1",), 0, ["analytic", "optimize", "sagnac"], ["dataclasses", "inspect"]),
+], ids=["import", "variance", "ratio", "figure", "figure-6", "usage-error", "simulate",
+        "optimize", "table1"])
 def test_each_command_runs_only_the_layers_it_uses(argv, code, executed, loaded):
     result = _python(_LAYERS_RUN, *argv)
     assert result.returncode == 0, result.stderr
@@ -264,6 +272,58 @@ CLI_REQUESTS = [
         for variant in "PE"
     ),
 ]
+
+#: Prints the exit code of the request in ``sys.argv`` and the source lines
+#: of each fogsim module that ``import fogsim.cli`` and the request compile,
+#: by file name.
+_COMPILED = """
+import contextlib, importlib.machinery, io, json, os, sys
+compiled = []
+source_to_code = importlib.machinery.SourceFileLoader.source_to_code
+def record(loader, data, path, *args, **kwargs):
+    compiled.append(path)
+    return source_to_code(loader, data, path, *args, **kwargs)
+importlib.machinery.SourceFileLoader.source_to_code = record
+import fogsim.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = fogsim.cli.main(sys.argv[1:])
+package = os.path.dirname(fogsim.__file__)
+lines = {}
+for path in compiled:
+    if os.path.dirname(path) == package:
+        with open(path, encoding="utf-8") as handle:
+            lines[os.path.basename(path)] = len(handle.read().splitlines())
+print(json.dumps({"code": code, "compiled": lines}))
+"""
+
+
+@pytest.mark.parametrize(
+    # The first request of each command.
+    "argv", {argv[0]: argv for argv in reversed(CLI_REQUESTS)}.values(), ids=" ".join
+)
+def test_each_command_compiles_only_what_it_runs(argv, tmp_path):
+    """Only ``figure`` compiles the figure module, and ``variance``, ``ratio``,
+    ``optimize`` and ``table1`` compile at most 1400 lines of fogsim source.
+    An empty bytecode cache that is never written makes every module that
+    runs compile from source."""
+    command = argv[0]
+    result = subprocess.run(
+        [sys.executable, "-c", _COMPILED, *argv],
+        env=dict(os.environ, PYTHONPATH=SOURCE_ROOT, PYTHONDONTWRITEBYTECODE="1",
+                 PYTHONPYCACHEPREFIX=str(tmp_path)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout)
+    assert record["code"] == 0
+    compiled = record["compiled"]
+    assert {"__init__.py", "cli.py", "sagnac.py", "analytic.py"} <= compiled.keys()
+    assert ("figures.py" in compiled) == (command == "figure")
+    if command in ("variance", "ratio", "optimize", "table1"):
+        assert sum(compiled.values()) <= 1400, compiled
+
 
 _RUN_REQUESTS = """
 import contextlib, io, json, sys
