@@ -137,6 +137,8 @@ FRONT_END = (
 #: (figure id, grid setting, value) of each configuration-file request.
 CONFIG_CASES = (
     ("3a", "fig3a_points", "2"),
+    ("3a", "fig3a_max_photons", "1e155"),
+    ("3a", "fig3a_max_photons", "1.7976931348623157e308"),
     ("3b", "fig3b_max_length_km", "1e3"),
     ("3b", "fig3b_max_length_km", "-1"),
     ("6", "fig6_lengths_km", "5,inf"),
