@@ -22,8 +22,6 @@ inf - inf; everywhere else IEEE arithmetic gives the limit, as
 1 / inf = 0 in the squeezing factors.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import namedtuple
@@ -126,13 +124,14 @@ def classical_variance(time_factor_s: float, eta: float, n_photons: float) -> fl
     DOMAIN.check("eta", eta)
     DOMAIN.check("time_factor_s", time_factor_s)
     DOMAIN.check("n_total", n_photons)
+    square = time_factor_s * time_factor_s
     try:
         # Scaled by 2^1000, exactly, a subnormal T^2 eta keeps its bits and stays below 2^-22.
-        scale = 2.0**1000 if time_factor_s**2 * eta < sys.float_info.min else 1.0
-        variance = 1.0 / (time_factor_s**2 * (eta * scale) * n_photons) * scale
-    except (OverflowError, ZeroDivisionError):
+        scale = 2.0**1000 if square * eta < sys.float_info.min else 1.0
+        variance = 1.0 / (square * (eta * scale) * n_photons) * scale
+    except ZeroDivisionError:
         variance = 0.0
-    # Float division rounds a variance out of range to inf or 0.0 without raising.
+    # Float arithmetic rounds a variance out of range to inf or 0.0; only a T^2 eta n of 0.0 raises.
     if not 0.0 < variance < math.inf:
         raise ValueError(
             f"time factor {time_factor_s} s puts the variance out of floating-point "
@@ -269,9 +268,17 @@ def optimal_energy_split(n_total: float, eta: float) -> Optimum:
     DOMAIN.check("eta", eta)
     loss = 1.0 - eta
     z = math.sqrt(1.0 + 4.0 * eta * loss * n_total)
-    n_s = 2.0 * eta**2 * n_total**2 / (1.0 + z + 2.0 * eta * n_total * (2.0 - eta + z))
+    denominator = 1.0 + z + 2.0 * eta * n_total * (2.0 - eta + z)
+    n_s = 2.0 * (eta * eta) * (n_total * n_total) / denominator
+    if eta * eta < sys.float_info.min or not n_s < math.inf:
+        # eta^2 is subnormal or N^2 overflows; dividing first keeps every split that is a float.
+        n_s = 2.0 * eta * (eta * n_total / denominator) * n_total
     variance = (1.0 + 2.0 * loss * n_total + z) / (2.0 * eta * n_total * (n_total + 1.0))
-    return Optimum(n_s, variance)
+    return in_range(
+        Optimum(n_s, variance),
+        "total photon number {} puts the variance of the optimal split out of floating-point range "
+        "(transmissivity {})", n_total, eta,
+    )
 
 
 def optimal_length(
@@ -298,12 +305,9 @@ def optimal_length(
         lam = length_exponent(n_squeezed, m if variant == "P" else 1)
         length = 10.0 * (2.0 + lam) / (LN10 * b)
         factor, divisor = math.exp(2.0 + lam) * LN10**2, 200.0 * (2.0 + lam)
-    try:
-        variance = factor * b**2 / divisor / m
-    except OverflowError:
-        variance = math.inf
+    variance = factor * (b * b) / divisor / m
     if variance == math.inf:
-        # factor * b**2 overflowed; dividing first, by m too, keeps every optimum that is a float.
+        # factor * b * b overflowed; dividing first, by m too, keeps every optimum that is a float.
         variance = b * (b * (factor / divisor / m))
     # A tiny loss overflows the length or leaves the variance subnormal; a huge one overflows it.
     if not 0.0 < length * m < math.inf:

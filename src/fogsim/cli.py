@@ -20,8 +20,6 @@ command-line flags override file values.  Exit codes: 0 success, 2 usage or
 configuration error.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import sys
@@ -261,7 +259,7 @@ def _cmd_variance(config: _RunConfig) -> str:
             "eta": eta,
             "time_factor_s": t,
             "variance": variance,
-            "variance_normalized": variance * t**2 * config.n_v,
+            "variance_normalized": variance * (t * t) * config.n_v,
             "provenance": "analytic",
         }
     )
@@ -339,12 +337,13 @@ def _cmd_optimize(config: _RunConfig) -> str:
 def _cmd_simulate(config: _RunConfig) -> str:
     """Gaussian-circuit cross check."""
     n_s, eta, t = _design_point(config)
+    # The design, then the closed form, name an input out of range before the circuit runs.
     design = designs.DesignConfig(config.design, config.m, config.n_v, n_s)
-    result = designs.estimator_variance_sim(design, eta, t)
-    stats = designs.build_and_run(design, config.phi, eta)
     reference = analytic.design_variance(
         design.variant, t, eta, design.m_interferometers, design.n_v, design.n_squeezed
     )
+    result = designs.estimator_variance_sim(design, eta, t)
+    stats = designs.build_and_run(design, config.phi, eta)
     return _json(
         {
             "design": design.variant,

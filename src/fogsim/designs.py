@@ -30,8 +30,6 @@ tests compare this route against a dense numpy engine that propagates the
 full 4M x 4M covariance.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from collections import namedtuple
@@ -63,7 +61,7 @@ class DesignConfig(
     __slots__ = ()
 
     def __new__(cls, variant: str, m_interferometers: int = 1, n_v: float = 1.0,
-                n_squeezed: float = 0.0) -> DesignConfig:
+                n_squeezed: float = 0.0) -> "DesignConfig":
         DOMAIN.check_design(variant, m_interferometers, n_squeezed)
         DOMAIN.check("n_v", n_v)
         DOMAIN.check("n_squeezed_circuit", n_squeezed)
@@ -84,7 +82,7 @@ class CircuitResult(
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> CircuitResult:
+    def __new__(cls, *args, **kwargs) -> "CircuitResult":
         self = super().__new__(cls, *args, **kwargs)
         for name in ("estimator_variance", "variance_normalized"):
             value = getattr(self, name)

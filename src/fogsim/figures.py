@@ -26,7 +26,11 @@ def _sweep(parameter: str, start: float, stop: float, steps: int, log: bool = Fa
         if start <= 0 or stop <= 0:
             raise ValueError(f"log sweep of {parameter} needs positive bounds")
         a, b = math.log10(start), math.log10(stop)
-        return [10.0 ** (a + (b - a) * i / (steps - 1)) for i in range(steps)]
+        try:
+            return [10.0 ** (a + (b - a) * i / (steps - 1)) for i in range(steps)]
+        except OverflowError:
+            # 10 ** log10(x) can round past the float maximum at an end near it.
+            raise ValueError(f"log sweep of {parameter} overflows at its end {stop}") from None
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 

@@ -12,8 +12,6 @@ are positive and its symplectic eigenvalue sqrt(det V) is at least 1/4
 tuples of row tuples.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import namedtuple
@@ -50,7 +48,7 @@ class GaussianState(CheckedRecord, namedtuple("GaussianState", ("mean", "cov")))
 
     __slots__ = ()
 
-    def __new__(cls, mean: tuple[float, float], cov: Matrix) -> GaussianState:
+    def __new__(cls, mean: tuple[float, float], cov: Matrix) -> "GaussianState":
         mean = tuple(map(float, mean))
         cov = tuple(tuple(map(float, row)) for row in cov)
         if len(mean) != 2 or len(cov) != 2 or any(len(row) != 2 for row in cov):
@@ -85,7 +83,7 @@ class SymplecticTransform(CheckedRecord, namedtuple("SymplecticTransform", ("mat
 
     __slots__ = ()
 
-    def __new__(cls, matrix: Matrix) -> SymplecticTransform:
+    def __new__(cls, matrix: Matrix) -> "SymplecticTransform":
         matrix = tuple(tuple(map(float, row)) for row in matrix)
         dim = len(matrix)
         if dim == 0 or dim % 2 or any(len(row) != dim for row in matrix):
@@ -114,7 +112,7 @@ class HomodyneResult(CheckedRecord, namedtuple("HomodyneResult", ("mean", "varia
 
     __slots__ = ()
 
-    def __new__(cls, mean: float, variance: float) -> HomodyneResult:
+    def __new__(cls, mean: float, variance: float) -> "HomodyneResult":
         if not 0.0 < variance < math.inf:
             raise ValueError(f"homodyne variance must be positive and finite, got {variance}")
         return super().__new__(cls, mean, variance)

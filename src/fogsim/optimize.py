@@ -7,8 +7,6 @@ is the only route to that optimum; the length and continuous-count searches
 check the closed-form optima of :mod:`fogsim.analytic` independently.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections.abc import Callable

@@ -11,8 +11,6 @@ length in kilometers at the API boundary (converted internally), angular
 rates in rad/s.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 
@@ -153,9 +151,10 @@ def time_factor(length_km: float, wavelength_nm: float, radius_m: float) -> floa
     DOMAIN.check("radius_m", radius_m)
     try:
         omega = 2.0 * math.pi * C_LIGHT / (wavelength_nm * 1e-9)
-        area = math.pi * radius_m**2
+        area = math.pi * (radius_m * radius_m)
         t = 4.0 * omega * (length_km * _KM) * area / (2.0 * math.pi * radius_m * C_LIGHT**2)
-    except (OverflowError, ZeroDivisionError):
+    except ZeroDivisionError:
+        # The wavelength in meters underflowed to 0.0.
         t = math.nan
     # An omega or area out of range leaves T zero, infinite or NaN.
     if not 0.0 < t < math.inf:

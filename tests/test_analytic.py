@@ -254,6 +254,30 @@ class TestEnergySplit:
         split = optimal_energy_split(n, eta)
         assert split.value * eta * n == pytest.approx(1.0 - eta, rel=1e-4)
 
+    @pytest.mark.parametrize("n, eta", [(1e160, 0.9), (1e155, 1.0), (1e300, 1e-10)])
+    def test_variance_out_of_range_names_the_photon_number(self, n, eta):
+        # 2 eta N (N + 1) overflows, so the variance rounds to 0.0.
+        message = (f"total photon number {n!r} puts the variance of the optimal split out of "
+                   f"floating-point range (transmissivity {eta!r})")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            optimal_energy_split(n, eta)
+
+    @pytest.mark.parametrize("n, eta", [
+        (1e155, 1e-3), (1e200, 1e-100),  # N^2 overflows
+        (1e150, 1e-160),  # eta^2 is subnormal
+        (1e300, 1e-295),  # both
+    ])
+    def test_split_whose_squares_leave_the_normal_floats(self, n, eta):
+        # The optimal split and its variance are normal floats all the same.
+        with mpmath.workdps(50):
+            n_mp, eta_mp = mpmath.mpf(n), mpmath.mpf(eta)
+            z = mpmath.sqrt(1 + 4 * eta_mp * (1 - eta_mp) * n_mp)
+            x = 2 * eta_mp**2 * n_mp**2 / (1 + z + 2 * eta_mp * n_mp * (2 - eta_mp + z))
+            value = (1 + 2 * (1 - eta_mp) * n_mp + z) / (2 * eta_mp * n_mp * (n_mp + 1))
+        split = optimal_energy_split(n, eta)
+        assert abs(split.x / x - 1) <= 1e-15
+        assert abs(split.value / value - 1) <= 1e-15
+
 
 class TestOptimalLength:
     def test_classical_seventeen_km(self):

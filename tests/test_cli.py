@@ -398,6 +398,16 @@ class TestFigures:
         assert self.figure_from_file(capsys, tmp_path, "6", text) == (
             2, "", f"fogsim: error: fig6_lengths_km {message}\n")
 
+    @pytest.mark.parametrize("total, message", [
+        ("1e155", "total photon number 1e+155 puts the variance of the optimal split out of "
+                  "floating-point range (transmissivity 1.0)"),
+        ("1.7976931348623157e308", "log sweep of n_photons overflows at its end 1.7976931348623157e+308"),
+    ])
+    def test_overflowing_photon_total_is_named(self, capsys, tmp_path, total, message):
+        text = f"fig3a_max_photons = {total}\n"
+        assert self.figure_from_file(capsys, tmp_path, "3a", text) == (
+            2, "", f"fogsim: error: {message}\n")
+
     def test_infinite_length_is_named(self, capsys, tmp_path):
         assert self.figure_from_file(capsys, tmp_path, "6", "fig6_lengths_km = 5,inf\n") == (
             2, "", "fogsim: error: fiber length must be positive and finite, got inf\n")
@@ -807,6 +817,8 @@ class TestExitCodes:
         # 1/(T^2 eta n) rounds to 0.0 or inf; the error names the inputs, not the result.
         result = run(capsys, "variance", "--design", "C", *flags)
         assert_usage_error(result, "time factor", "puts the variance out of floating-point range")
+        # simulate checks the closed form before the circuit forms that variance.
+        assert run(capsys, "simulate", "--design", "C", *flags) == result
 
     @pytest.mark.parametrize("command", [("table1",), ("figure", "--id", "3a")])
     @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["missing directory", "directory"])

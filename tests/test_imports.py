@@ -89,7 +89,7 @@ print(json.dumps({
     "executed": sorted(name.removeprefix("fogsim.") for name, module in sys.modules.items()
                        if name.startswith("fogsim.") and name != "fogsim.cli"
                        and type(module) is types.ModuleType),
-    "loaded": sorted(name for name in ("argparse", "gettext", "dataclasses", "inspect")
+    "loaded": sorted(name for name in ("argparse", "gettext", "dataclasses", "inspect", "__future__")
                      if name in sys.modules),
 }))
 """
