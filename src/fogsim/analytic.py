@@ -257,23 +257,19 @@ def optimal_energy_split(n_total: float, eta: float) -> Optimum:
     """Minimize the squeezed-design variance over the laser/squeezer split.
 
     ``x`` is the optimal squeezed photon number
-    2 eta^2 N^2 / (1 + z + 2 eta N (2 - eta + z)), with
-    z = sqrt(1 + 4 eta (1 - eta) N).  The minimum variance is evaluated in
-    the cancellation-free equivalent form
-    (1 + 2 (1 - eta) N + z) / (2 eta N (N + 1)), which continues
-    analytically to 1 / (N (N + 1)) at eta = 1.  The variance is at unit
-    time factor; it scales as 1 / T^2.
+    2 eta^2 N^2 / (1 + z + 2 eta N (2 - eta + z)), z = sqrt(1 + 4 eta (1 - eta) N), and
+    the minimum variance is the cancellation-free (1 + 2 (1 - eta) N + z) / (2 eta N (N + 1)),
+    which continues analytically to 1 / (N (N + 1)) at eta = 1.  Both are evaluated divided
+    through by 2 eta N, so that no term overflows.  The variance is at unit time factor; it
+    scales as 1 / T^2.
     """
     DOMAIN.check("n_total", n_total)
     DOMAIN.check("eta", eta)
     loss = 1.0 - eta
     z = math.sqrt(1.0 + 4.0 * eta * loss * n_total)
-    denominator = 1.0 + z + 2.0 * eta * n_total * (2.0 - eta + z)
-    n_s = 2.0 * (eta * eta) * (n_total * n_total) / denominator
-    if eta * eta < sys.float_info.min or not n_s < math.inf:
-        # eta^2 is subnormal or N^2 overflows; dividing first keeps every split that is a float.
-        n_s = 2.0 * eta * (eta * n_total / denominator) * n_total
-    variance = (1.0 + 2.0 * loss * n_total + z) / (2.0 * eta * n_total * (n_total + 1.0))
+    tail = (1.0 + z) / 2.0 / n_total
+    n_s = eta * n_total / (2.0 - eta + z + tail / eta)
+    variance = (loss + tail) / (n_total + 1.0) / eta
     return in_range(
         Optimum(n_s, variance),
         "total photon number {} puts the variance of the optimal split out of floating-point range "

@@ -254,9 +254,9 @@ class TestEnergySplit:
         split = optimal_energy_split(n, eta)
         assert split.value * eta * n == pytest.approx(1.0 - eta, rel=1e-4)
 
-    @pytest.mark.parametrize("n, eta", [(1e160, 0.9), (1e155, 1.0), (1e300, 1e-10)])
+    @pytest.mark.parametrize("n, eta", [(1e155, 1.0), (1e200, 1.0), (1e-200, 1e-200)])
     def test_variance_out_of_range_names_the_photon_number(self, n, eta):
-        # 2 eta N (N + 1) overflows, so the variance rounds to 0.0.
+        # 1 / (N (N + 1)) underflows at eta = 1; about 1 / (eta N) overflows where eta N is tiny.
         message = (f"total photon number {n!r} puts the variance of the optimal split out of "
                    f"floating-point range (transmissivity {eta!r})")
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -266,6 +266,8 @@ class TestEnergySplit:
         (1e155, 1e-3), (1e200, 1e-100),  # N^2 overflows
         (1e150, 1e-160),  # eta^2 is subnormal
         (1e300, 1e-295),  # both
+        (1e160, 0.9), (1e300, 1e-10),  # 2 eta N (N + 1) overflows
+        (1.5e308, 1e-311),  # 1 + 2 (1 - eta) N overflows
     ])
     def test_split_whose_squares_leave_the_normal_floats(self, n, eta):
         # The optimal split and its variance are normal floats all the same.
