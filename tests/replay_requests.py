@@ -32,6 +32,9 @@ compared on exit code, stdout and stderr.  The requests are:
   the laser-only variance 1/(T^2 eta n) nears or leaves the floats: tiny
   transmissivities (down to 1e-320), time factors from 1e-200 to 1e200 s
   and laser photon numbers up to 1e300;
+- ``variance`` and ``simulate`` at two points where both routes round the
+  variance to the same subnormal float: S at 60 dB with ``--t 1e150 --eta
+  0.999999 --n-v 1.7e8``, and C with ``--t 1e150 --eta 1 --n-v 1.7e8``;
 - ``simulate`` at phases -0.7, 2.0, pi and 1e6, which give both signs of
   cos(phi) and sin(phi), for every design at each of the counts 1, 4 and
   64 that it takes (44 requests), with ``--eta 0.8`` and, for S, P and E,
@@ -50,7 +53,10 @@ numeric length's relative distance from the closed form's before and after,
 and the summary counts the requests whose numeric length moved closer and
 farther.  The summary also counts, for each tree, the requests that end in
 the CLI's fallback line ``fogsim: error: <command>: <Class>Error: ...``,
-which names no input.
+which names no input, and the exit-0 outputs that carry a computed result
+that is 0.0 or subnormal, and so has lost digits: a JSON field named for a
+variance or ``m_continuous``, or a CSV cell of a variance or count-optimum
+column.  Echoed inputs, grids and differences do not count.
 """
 
 from __future__ import annotations
@@ -122,6 +128,12 @@ TIME_FACTOR_CASES = tuple(
     for t in ("1e-200", "1e-160", "1e-155", "0.01", "1e150", "1e200")
     for n_v in ("1", "1e10", "1e100", "1e300")
 )
+#: (design flags, --t, --eta, --n-v) at which both routes round the variance
+#: to the same subnormal float, 1.18e-314 for S and 5.9e-309 for C.
+SUBNORMAL_POINTS = (
+    (("--design", "S", "--squeeze-db", "60"), "1e150", "0.999999", "1.7e8"),
+    (("--design", "C"), "1e150", "1", "1.7e8"),
+)
 #: Circuit phases: -0.7, 2.0 and pi between them give both signs of cos(phi)
 #: and sin(phi), and 1e6 is a phase of many periods.
 PHASES = ("-0.7", "2.0", "3.141592653589793", "1e6")
@@ -134,6 +146,8 @@ FRONT_END = (
     ("variance", "--m"), ("variance", "--squeeze", "10"), ("figure",),
     ("table1", "--out", "/nonexistent/dir/t.csv"),
 )
+#: JSON fields and CSV columns that hold a computed variance or optimum.
+RESULT_FIELD = re.compile(r"var|^(m_continuous|param_m_.*|classical.*|squeezed.*|design_.*)$")
 #: (figure id, grid setting, value) of each configuration-file request.
 CONFIG_CASES = (
     ("3a", "fig3a_points", "2"),
@@ -227,6 +241,9 @@ def _time_factor_requests() -> list[list[str]]:
         [command, *design, "--eta", eta, "--t", t, "--n-v", n_v]
         for command in ("variance", "simulate") for design in designs
         for eta, t, n_v in TIME_FACTOR_CASES
+    ] + [
+        [command, *design, "--t", t, "--eta", eta, "--n-v", n_v]
+        for command in ("variance", "simulate") for design, t, eta, n_v in SUBNORMAL_POINTS
     ]
 
 
@@ -301,6 +318,25 @@ def _length_error(out: str) -> float | None:
     return abs(fields["numeric_length_km"] - fields["length_opt_km"]) / fields["length_opt_km"]
 
 
+def _lost_digits(code: int, out: str) -> bool:
+    """Whether an exit-0 output carries a computed variance or optimum that is 0.0 or subnormal."""
+    if code != 0:
+        return False
+    if out.startswith("# "):
+        header, *rows = out.splitlines()[1:]
+        pairs = [(name, float(cell)) for row in rows
+                 for name, cell in zip(header.split(","), row.split(",")) if cell]
+    else:
+        try:
+            records = json.loads(out)
+        except ValueError:
+            return False
+        pairs = [pair for record in (records if isinstance(records, list) else [records])
+                 for pair in record.items()]
+    return any(RESULT_FIELD.search(name) and isinstance(value, float)
+               and abs(value) < sys.float_info.min for name, value in pairs)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
@@ -329,9 +365,11 @@ def main() -> int:
             closer += new_error < old_error
             farther += new_error > old_error
     fallbacks = [sum(bool(FALLBACK.search(err)) for _, _, err in tree) for tree in (old, new)]
+    lost = [sum(_lost_digits(code, out) for code, out, _ in tree) for tree in (old, new)]
     print(f"{len(argvs)} requests, {differing} differ; "
           f"numeric length optima: {closer} moved closer, {farther} farther; "
-          f"fallback lines: {fallbacks[0]} -> {fallbacks[1]}")
+          f"fallback lines: {fallbacks[0]} -> {fallbacks[1]}; "
+          f"zero or subnormal results: {lost[0]} -> {lost[1]}")
     return 1 if differing else 0
 
 
