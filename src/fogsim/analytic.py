@@ -131,13 +131,12 @@ def classical_variance(time_factor_s: float, eta: float, n_photons: float) -> fl
         variance = 1.0 / (square * (eta * scale) * n_photons) * scale
     except ZeroDivisionError:
         variance = 0.0
-    # Float arithmetic rounds a variance out of range to inf or 0.0; only a T^2 eta n of 0.0 raises.
-    if not 0.0 < variance < math.inf:
-        raise ValueError(
-            f"time factor {time_factor_s} s puts the variance out of floating-point "
-            f"range (transmissivity {eta}, {n_photons} photons)"
-        )
-    return variance
+    # Float arithmetic rounds a variance out of range to inf, 0.0 or a subnormal; only a T^2 eta n
+    # of 0.0 raises.
+    return DOMAIN.result(
+        variance, "time factor {} s puts the variance out of floating-point range "
+        "(transmissivity {}, {} photons)", time_factor_s, eta, n_photons,
+    )
 
 
 def _quantum_term(variant: str, n_squeezed: float, m: float, eta: float = 1.0) -> float:
@@ -152,9 +151,11 @@ def _quantum_term(variant: str, n_squeezed: float, m: float, eta: float = 1.0) -
     if variant in ("C", "D"):
         return eta
     if variant != "P":
-        return eta * (1.0 / (math.sqrt(1.0 + n_squeezed) + math.sqrt(n_squeezed)) ** 2)
+        spread = math.sqrt(1.0 + n_squeezed) + math.sqrt(n_squeezed)
+        return eta * (1.0 / (spread * spread))
+    spread = math.sqrt(m + n_squeezed) + math.sqrt(n_squeezed)
     # Keep this evaluation order: eta * (m / ...) moves the last bit.
-    return eta * m / (math.sqrt(m + n_squeezed) + math.sqrt(n_squeezed)) ** 2
+    return eta * m / (spread * spread)
 
 
 def design_variance(
@@ -172,13 +173,12 @@ def design_variance(
     """
     DOMAIN.check_design(variant, m, n_squeezed)
     DOMAIN.check("n_v", n_v)
-    variance = classical_variance(time_factor_s, eta, m * n_v) * ratio_fixed_eta(
-        variant, eta, m, n_squeezed
+    variance = classical_variance(time_factor_s, eta, m * n_v)
+    return DOMAIN.result(
+        variance * ratio_fixed_eta(variant, eta, m, n_squeezed),
+        "design {} with {} squeezed photons puts the variance out of floating-point range "
+        "(transmissivity {}, time factor {} s)", variant, n_squeezed, eta, time_factor_s,
     )
-    # Worded as the circuit's CircuitResult words the same rejection.
-    if not 0.0 < variance < math.inf:
-        raise ValueError(f"estimator variance must be positive and finite, got {variance}")
-    return variance
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +215,8 @@ def variance_vs_length(
     fixed-length optimization (minimize over M at fixed L, with M real for
     the continuous optimum).
     """
-    point = Optimum(length_km, variance_profile(variant, b, length_km, m, n_squeezed)(length_km, m))
-    return in_range(point, OUT_OF_RANGE, b, length_km).value
+    variance = variance_profile(variant, b, length_km, m, n_squeezed)(length_km, m)
+    return DOMAIN.result(variance, OUT_OF_RANGE, b, length_km)
 
 
 def _variance(variant: str, b: float, length_km: float, m: float, n_squeezed: float) -> float:
@@ -242,17 +242,6 @@ def _variance(variant: str, b: float, length_km: float, m: float, n_squeezed: fl
 Optimum = namedtuple("Optimum", ("x", "value", "iterations"), defaults=(0,))
 
 
-def in_range(optimum: Optimum, message: str, *inputs: float) -> Optimum:
-    """``optimum`` if its value is a positive normal float, else ValueError(message.format(*inputs)).
-
-    The failure rule of every optimum, closed-form or numeric, and of :func:`variance_vs_length`.
-    A zero or subnormal value has lost digits; inf is overflow, which searches rank last.
-    """
-    if not sys.float_info.min <= optimum.value < math.inf:
-        raise ValueError(message.format(*inputs))
-    return optimum
-
-
 def optimal_energy_split(n_total: float, eta: float) -> Optimum:
     """Minimize the squeezed-design variance over the laser/squeezer split.
 
@@ -270,11 +259,10 @@ def optimal_energy_split(n_total: float, eta: float) -> Optimum:
     tail = (1.0 + z) / 2.0 / n_total
     n_s = eta * n_total / (2.0 - eta + z + tail / eta)
     variance = (loss + tail) / (n_total + 1.0) / eta
-    return in_range(
-        Optimum(n_s, variance),
-        "total photon number {} puts the variance of the optimal split out of floating-point range "
-        "(transmissivity {})", n_total, eta,
-    )
+    message = ("total photon number {} puts the {} of the optimal split out of floating-point "
+               "range (transmissivity {})")
+    variance = DOMAIN.result(variance, message, n_total, "variance", eta)
+    return Optimum(DOMAIN.result(n_s, message, n_total, "squeezed photon number", eta), variance)
 
 
 def optimal_length(
@@ -306,16 +294,11 @@ def optimal_length(
         # factor * b * b overflowed; dividing first, by m too, keeps every optimum that is a float.
         variance = b * (b * (factor / divisor / m))
     # A tiny loss overflows the length or leaves the variance subnormal; a huge one overflows it.
-    if not 0.0 < length * m < math.inf:
-        raise ValueError(
-            f"loss coefficient {b} dB/km puts the optimal fiber length out of floating-point range"
-        )
-    return in_range(
-        Optimum(length * m, variance),
-        "loss coefficient {} dB/km puts the variance out of floating-point "
-        "range (optimal fiber length {} km per interferometer)",
-        b,
-        length,
+    return Optimum(
+        DOMAIN.result(length * m, "loss coefficient {} dB/km puts the optimal fiber length out of "
+                      "floating-point range", b),
+        DOMAIN.result(variance, "loss coefficient {} dB/km puts the variance out of floating-point "
+                      "range (optimal fiber length {} km per interferometer)", b, length),
     )
 
 
@@ -342,7 +325,12 @@ def optimal_m(
         )
     c = b * LN10 / 10.0
     exponent = array_size_exponent(n_squeezed)
-    return Optimum(c * length_km / (1.0 + exponent), c * math.exp(1.0 + exponent) / length_km)
+    count = ("loss coefficient {} dB/km and fiber length {} km put the optimal interferometer "
+             "count out of floating-point range")
+    return Optimum(
+        DOMAIN.result(c * length_km / (1.0 + exponent), count, b, length_km),
+        DOMAIN.result(c * math.exp(1.0 + exponent) / length_km, OUT_OF_RANGE, b, length_km),
+    )
 
 
 # ---------------------------------------------------------------------------

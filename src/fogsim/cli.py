@@ -246,6 +246,12 @@ def _design_point(config: _RunConfig) -> tuple[float, float, float]:
     return config.resolved_squeezed_photons(), config.resolved_eta(), config.resolved_time_factor()
 
 
+def _normalized(variance: float, t: float, n_v: float, eta: float) -> float:
+    """The dimensionless variance * T^2 * n_v, or an error naming the transmissivity."""
+    return DOMAIN.result(variance * (t * t) * n_v, "transmissivity {} puts the normalized "
+                         "variance out of floating-point range", eta)
+
+
 def _cmd_variance(config: _RunConfig) -> str:
     """Estimator variance of one design."""
     n_s, eta, t = _design_point(config)
@@ -259,7 +265,7 @@ def _cmd_variance(config: _RunConfig) -> str:
             "eta": eta,
             "time_factor_s": t,
             "variance": variance,
-            "variance_normalized": variance * (t * t) * config.n_v,
+            "variance_normalized": _normalized(variance, t, config.n_v, eta),
             "provenance": "analytic",
         }
     )
@@ -342,6 +348,7 @@ def _cmd_simulate(config: _RunConfig) -> str:
     reference = analytic.design_variance(
         design.variant, t, eta, design.m_interferometers, design.n_v, design.n_squeezed
     )
+    _normalized(reference, t, design.n_v, eta)
     result = designs.estimator_variance_sim(design, eta, t)
     stats = designs.build_and_run(design, config.phi, eta)
     return _json(

@@ -85,10 +85,8 @@ class CircuitResult(
     def __new__(cls, *args, **kwargs) -> "CircuitResult":
         self = super().__new__(cls, *args, **kwargs)
         for name in ("estimator_variance", "variance_normalized"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                label = name.replace("_", " ")
-                raise ValueError(f"{label} must be positive and finite, got {value}")
+            value, label = getattr(self, name), name.replace("_", " ")
+            DOMAIN.result(value, "{} must be a positive normal float, got {}", label, value)
         return self
 
 

@@ -113,8 +113,8 @@ class HomodyneResult(CheckedRecord, namedtuple("HomodyneResult", ("mean", "varia
     __slots__ = ()
 
     def __new__(cls, mean: float, variance: float) -> "HomodyneResult":
-        if not 0.0 < variance < math.inf:
-            raise ValueError(f"homodyne variance must be positive and finite, got {variance}")
+        DOMAIN.result(variance, "homodyne variance must be a positive normal float, got {}",
+                      variance)
         return super().__new__(cls, mean, variance)
 
 

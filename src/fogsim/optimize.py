@@ -128,15 +128,14 @@ def optimize_length(
 ) -> analytic.Optimum:
     """Numerically minimize the normalized variance over the total fiber length."""
     DOMAIN.check("b_optimum", b)
-    bracket = (0.1 * m / b, 40.0 * m / b)
-    if not sys.float_info.min <= bracket[0] < bracket[1] < math.inf:
-        raise ValueError(
-            f"loss coefficient {b} dB/km puts the optimal fiber length out of floating-point range"
-        )
+    message = "loss coefficient {} dB/km puts the optimal fiber length out of floating-point range"
+    bracket = (DOMAIN.result(0.1 * m / b, message, b), DOMAIN.result(40.0 * m / b, message, b))
     profile = analytic.variance_profile(variant, b, bracket[0], m, n_squeezed)
     problem = ScalarProblem(objective=lambda length: profile(length, m), bracket=bracket)
-    message = "loss coefficient {} dB/km puts the variance out of floating-point range"
-    return analytic.in_range(minimize_scalar(problem), message, b)
+    optimum = minimize_scalar(problem)
+    return optimum._replace(value=DOMAIN.result(
+        optimum.value, "loss coefficient {} dB/km puts the variance out of floating-point range", b
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +162,7 @@ def optimize_m_integer(
     for m in range(1, m_max + 1):
         if (value := profile(length_km, m)) < best.value:
             best = analytic.Optimum(m, value)
-    return analytic.in_range(best, analytic.OUT_OF_RANGE, b, length_km)
+    return best._replace(value=DOMAIN.result(best.value, analytic.OUT_OF_RANGE, b, length_km))
 
 
 def optimize_m_continuous(
@@ -176,4 +175,5 @@ def optimize_m_continuous(
     """Golden-section minimum over a continuous (real-valued) count."""
     profile = analytic.variance_profile(variant, b, length_km, m_hi, n_squeezed)
     problem = ScalarProblem(objective=lambda m: profile(length_km, m), bracket=(1.0, m_hi))
-    return analytic.in_range(minimize_scalar(problem), analytic.OUT_OF_RANGE, b, length_km)
+    optimum = minimize_scalar(problem)
+    return optimum._replace(value=DOMAIN.result(optimum.value, analytic.OUT_OF_RANGE, b, length_km))

@@ -35,6 +35,7 @@ class _Domain(dict):
 
     Its checks are methods, not module functions, so that a span tracer
     wrapping each public function of a module times none of them.
+    :meth:`result` is the one rule for every computed quantity.
     """
 
     __slots__ = ()
@@ -47,6 +48,15 @@ class _Domain(dict):
         if value == _INF and key in _LIMITS:
             return value
         raise ValueError(_rejection(key, value))
+
+    def result(self, value: float, message: str, *inputs: object) -> float:
+        """``value`` if it is a positive normal float, else ValueError(message.format(*inputs)).
+
+        A zero or subnormal value has lost digits; inf and NaN have left the floats.
+        """
+        if sys.float_info.min <= value < _INF:
+            return value
+        raise ValueError(message.format(*inputs))
 
     def check_design(self, variant: str, m: float, n_squeezed: float) -> None:
         """Reject an unknown design, a count or squeezing out of its domain, or a
@@ -124,18 +134,16 @@ def _rejection(key: str, value: float) -> str:
 def transmissivity(b: float, length_km: float) -> float:
     """Fiber transmissivity 10^(-b L / 10) for loss ``b`` dB/km over L km.
 
-    Zero loss or zero length transmits everything; a loss that leaves no
-    light in floating point is rejected by its loss and length.
+    Zero loss or zero length transmits everything; a transmissivity that is
+    not a positive normal float is rejected by its loss and length.
     """
     DOMAIN.check("b", b)
     DOMAIN.check("length_km", length_km)
-    eta = 10.0 ** (-b * length_km / 10.0)
-    if eta == 0.0:
-        raise ValueError(
-            f"loss coefficient {b} dB/km and fiber length {length_km} km put the "
-            "transmissivity out of floating-point range"
-        )
-    return eta
+    return DOMAIN.result(
+        10.0 ** (-b * length_km / 10.0),
+        "loss coefficient {} dB/km and fiber length {} km put the transmissivity out of "
+        "floating-point range", b, length_km,
+    )
 
 
 def time_factor(length_km: float, wavelength_nm: float, radius_m: float) -> float:
@@ -156,13 +164,11 @@ def time_factor(length_km: float, wavelength_nm: float, radius_m: float) -> floa
     except ZeroDivisionError:
         # The wavelength in meters underflowed to 0.0.
         t = math.nan
-    # An omega or area out of range leaves T zero, infinite or NaN.
-    if not 0.0 < t < math.inf:
-        raise ValueError(
-            f"coil radius {radius_m} m and wavelength {wavelength_nm} nm put the time "
-            f"factor of {length_km} km of fiber out of floating-point range"
-        )
-    return t
+    # An omega or area out of range leaves T zero, subnormal, infinite or NaN.
+    return DOMAIN.result(
+        t, "coil radius {} m and wavelength {} nm put the time factor of {} km of fiber out of "
+        "floating-point range", radius_m, wavelength_nm, length_km,
+    )
 
 
 def db_to_photons(sigma_db: float) -> float:

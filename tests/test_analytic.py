@@ -198,6 +198,7 @@ class TestVarianceFormulas:
         (0.01, 1e-310, 1.0),  # 1/(T^2 eta n) overflows on the scaled, subnormal-product path
         (1e-160, 1.0, 1.0),  # T^2 is subnormal, and the variance overflows
         (1e150, 1.0, 1e10),  # T^2 n overflows, so the variance rounds to 0
+        (1e150, 1.0, 1.7e8),  # the variance, 5.9e-309, is subnormal
     ])
     def test_time_factor_out_of_range_is_named(self, time_factor_s, eta, n_photons):
         with pytest.raises(ValueError, match=re.escape(f"time factor {time_factor_s} s puts")):
@@ -261,6 +262,13 @@ class TestEnergySplit:
                    f"floating-point range (transmissivity {eta!r})")
         with pytest.raises(ValueError, match=re.escape(message)):
             optimal_energy_split(n, eta)
+
+    def test_split_out_of_range_names_the_photon_number(self):
+        # The variance, 1e300, is a float; the split, about eta^2 N^2 = 1e-600, is not.
+        message = ("total photon number 1.0 puts the squeezed photon number of the optimal split "
+                   "out of floating-point range (transmissivity 1e-300)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            optimal_energy_split(1.0, 1e-300)
 
     @pytest.mark.parametrize("n, eta", [
         (1e155, 1e-3), (1e200, 1e-100),  # N^2 overflows
@@ -401,6 +409,18 @@ class TestOptimalCount:
         assert optimum.x == pytest.approx(0.11513, abs=1e-4)
         assert optimum.x < 1.0
         assert optimize_m_integer("D", 0.5, 1.0).x == 1
+
+    @pytest.mark.parametrize("variant, b, length, quantity", [
+        ("D", 1e-300, 1e100, "variance"),
+        ("E", 1e-300, 1e100, "variance"),
+        ("D", 1e-308, 2.0, "optimal interferometer count"),
+        ("E", 1e-160, 1.4e-154, "optimal interferometer count"),
+    ])
+    def test_out_of_range_optimum_names_the_loss_and_length(self, variant, b, length, quantity):
+        # Never a count or a variance of 0 or subnormal.
+        message = f"loss coefficient {b} dB/km and fiber length {length} km put the {quantity} out"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            optimal_m(variant, b, length, 0.0 if variant == "D" else 10.0)
 
     def test_product_design_needs_numeric_route(self):
         with pytest.raises(ValueError):
@@ -567,6 +587,14 @@ class TestDesignVarianceDispatch:
         squeezed = design_variance("S", 1.0, 0.5, 1, 10.0, n_s)
         entangled = design_variance("E", 1.0, 0.5, 4, 10.0, n_s)
         assert entangled == pytest.approx(squeezed / 4.0, rel=1e-12)
+
+    def test_subnormal_variance_names_the_design(self):
+        # The laser-only variance, 1e-306, is normal; times the ratio 2e-6 it is not.
+        n_s = db_to_photons(60.0)
+        message = (f"design S with {n_s} squeezed photons puts the variance out of floating-point "
+                   "range (transmissivity 0.999999, time factor 1e+153 s)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            design_variance("S", 1e153, 0.999999, 1, 1.0, n_s)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import mpmath
@@ -674,6 +675,14 @@ class TestExitCodes:
                  f"loss coefficient {float(b)} dB/km puts the variance out of floating-point range")
                 for b in ("1e155", "1e200", "1e300", "1e-160", "1e-300")
             ),
+            # The continuous count optimum's variance c e / L rounds to 0.
+            (("optimize", "--design", "D", "--fix-length", "1e100", "--b", "1e-300"),
+             "loss coefficient 1e-300 dB/km and fiber length 1e+100 km put the variance "
+             "out of floating-point range"),
+            # The continuous count optimum c L is subnormal; figure 6 names its first length.
+            (("figure", "--id", "6", "--b", "1e-308"),
+             "loss coefficient 1e-308 dB/km and fiber length 2.0 km put the optimal "
+             "interferometer count out of floating-point range"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -800,6 +809,12 @@ class TestExitCodes:
             (("--design", "S", "--n-squeezed", "nan", "--eta", "0.9"), "squeezed photon number"),
             (("--design", "C", "--m", "3", "--squeeze-db", "10", "--eta", "0.9"),
              "design C uses a single interferometer"),
+            # Both routes round this variance to the same subnormal float.
+            (("--design", "S", "--squeeze-db", "60", "--t", "1e150", "--eta", "0.999999",
+              "--n-v", "1.7e8"), "time factor 1e+150 s puts the variance out of floating-point range"),
+            # The variance is a float; the normalized variance T^2 n_v times it, 1/eta, is not.
+            (("--design", "C", "--eta", "1e-310", "--t", "0.01", "--n-v", "1e10"),
+             "transmissivity 1e-310 puts the normalized variance out of floating-point range"),
         ],
         ids=" ".join,
     )
@@ -1058,7 +1073,13 @@ class TestWholeInputSpace:
         if code == 0:
             assert err == ""
             if command not in ("table1", "figure") or drawn.get("--format") == "json":
-                json.loads(out, parse_constant=_reject_constant)
+                records = json.loads(out, parse_constant=_reject_constant)
+                # No variance or continuous count has lost digits to 0.0 or a subnormal.
+                lost = [key for record in (records if isinstance(records, list) else [records])
+                        for key, value in record.items()
+                        if ("variance" in key or key == "m_continuous")
+                        and abs(value) < sys.float_info.min]
+                assert not lost, (argv, out)
         else:
             assert out == ""
             assert err.startswith("fogsim: error:") and err.count("\n") == 1

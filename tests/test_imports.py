@@ -229,10 +229,13 @@ BAD_REBUILDS = [
     (gaussian.SymplecticTransform(((1.0, 0.0), (0.0, 1.0))), {"matrix": ((2.0, 0.0), (0.0, 2.0))}),
     (gaussian.HomodyneResult(0.0, 1.0), {"variance": -1.0}),
     (gaussian.HomodyneResult(0.0, 1.0), {"variance": math.inf}),
+    (gaussian.HomodyneResult(0.0, 1.0), {"variance": 5e-324}),
     (designs.DesignConfig("C"), {"variant": "Q", "m_interferometers": 0, "n_v": -1.0,
                                  "n_squeezed": math.nan}),
     (designs.estimator_variance_sim(designs.DesignConfig("C"), 0.9, 1.0),
      {"estimator_variance": math.inf}),
+    (designs.estimator_variance_sim(designs.DesignConfig("C"), 0.9, 1.0),
+     {"variance_normalized": 5e-324}),
 ]
 
 

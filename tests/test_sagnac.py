@@ -27,7 +27,9 @@ class TestTransmissivity:
         with pytest.raises(ValueError, match="fiber length must be nonnegative and finite"):
             transmissivity(0.5, bad)
 
-    @pytest.mark.parametrize("b, length_km", [(300.0, 15.0), (1e300, 15.0), (0.5, 1e300)])
+    # 10^-308 and 10^-310 are subnormal: positive, but short of digits.
+    @pytest.mark.parametrize("b, length_km", [(300.0, 15.0), (1e300, 15.0), (0.5, 1e300),
+                                              (3080.0, 1.0), (1.0, 3100.0)])
     def test_underflow_names_loss_and_length(self, b, length_km):
         message = (f"loss coefficient {b} dB/km and fiber length {length_km} km put the "
                    "transmissivity out of floating-point range")
@@ -93,6 +95,7 @@ class TestTimeFactor:
             (10.0, 1e-310, 0.05),  # omega overflows
             (1e300, 1550.0, 0.05),  # T overflows
             (10.0, 1e300, 1e-150),  # T underflows to 0
+            (1e-310, 1550.0, 0.05),  # T is subnormal
         ],
     )
     def test_coil_out_of_range_names_radius_and_wavelength(self, length_km, wavelength_nm, radius_m):
