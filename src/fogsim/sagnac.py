@@ -164,7 +164,7 @@ def time_factor(length_km: float, wavelength_nm: float, radius_m: float) -> floa
     except ZeroDivisionError:
         # The wavelength in meters underflowed to 0.0.
         t = math.nan
-    # An omega or area out of range leaves T zero, subnormal, infinite or NaN.
+    # A tiny length, or an omega or area out of range, leaves T zero, subnormal, inf or NaN.
     return DOMAIN.result(
         t, "coil radius {} m and wavelength {} nm put the time factor of {} km of fiber out of "
         "floating-point range", radius_m, wavelength_nm, length_km,
