@@ -27,7 +27,10 @@ compared on exit code, stdout and stderr.  The requests are:
   10 dB), and on ``figure --id 3b`` and ``figure --id 5``;
 - a grid of squeezing levels from 0 dB to the top of the domain and inf,
   through the regions where the closed form's Lambert W argument nears
-  and then passes its branch point, on the commands that take squeezing;
+  and then passes its branch point, on the commands that take squeezing,
+  and on every caller of the closed form's stationarity exponent: ``ratio``
+  at ``--eta 1`` and at ``--eta 0.9 --m 4``, ``optimize`` of P at M = 4
+  and 64 (the only exponent that depends on M) and of E at M = 4;
 - ``variance`` and ``simulate`` of designs C and E (M = 4, 10 dB) where
   the laser-only variance 1/(T^2 eta n) nears or leaves the floats: tiny
   transmissivities (down to 1e-320), time factors from 1e-200 to 1e200 s
@@ -227,8 +230,12 @@ def _top_loss_requests() -> list[list[str]]:
 def _squeeze_requests() -> list[list[str]]:
     by_squeezing = [
         ["ratio"],
+        ["ratio", "--eta", "1"],
+        ["ratio", "--eta", "0.9", "--m", "4"],
         *(["optimize", "--design", variant, *fix]
           for variant in "SEP" for fix in ((), ("--fix-length", "15"))),
+        *(["optimize", "--design", "P", "--m", m] for m in ("4", "64")),
+        ["optimize", "--design", "E", "--m", "4"],
         ["variance", "--design", "S", "--eta", "1"],
         ["simulate", "--design", "S", "--eta", "1"],
     ]
