@@ -2,9 +2,9 @@
 
 Covers the rotation-estimator variances of designs C, S, D, P, E, the
 optimal laser/squeezer energy split, the optimal fiber length for each
-design (via Lambert-W exponents), the optimal interferometer count under a
-total-fiber-length constraint, and the quantum-over-classical sensitivity
-ratios with their infinite-squeezing limits.
+design and the optimal interferometer count under a total-fiber-length
+constraint (both via one Lambert-W stationarity exponent), and the
+quantum-over-classical sensitivity ratios with their infinite-squeezing limits.
 
 Normalization conventions
 -------------------------
@@ -17,9 +17,9 @@ length-to-time ratio of the coil geometry.  Normalized variances have units
 interferometer count, and the squeezed photon number.
 
 Infinite squeezing is supported as ``math.inf`` photons.  Only the
-Lambert-W exponents take explicit limits, since their arguments would form
-inf - inf; everywhere else IEEE arithmetic gives the limit, as
-1 / inf = 0 in the squeezing factors.
+stationarity exponent :func:`_exponent` takes explicit limits, since its
+argument would form inf - inf; everywhere else IEEE arithmetic gives the
+limit, as 1 / inf = 0 in the squeezing factors.
 """
 
 import math
@@ -81,38 +81,22 @@ def lambert_w0(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Lambert-W exponents
+# The stationarity exponent
 # ---------------------------------------------------------------------------
 
-def length_exponent(n_squeezed: float, m: int = 1) -> float:
-    """Lambert-W exponent governing the optimal fiber length.
+def _exponent(k: int, n_squeezed: float, m: int = 1) -> float:
+    """u - k = W(k (q - 1) / e^k), at the root of (u - k) e^u = k (q - 1).
 
-    W(4 (x - sqrt(x (M + x))) / (M e^2)) for ``n_squeezed`` = x shared by M
-    independent squeezers (design P); M = 1 is the single-squeezer exponent
-    of designs S and E.  Lies in (W(-2/e^2), 0] and tends to
-    W(-2/e^2) = -0.4064 as the squeezing grows.
-    """
-    DOMAIN.check("m", m)
-    if DOMAIN.check("n_squeezed", n_squeezed) == math.inf:
-        return lambert_w0(-2.0 / math.e**2)
-    x = n_squeezed
-    return lambert_w0(4.0 * (x - math.sqrt(x * (m + x))) / (m * math.e**2))
-
-
-def array_size_exponent(n_squeezed: float) -> float:
-    """Lambert-W exponent governing the optimal interferometer count.
-
-    W(2 (x - sqrt(x (1 + x))) / e) = W((1/g - 1) / e) with 1/g = q of
-    :func:`_quantum_term` for design S.  This is the exponent that actually solves the
-    fixed-total-length stationarity condition d(variance)/dM = 0 for the
-    entangled design: substituting u = c L / M gives
-    (u - 1) e^(u - 1) = (1/g - 1)/e.  It runs from 0 (no squeezing) to -1
-    (infinite squeezing), where the branch point of W is reached.
+    u = c L / M is one coil's loss exponent and q the squeezed fraction of
+    :func:`_quantum_term`: q - 1 = 2 (x - sqrt(x (M + x))) / M for M squeezers
+    sharing ``n_squeezed`` = x.  k = 2 makes the length stationary at fixed M
+    (M = 1 for designs S and E), k = 1 the count at fixed total length (M = 1).
+    Infinite squeezing gives W(-2/e^2) = -0.4064 for k = 2, the branch point -1 for k = 1.
     """
     if DOMAIN.check("n_squeezed", n_squeezed) == math.inf:
-        return -1.0
+        return lambert_w0(-2.0 / math.e**2) if k == 2 else -1.0
     x = n_squeezed
-    return lambert_w0(2.0 * (x - math.sqrt(x * (1.0 + x))) / math.e)
+    return lambert_w0(2.0 * k * (x - math.sqrt(x * (m + x))) / (m * math.e**k))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +256,7 @@ def optimal_length(
 
     Classical designs: L = 20 / (ln(10) b) (times M for the array), with
     variance e^2 ln(10)^2 b^2 / 400 per fiber budget.  Squeezed designs
-    shorten the fiber through the length exponent lam:
+    shorten the fiber through lam = :func:`_exponent` with k = 2:
     L = 10 (2 + lam) / (ln(10) b) and variance
     e^(2 + lam) ln(10)^2 b^2 / (200 (2 + lam)), again scaled by M for the
     arrays (with the per-port exponent for design P).  The variance is in
@@ -286,7 +270,7 @@ def optimal_length(
         length = 20.0 / (LN10 * b)
         factor, divisor = math.e**2 * LN10**2, 400.0
     else:
-        lam = length_exponent(n_squeezed, m if variant == "P" else 1)
+        lam = _exponent(2, n_squeezed, m if variant == "P" else 1)
         length = 10.0 * (2.0 + lam) / (LN10 * b)
         factor, divisor = math.exp(2.0 + lam) * LN10**2, 200.0 * (2.0 + lam)
     variance = factor * (b * b) / divisor / m
@@ -308,7 +292,7 @@ def optimal_m(
     """Real interferometer count ``x`` minimizing the variance at fixed total length.
 
     M = c L / (1 + w) with normalized variance c e^(1 + w) / L, where
-    c = b ln(10) / 10 and w = array_size_exponent(N_s).  The laser-only
+    c = b ln(10) / 10 and w = :func:`_exponent` with k = 1.  The laser-only
     array D is the entangled one without squeezing: w = 0, so M = c L and
     the variance is c e / L.  The integer count is left to
     :func:`fogsim.optimize.optimize_m_integer`.
@@ -324,7 +308,7 @@ def optimal_m(
             "optimum; evaluate the ratio limit instead"
         )
     c = b * LN10 / 10.0
-    exponent = array_size_exponent(n_squeezed)
+    exponent = _exponent(1, n_squeezed)
     count = ("loss coefficient {} dB/km and fiber length {} km put the optimal interferometer "
              "count out of floating-point range")
     return Optimum(
@@ -352,11 +336,11 @@ def ratio_fixed_eta(variant: str, eta: float, m: int = 1, n_squeezed: float = 0.
 
 
 def ratio_optimal_length(n_squeezed: float) -> float:
-    """2 e^lam / (2 + lam) with lam the length exponent; limit 0.836."""
-    lam = length_exponent(n_squeezed)
+    """2 e^lam / (2 + lam) with lam = :func:`_exponent` for k = 2; limit 0.836."""
+    lam = _exponent(2, n_squeezed)
     return 2.0 * math.exp(lam) / (2.0 + lam)
 
 
 def ratio_optimal_m(n_squeezed: float) -> float:
-    """e^(array size exponent); independent of b and L, limit 1/e."""
-    return math.exp(array_size_exponent(n_squeezed))
+    """e^w with w = :func:`_exponent` for k = 1; independent of b and L, limit 1/e."""
+    return math.exp(_exponent(1, n_squeezed))

@@ -1,10 +1,11 @@
 """Numeric optimization of fiber length and interferometer count.
 
 Golden-section search over a bracketed scalar objective, with a coarse
-pre-scan that guards the unimodality contract.  The product design's
-fixed-length count optimization has no closed form, so its integer search
-is the only route to that optimum; the length and continuous-count searches
-check the closed-form optima of :mod:`fogsim.analytic` independently.
+pre-scan that guards the unimodality contract.  fogsim does not yet solve
+the stationarity equation of the product design's fixed-length count (ROADMAP
+item 10), so its integer search is the only route to that optimum; the length
+and continuous-count searches check the closed-form optima of
+:mod:`fogsim.analytic` independently.
 """
 
 import math
@@ -151,8 +152,8 @@ def optimize_m_integer(
 ) -> analytic.Optimum:
     """Integer count ``x`` minimizing the fixed-length variance over 1..m_max.
 
-    Exhaustive rather than rounding-based because the product design's
-    profile has no closed form; the smallest count wins a tie.
+    Exhaustive rather than rounding-based because fogsim solves no
+    stationarity equation for the product design; the smallest count wins a tie.
     """
     if variant not in ("D", "P", "E"):
         raise ValueError("count optimization applies to the distributed designs")

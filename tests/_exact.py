@@ -20,7 +20,10 @@ eta q + 1 - eta keeps q at eta = 1, where q is about 1 / (4 N_s).
 
 The length optimum minimizes the normalized variance (M / L^2)(q - 1 + e^u)
 over the total length L, u = c L / M being the loss exponent of one coil and
-c = b ln(10) / 10: its root is (u - 2) e^u = 2 (q - 1).
+c = b ln(10) / 10: its root is (u - 2) e^u = 2 (q - 1).  The count optimum
+minimizes the same variance over M at fixed L, and its root is
+(u - 1) e^u = q - 1.  ``exponent`` gives both, as u - k = W(k (q - 1) / e^k),
+and the two ratios at the optima are built on it.
 
 The paper's two limits are minima of the loss bound of quantum metrology,
 Var >= (1 - eta) / (eta N) for N photons through transmissivity eta (Escher
@@ -88,6 +91,30 @@ def optimal_length(variant: str, b: float, n_squeezed: float = 0.0,
         u = 2 + mpmath.lambertw(2 * (q - 1) / mpmath.e**2).real
         length = m * u / (mpmath.mpf(b) * mpmath.log(10) / 10)
         return +length, m / length**2 * (q - 1 + mpmath.exp(u))
+
+
+def exponent(k: int, n_squeezed: float, m: int = 1) -> mpmath.mpf:
+    """W(k (q - 1) / e^k), the exponent u - k at the root of (u - k) e^u = k (q - 1).
+
+    k = 2 is the length optimum's, with M squeezers sharing ``n_squeezed``
+    (M = 1 for designs S and E); k = 1 is the count optimum's, with M = 1.
+    """
+    with mpmath.workdps(_digits(n_squeezed)):
+        q = _squeezing_factor("P", m, n_squeezed)
+        return +mpmath.lambertw(k * (q - 1) / mpmath.e**k).real
+
+
+def ratio_optimal_length(n_squeezed: float) -> mpmath.mpf:
+    """Squeezed over laser-only variance, each at its length optimum."""
+    with mpmath.workdps(_digits(n_squeezed)):
+        lam = exponent(2, n_squeezed)
+        return 2 * mpmath.exp(lam) / (2 + lam)
+
+
+def ratio_optimal_m(n_squeezed: float) -> mpmath.mpf:
+    """Entangled over laser-only variance, each at its count optimum."""
+    with mpmath.workdps(_digits(n_squeezed)):
+        return mpmath.exp(exponent(1, n_squeezed))
 
 
 with mpmath.workdps(60):

@@ -74,7 +74,7 @@ def test_criterion_02_limit_constants_at_sixty_db():
     # Convergence toward the W branch point is the slow part; confirm the
     # array exponent against the bisection oracle at the same squeezing.
     oracle = lambert_bisect(2.0 * (n_s - math.sqrt(n_s * (1.0 + n_s))) / math.e)
-    assert analytic.array_size_exponent(n_s) == pytest.approx(oracle, abs=1e-10)
+    assert analytic._exponent(1, n_s) == pytest.approx(oracle, abs=1e-10)
     _passed(
         2,
         f"60 dB ratios {length_ratio:.4f} (limit 0.836) and "

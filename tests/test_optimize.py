@@ -538,7 +538,7 @@ class TestExponentArbitration:
             / optimize_m_continuous("D", 0.5, 15.0).value
         )
         array_based = analytic.ratio_optimal_m(n_s)
-        length_lam = analytic.length_exponent(n_s)
+        length_lam = analytic._exponent(2, n_s)
         length_based = math.exp(length_lam)
         length_family = 2.0 * math.exp(length_lam) / (2.0 + length_lam)
         assert numeric == pytest.approx(array_based, rel=1e-6)
