@@ -160,13 +160,12 @@ class TestExponents:
 class TestExponentTwin:
     """The exponent and both optimum ratios against the exact twin, 0 to 30 dB.
 
-    Each bound rounds up the worst error measured in 0.02 dB steps when the
-    length and count exponents were still two functions: 7.6e-13 for k = 1
-    and 2.7e-14 for k = 2, and 7.6e-13 and 1.0e-14 relative for the two
-    ratios.  Above 30 dB the argument k (q - 1) cancels more digits: at
-    39.9 dB ``ratio_optimal_m`` is 4.0e-11 off, relative, and ``optimal_m``'s
-    x 2.8e-9 (E, b = 0.5 dB/km, L = 15 km).  That range is left to ROADMAP
-    item 13.
+    Each bound rounds up the worst error of the Lambert-W route, measured in
+    0.02 dB steps: 7.6e-13 for k = 1 and 2.7e-14 for k = 2, and 7.6e-13 and
+    1.0e-14 relative for the two ratios.  Above 30 dB the argument k (q - 1)
+    cancels more digits: at 39.9 dB ``ratio_optimal_m`` is 4.0e-11 off,
+    relative, and ``optimal_m``'s x 2.8e-9 (E, b = 0.5 dB/km, L = 15 km).
+    That range is left to ROADMAP item 13.
     """
 
     SIGMAS = [step / 4.0 for step in range(121)]
